@@ -1,16 +1,16 @@
 #!/usr/bin/env bash
 # Builds the bench suite and runs the experiments that export machine-readable
-# results (E1 IPC ping-pong, E3 Dom0 CPU accounting, E4 crossing counts, E16
-# batched datapath, E17 tracing overhead, E18 TLB shootdown scaling, E19
-# crash-recovery latency + exactly-once ledger, E20 race-detection
-# overhead, E21 L4 fast-path IPC, E22 causal request tracing, E23 the
-# completed fast-path family). Each bench
-# writes BENCH_<id>.json into $OUT alongside its human-readable tables on
-# stdout; E17/E20 split their host wall-clock columns into a separate
-# BENCH_<id>_HOST.json so the deterministic tables stay bit-exact. E17
-# additionally writes a Perfetto-loadable Chrome trace and flamegraph.pl
-# collapsed stacks, and E22 a request-flow view plus per-request table,
-# into $OUT via UKVM_TRACE_DIR.
+# results: the deterministic benches listed in scripts/det_benches.sh (E1 IPC
+# ping-pong, E3 Dom0 CPU accounting, E4 crossing counts, E16 batched
+# datapath, E18 TLB shootdown scaling, E19 crash-recovery latency +
+# exactly-once ledger, E21 L4 fast-path IPC, E23 the completed fast-path
+# family, and the observer matrix behind E17/E20/E22). Each bench writes
+# BENCH_<id>.json into $OUT alongside its human-readable tables on stdout;
+# host wall-clock columns go to a separate BENCH_<id>_HOST.json so the
+# deterministic tables stay bit-exact. The observer matrix additionally
+# writes a Perfetto-loadable Chrome trace and flamegraph.pl collapsed stacks
+# (tag e17_netsplit) and a request-flow view plus per-request table (tag
+# e22_recovery) into $OUT via UKVM_TRACE_DIR.
 #
 # After the deterministic suite, bench_simspeed reports *wall-clock* harness
 # throughput (host ns per simulated hot op; BM_LifecycleSeed's
@@ -26,21 +26,21 @@ JOBS="${JOBS:-$(nproc 2>/dev/null || echo 2)}"
 OUT="${OUT:-bench-results}"
 BUILD="${BUILD:-build}"
 
+# shellcheck source=scripts/det_benches.sh
+source scripts/det_benches.sh
+benches=()
+for entry in "${DET_BENCHES[@]}"; do
+  benches+=("${entry%% *}")
+done
+
 cmake -B "${BUILD}" -S . >/dev/null
-cmake --build "${BUILD}" -j"${JOBS}" --target \
-  bench_e1_ipc_pingpong bench_e3_dom0_cpu bench_e4_crossings bench_e16_batched_io \
-  bench_e17_trace_overhead bench_e18_shootdown bench_e19_recovery \
-  bench_e20_race_overhead bench_e21_ipc_fastpath bench_e22_reqtrace \
-  bench_e23_replywait bench_simspeed
+cmake --build "${BUILD}" -j"${JOBS}" --target "${benches[@]}" bench_simspeed
 
 mkdir -p "${OUT}"
 export UKVM_BENCH_JSON="${OUT}"
 export UKVM_TRACE_DIR="${OUT}"
 
-for bench in bench_e1_ipc_pingpong bench_e3_dom0_cpu bench_e4_crossings \
-             bench_e16_batched_io bench_e17_trace_overhead bench_e18_shootdown \
-             bench_e19_recovery bench_e20_race_overhead bench_e21_ipc_fastpath \
-             bench_e22_reqtrace bench_e23_replywait; do
+for bench in "${benches[@]}"; do
   echo "== ${bench} =="
   "${BUILD}/bench/${bench}"
   echo

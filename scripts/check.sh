@@ -21,33 +21,33 @@
 #      twice (fast path on vs off) under ASan; every seed must produce
 #      identical results, identical end-state digests, a balanced ledger,
 #      and a clean auditor/race-detector, with every family path taken;
-#   8. E17 tracing-overhead gate: bench_e17_trace_overhead exits non-zero
-#      if tracing perturbs simulated time by even one cycle, breaks span
-#      discipline, or attributes less than 95% of accounted cycles;
-#   9. E20 race-detection gate: bench_e20_race_overhead exits non-zero if
-#      the detector perturbs simulated time at all or any stock
-#      split-driver protocol reports a race;
-#  10. E22 request-tracing gate: bench_e22_reqtrace exits non-zero if the
-#      request tracer perturbs simulated time at all, if fewer than 99% of
-#      completed requests are fully parented (or any handoff orphans), or
-#      if the E19 crash shape's slowest request fails to attribute
-#      detect/reconnect/replay on its critical path;
-#  11. E21 fast-path gate: bench_e21_ipc_fastpath exits non-zero unless the
+#   8. observer-matrix gate: bench_observer_matrix runs six workload shapes
+#      with no observer, each observer alone (auditor, tracer, race
+#      detector, request tracer) and all four at once, and exits non-zero
+#      if any cell perturbs simulated time, cycle attribution or crossing
+#      totals by even one cycle, if the all-on cell changes any observer's
+#      counters, on any auditor/race violation or span mismatch, on less
+#      than 95% cycle attribution, on fewer than 99% fully parented
+#      requests (or any orphaned handoff), or if the E19 crash shape's
+#      slowest request fails to name detect/reconnect/replay;
+#   9. E21 fast-path gate: bench_e21_ipc_fastpath exits non-zero unless the
 #      L4 fast path is >=2x on two platforms, the E1/E11 shapes improve,
 #      and a fastpath-on run is auditor/race-detector clean;
-#  12. E23 fast-path family gate: bench_e23_replywait exits non-zero unless
+#  10. E23 fast-path family gate: bench_e23_replywait exits non-zero unless
 #      reply-wait coalescing is >=1.3x vs the E21 Call-only baseline on at
 #      least two platform shapes, Send/Notify/fault-IPC ride the fast
 #      stubs, the pinned window saves exactly (N-1)*pte_write over a
 #      burst, and a full-family run is checker-clean;
-#  13. perf-regression gate: every deterministic bench regenerates its
-#      BENCH_*.json into a scratch dir and the result is compared
-#      bit-exactly against the committed bench-results/ baselines — the
-#      sim is deterministic, so any drift is a perf regression (or an
-#      uncommitted baseline). E17/E20 participate via their deterministic
-#      tables; their host wall-clock columns live in BENCH_*_HOST.json,
-#      which is never compared. Stages 11-13 use a default-config tree
-#      (build-check/bench) because UKVM_CHECK=ON changes charge sequences.
+#  11. perf-regression gate: every deterministic bench (scripts/det_benches.sh)
+#      regenerates its BENCH_*.json into a scratch dir and the result is
+#      compared bit-exactly against the committed bench-results/ baselines —
+#      the sim is deterministic, so any drift is a perf regression (or an
+#      uncommitted baseline). Host wall-clock columns live in
+#      BENCH_*_HOST.json, which is never compared.
+#
+# Stages 8-11 run the benches stage 1 already built: observers never
+# charge simulated cycles, so the UKVM_CHECK=ON strict tree regenerates the
+# committed baselines bit-exactly.
 #
 # Exits non-zero if any stage that can run fails. Build trees live under
 # build-check/ so the default build/ is left alone.
@@ -56,12 +56,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 2)}"
 
-echo "== [1/13] strict build (-Werror, UKVM_CHECK=ON) + tests =="
+echo "== [1/11] strict build (-Werror, UKVM_CHECK=ON) + tests =="
 cmake -B build-check/werror -S . -DUKVM_WERROR=ON -DUKVM_CHECK=ON >/dev/null
 cmake --build build-check/werror -j"${JOBS}"
 ctest --test-dir build-check/werror -j"${JOBS}" --output-on-failure
 
-echo "== [2/13] clang-tidy over src/ (gating) =="
+echo "== [2/11] clang-tidy over src/ (gating) =="
 if command -v clang-tidy >/dev/null 2>&1; then
   # The strict tree has a fresh compile_commands.json for it to use. The
   # explicit --warnings-as-errors mirrors .clang-tidy's WarningsAsErrors so
@@ -75,69 +75,46 @@ else
   echo "clang-tidy not installed; skipping lint stage (build+tests still gate)."
 fi
 
-echo "== [3/13] ASan+UBSan build + tests =="
+echo "== [3/11] ASan+UBSan build + tests =="
 cmake -B build-check/asan -S . -DUKVM_SANITIZE=ON >/dev/null
 cmake --build build-check/asan -j"${JOBS}"
 ctest --test-dir build-check/asan -j"${JOBS}" --output-on-failure
 
-echo "== [4/13] TSan build + tests =="
+echo "== [4/11] TSan build + tests =="
 cmake -B build-check/tsan -S . -DUKVM_TSAN=ON >/dev/null
 cmake --build build-check/tsan -j"${JOBS}"
 ctest --test-dir build-check/tsan -j"${JOBS}" --output-on-failure
 
-echo "== [5/13] E18 lifecycle fuzz sweep (extended seed bank, ASan) =="
+echo "== [5/11] E18 lifecycle fuzz sweep (extended seed bank, ASan) =="
 UKVM_FUZZ_SEEDS="${UKVM_FUZZ_SEEDS:-128}" \
   build-check/asan/tests/ukvm_tests --gtest_filter='FuzzLifecycle.*'
 
-echo "== [6/13] E19 recovery fuzz sweep (extended seed bank, ASan) =="
+echo "== [6/11] E19 recovery fuzz sweep (extended seed bank, ASan) =="
 UKVM_FUZZ_SEEDS="${UKVM_FUZZ_SEEDS:-128}" \
   build-check/asan/tests/ukvm_tests --gtest_filter='FuzzRecovery.*'
 
-echo "== [7/13] E23 differential fast-vs-slow IPC fuzz sweep (ASan) =="
+echo "== [7/11] E23 differential fast-vs-slow IPC fuzz sweep (ASan) =="
 UKVM_FUZZ_SEEDS="${UKVM_FUZZ_SEEDS:-128}" \
   build-check/asan/tests/ukvm_tests --gtest_filter='FuzzIpcDiff.*'
 
-echo "== [8/13] E17 tracing zero-perturbation gate =="
-cmake --build build-check/werror -j"${JOBS}" --target bench_e17_trace_overhead
-build-check/werror/bench/bench_e17_trace_overhead
+echo "== [8/11] observer-matrix zero-perturbation gate =="
+build-check/werror/bench/bench_observer_matrix
 
-echo "== [9/13] E20 race-detection zero-perturbation gate =="
-cmake --build build-check/werror -j"${JOBS}" --target bench_e20_race_overhead
-build-check/werror/bench/bench_e20_race_overhead
+echo "== [9/11] E21 IPC fast-path gate =="
+build-check/werror/bench/bench_e21_ipc_fastpath
 
-echo "== [10/13] E22 request-tracing gate =="
-cmake --build build-check/werror -j"${JOBS}" --target bench_e22_reqtrace
-build-check/werror/bench/bench_e22_reqtrace
+echo "== [10/11] E23 fast-path family gate =="
+build-check/werror/bench/bench_e23_replywait
 
-# Stages 10-11 need the default configuration: the committed baselines were
-# produced without UKVM_CHECK's auditor hooks in the charge stream. Every
-# bench's BENCH_<id>.json carries pure simulated-cycle data (E17/E20 split
-# their wall-clock columns into BENCH_<id>_HOST.json, which never gates).
-DET_BENCHES="bench_e1_ipc_pingpong bench_e3_dom0_cpu bench_e4_crossings \
-             bench_e16_batched_io bench_e17_trace_overhead bench_e18_shootdown \
-             bench_e19_recovery bench_e20_race_overhead bench_e21_ipc_fastpath \
-             bench_e22_reqtrace bench_e23_replywait"
-DET_JSONS="BENCH_E1.json BENCH_E3.json BENCH_E4.json BENCH_E16.json \
-           BENCH_E17.json BENCH_E18.json BENCH_E19.json BENCH_E20.json \
-           BENCH_E21.json BENCH_E22.json BENCH_E23.json"
-cmake -B build-check/bench -S . >/dev/null
-# shellcheck disable=SC2086
-cmake --build build-check/bench -j"${JOBS}" --target ${DET_BENCHES}
-
-echo "== [11/13] E21 IPC fast-path gate =="
-build-check/bench/bench/bench_e21_ipc_fastpath
-
-echo "== [12/13] E23 fast-path family gate =="
-build-check/bench/bench/bench_e23_replywait
-
-echo "== [13/13] bench JSON bit-exact perf-regression gate =="
+echo "== [11/11] bench JSON bit-exact perf-regression gate =="
+# shellcheck source=scripts/det_benches.sh
+source scripts/det_benches.sh
 rm -rf build-check/bench-json
 mkdir -p build-check/bench-json
-for bench in ${DET_BENCHES}; do
+for entry in "${DET_BENCHES[@]}"; do
+  read -r bench json <<<"${entry}"
   UKVM_BENCH_JSON=build-check/bench-json UKVM_TRACE_DIR=build-check/bench-json \
-    "build-check/bench/bench/${bench}" >/dev/null
-done
-for json in ${DET_JSONS}; do
+    "build-check/werror/bench/${bench}" >/dev/null
   baseline="bench-results/${json}"
   regen="build-check/bench-json/${json}"
   if ! cmp -s "${baseline}" "${regen}"; then

@@ -1,5 +1,6 @@
 #include "src/check/auditor.h"
 
+#include <cassert>
 #include <utility>
 
 #include "src/core/log.h"
@@ -20,50 +21,23 @@ Auditor::Auditor(hwsim::Machine& machine, Options options)
     : machine_(machine), options_(options), invariants_(machine), lint_(machine.ledger()) {
   trace_sink_id_ = machine_.ledger().AddTraceSink(
       [this](const ukvm::CrossingEvent& event) { OnCrossing(event); });
-  machine_.ledger().SetResetHook([this] { lint_.Reset(); });
-  if (options_.check_tlb_inserts) {
-    // Every vCPU's TLB, not just the boot CPU's: remote shootdown targets
-    // refill their TLBs too.
-    for (uint32_t v = 0; v < machine_.num_vcpus(); ++v) {
-      machine_.cpu(v).tlb().SetInsertHook(
-          [this](const hwsim::TlbEntry& entry) { invariants_.CheckTlbInsert(entry); });
-    }
-  }
-  if (options_.check_dma) {
-    machine_.SetDmaAuditHook(
-        [this](const hwsim::Machine::DmaAccess& access) { invariants_.CheckDmaTarget(access); });
-  }
   if (options_.race_detect) {
     race_ = std::make_unique<RaceDetector>(machine_);
   }
+  machine_.SetObserver(this, /*race_edges=*/race_ != nullptr);
 }
 
 Auditor::~Auditor() {
   machine_.ledger().RemoveTraceSink(trace_sink_id_);
-  machine_.ledger().SetResetHook(nullptr);
-  for (uint32_t v = 0; v < machine_.num_vcpus(); ++v) {
-    machine_.cpu(v).tlb().SetInsertHook(nullptr);
-  }
-  machine_.SetDmaAuditHook(nullptr);
-  if (kernel_ != nullptr) {
-    kernel_->mapdb().SetAuditHook(nullptr);
-    kernel_->ForEachTask([](ukern::Task& t) { t.space.SetAuditHook(nullptr); });
-  }
-  if (hv_ != nullptr) {
-    hv_->gnttab().SetAuditHook(nullptr);
-    hv_->pt_virt().SetAuditHook(nullptr);
-    hv_->ForEachDomain([](uvmm::Domain& d) { d.space.SetAuditHook(nullptr); });
-  }
-  for (auto& [domain, space] : raw_spaces_) {
-    space->SetAuditHook(nullptr);
+  if (machine_.observer() == this) {
+    machine_.SetObserver(nullptr, /*race_edges=*/false);
   }
 }
 
 void Auditor::AttachUkernel(ukern::Kernel& kernel) {
   kernel_ = &kernel;
   invariants_.AttachUkernel(kernel);
-  kernel.mapdb().SetAuditHook([this] { mapdb_dirty_ = true; });
-  RefreshSpaceHooks();
+  WatchLiveSpaces();
 }
 
 void Auditor::AttachVmm(uvmm::Hypervisor& hv) {
@@ -72,62 +46,109 @@ void Auditor::AttachVmm(uvmm::Hypervisor& hv) {
   if (race_) {
     race_->SetHubDomain(hv.vmm_domain());
   }
-  hv.gnttab().SetAuditHook([this] { grants_dirty_ = true; });
-  // PT-update batches bypass no hooks (PtVirt goes through PageTable::Map/
-  // Unmap), but the batch hook gives a consistent point to rescan just the
-  // touched domain's table, catching multi-update interactions the
-  // per-update checks cannot see.
-  hv.pt_virt().SetAuditHook([this](const uvmm::Domain& dom) {
-    if (options_.check_pt_updates) {
-      invariants_.CheckSpace(dom.id, SpaceKind::kVmmDomain, dom.space);
-    }
-  });
-  RefreshSpaceHooks();
+  WatchLiveSpaces();
 }
 
 void Auditor::AttachSpace(ukvm::DomainId domain, hwsim::PageTable& space) {
-  raw_spaces_.emplace_back(domain, &space);
+  assert(space.machine() == &machine_ && "a raw space must report to this machine");
   invariants_.AttachSpace(domain, space);
-  HookSpace(domain, SpaceKind::kRaw, space);
+  watched_[space.instance_id()] = WatchedSpace{domain, SpaceKind::kRaw};
 }
 
 void Auditor::DetachSpace(hwsim::PageTable& space) {
-  space.SetAuditHook(nullptr);
-  std::erase_if(raw_spaces_, [sp = &space](const auto& e) { return e.second == sp; });
+  watched_.erase(space.instance_id());
   invariants_.DetachSpace(&space);
 }
 
-void Auditor::HookSpace(ukvm::DomainId domain, SpaceKind kind, hwsim::PageTable& space) {
-  if (!options_.check_pt_updates) {
-    return;
-  }
-  space.SetAuditHook([this, domain, kind, sp = &space](hwsim::PageTable::AuditOp op,
-                                                       hwsim::Vaddr vpn, const hwsim::Pte& pte) {
-    OnPtOp(sp, domain, kind, op, vpn, pte);
-  });
-}
-
-void Auditor::RefreshSpaceHooks() {
+void Auditor::WatchLiveSpaces() {
   if (kernel_ != nullptr) {
-    kernel_->ForEachTask(
-        [this](ukern::Task& t) { HookSpace(t.id, SpaceKind::kUkernelTask, t.space); });
+    kernel_->ForEachTask([this](ukern::Task& t) {
+      watched_[t.space.instance_id()] = WatchedSpace{t.id, SpaceKind::kUkernelTask};
+    });
   }
   if (hv_ != nullptr) {
-    hv_->ForEachDomain(
-        [this](uvmm::Domain& d) { HookSpace(d.id, SpaceKind::kVmmDomain, d.space); });
+    hv_->ForEachDomain([this](uvmm::Domain& d) {
+      watched_[d.space.instance_id()] = WatchedSpace{d.id, SpaceKind::kVmmDomain};
+    });
   }
 }
 
-void Auditor::OnPtOp(const hwsim::PageTable* space, ukvm::DomainId domain, SpaceKind kind,
-                     hwsim::PageTable::AuditOp op, hwsim::Vaddr vpn, const hwsim::Pte& pte) {
-  if (op == hwsim::PageTable::AuditOp::kUnmap) {
-    // The kernel flushes the TLB right after this hook fires, so the check
-    // must wait: it runs at the next recorded crossing (by which time the
-    // operation has completed) or at the next checkpoint.
-    pending_unmaps_.push_back(PendingUnmap{space, vpn});
+void Auditor::TlbInsert(const hwsim::TlbEntry& entry) { invariants_.CheckTlbInsert(entry); }
+
+void Auditor::PteChanged(const hwsim::PageTable& space, hwsim::PteOp op, hwsim::Vaddr vpn,
+                         const hwsim::Pte& pte) {
+  const auto it = watched_.find(space.instance_id());
+  if (it == watched_.end()) {
     return;
   }
-  invariants_.CheckMappedPte(domain, kind, vpn, pte);
+  if (op == hwsim::PteOp::kUnmap) {
+    // The kernel flushes the TLB right after the unmap, so the check must
+    // wait: it runs at the next recorded crossing (by which time the
+    // operation has completed) or at the next checkpoint.
+    pending_unmaps_.push_back(PendingUnmap{&space, vpn});
+    return;
+  }
+  invariants_.CheckMappedPte(it->second.domain, it->second.kind, vpn, pte);
+}
+
+void Auditor::PtBatchApplied(ukvm::DomainId domain, const hwsim::PageTable& space) {
+  // PT-update batches bypass no checks (PtVirt goes through PageTable::Map/
+  // Unmap), but the batch boundary is a consistent point to rescan just the
+  // touched domain's table, catching multi-update interactions the
+  // per-update checks cannot see.
+  if (hv_ != nullptr) {
+    invariants_.CheckSpace(domain, SpaceKind::kVmmDomain, space);
+  }
+}
+
+void Auditor::DelegationChanged() {
+  if (kernel_ != nullptr || hv_ != nullptr) {
+    delegations_dirty_ = true;
+  }
+}
+
+void Auditor::DmaTarget(const hwsim::DmaAccess& access) { invariants_.CheckDmaTarget(access); }
+
+void Auditor::Release(ukvm::DomainId ctx, uint64_t key) {
+  if (race_) {
+    race_->Release(ctx, key);
+  }
+}
+
+void Auditor::Acquire(ukvm::DomainId ctx, uint64_t key) {
+  if (race_) {
+    race_->Acquire(ctx, key);
+  }
+}
+
+void Auditor::SharedWrite(ukvm::DomainId ctx, uint64_t object, uint64_t offset,
+                          const char* what) {
+  if (race_) {
+    race_->SharedWrite(ctx, object, offset, what);
+  }
+}
+
+void Auditor::SharedRead(ukvm::DomainId ctx, uint64_t object, uint64_t offset,
+                         const char* what) {
+  if (race_) {
+    race_->SharedRead(ctx, object, offset, what);
+  }
+}
+
+void Auditor::RingPublish(ukvm::DomainId ctx, uint64_t key, uint64_t count) {
+  if (race_) {
+    race_->RingPublish(ctx, key, count);
+  }
+}
+
+bool Auditor::RingObserve(ukvm::DomainId ctx, uint64_t key, uint64_t index) {
+  return race_ == nullptr || race_->RingObserve(ctx, key, index);
+}
+
+void Auditor::ContextDead(ukvm::DomainId ctx) {
+  if (race_) {
+    race_->ContextDead(ctx);
+  }
 }
 
 void Auditor::DrainPendingUnmaps() {
@@ -138,17 +159,17 @@ void Auditor::DrainPendingUnmaps() {
 }
 
 void Auditor::OnCrossing(const ukvm::CrossingEvent& event) {
-  if (options_.lint_crossings) {
-    lint_.Observe(event);
-  }
+  lint_.Observe(event);
   if (!pending_unmaps_.empty()) {
     DrainPendingUnmaps();
+  }
+  if (race_) {
+    race_->OnCrossing(event);
   }
 }
 
 void Auditor::Checkpoint(const std::string& phase) {
-  ++checkpoints_;
-  RefreshSpaceHooks();
+  WatchLiveSpaces();
   DrainPendingUnmaps();
   if (options_.incremental_tlb) {
     invariants_.CheckTlbCoherenceSince(tlb_stamps_);
@@ -159,17 +180,12 @@ void Auditor::Checkpoint(const std::string& phase) {
   invariants_.CheckFrameOwnership();
   invariants_.CheckPrivilegeDiscipline();
   invariants_.CheckDeadDomainReclamation();
-  if (grants_dirty_) {
+  if (delegations_dirty_) {
     invariants_.CheckGrantRefcounts();
-    grants_dirty_ = false;
-  }
-  if (mapdb_dirty_) {
     invariants_.CheckMapDbCoherence();
-    mapdb_dirty_ = false;
+    delegations_dirty_ = false;
   }
-  if (options_.lint_crossings) {
-    lint_.CheckBalanced();
-  }
+  lint_.CheckBalanced();
   const std::vector<std::string> reports = ViolationReports();
   for (size_t i = warned_; i < reports.size(); ++i) {
     UKVM_WARN("ukvm-check[%s]: %s", phase.c_str(), reports[i].c_str());

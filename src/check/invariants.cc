@@ -461,7 +461,7 @@ void InvariantAuditor::CheckTlbInsert(const hwsim::TlbEntry& entry) {
   }
 }
 
-void InvariantAuditor::CheckDmaTarget(const hwsim::Machine::DmaAccess& access) {
+void InvariantAuditor::CheckDmaTarget(const hwsim::DmaAccess& access) {
   const ukvm::DomainId owner = machine_.memory().OwnerOf(access.frame);
   if (!owner.valid()) {
     Flag(Invariant::kDmaToFreeFrame,

@@ -128,11 +128,11 @@ class InvariantAuditor {
   // still be owned by — or stay connected to — it.
   void CheckDeadDomainReclamation();
 
-  // Ownership + privilege scan of a single space (used by the paravirtual
-  // PT-update hook, which knows which domain's table just changed).
+  // Ownership + privilege scan of a single space (used at the end of each
+  // paravirtual PT-update batch, which knows which domain's table changed).
   void CheckSpace(ukvm::DomainId domain, SpaceKind kind, const hwsim::PageTable& space);
 
-  // --- Incremental checks (hook granularity) ---------------------------------
+  // --- Incremental checks (per observed event) --------------------------------
 
   // A PTE was just installed: is the frame live, non-privileged, outside
   // the hole?
@@ -150,7 +150,7 @@ class InvariantAuditor {
   void CheckTlbInsert(const hwsim::TlbEntry& entry);
 
   // A device DMA touches `access.frame`.
-  void CheckDmaTarget(const hwsim::Machine::DmaAccess& access);
+  void CheckDmaTarget(const hwsim::DmaAccess& access);
 
   // --- Results ----------------------------------------------------------------
 

@@ -202,16 +202,6 @@ void LedgerLint::CheckBalanced() {
   }
 }
 
-void LedgerLint::Reset() {
-  for (PairGroup& group : groups_) {
-    group.outstanding.clear();
-    group.completed = 0;
-  }
-  have_last_time_ = false;
-  last_time_ = 0;
-  events_observed_ = 0;
-}
-
 uint64_t LedgerLint::CompletedPairs(const std::string& group) const {
   for (const PairGroup& g : groups_) {
     if (g.name == group) {

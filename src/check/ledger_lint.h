@@ -61,9 +61,6 @@ class LedgerLint {
   // outstanding entries. Appends violations for any imbalance found.
   void CheckBalanced();
 
-  // Drops pairing state and per-mechanism roles (ledger Reset).
-  void Reset();
-
   const std::vector<LintViolation>& violations() const { return violations_; }
   size_t violation_count() const { return violations_.size(); }
   void ClearViolations() { violations_.clear(); }

@@ -19,19 +19,6 @@ const char* RaceRuleName(RaceRule rule) {
   return "kUnknownRaceRule";
 }
 
-RaceDetector::RaceDetector(hwsim::Machine& machine) : machine_(machine) {
-  trace_sink_id_ = machine_.ledger().AddTraceSink(
-      [this](const ukvm::CrossingEvent& event) { OnCrossing(event); });
-  machine_.SetRaceSink(this);
-}
-
-RaceDetector::~RaceDetector() {
-  if (machine_.race_sink() == this) {
-    machine_.SetRaceSink(nullptr);
-  }
-  machine_.ledger().RemoveTraceSink(trace_sink_id_);
-}
-
 size_t RaceDetector::CtxOf(ukvm::DomainId ctx) {
   if (!ctx.valid()) {
     return kNoCtx;

@@ -19,9 +19,10 @@
 //    ordering the protocol itself establishes, not the one the scheduler
 //    happened to produce);
 //  - synchronization edges come from the events the system already models,
-//    reported through hwsim::RaceSink: event-channel send -> upcall, IPI
-//    send -> shootdown handler -> ack wait, hypercall entry/exit, IPC
-//    call/reply crossings (observed via the CrossingLedger sink fan-out),
+//    reported through the machine's observer (hwsim::Observer, whose one
+//    implementation, the Auditor, forwards them here): event-channel send
+//    -> upcall, IPI send -> shootdown handler -> ack wait, hypercall
+//    entry/exit, IPC call/reply crossings (from the auditor's ledger sink),
 //    and ring-index publish/observe in stacks/xenring.h. Each edge key maps
 //    to a slot clock; Release joins the releaser's clock into the slot and
 //    advances the releaser's epoch, Acquire joins the slot back (FastTrack
@@ -33,7 +34,8 @@
 //    of a ring slot index no publish has covered is kRingReadBeforePublish.
 //
 // The detector is pure observation: it never charges simulated cycles, so
-// enabling it cannot perturb any measured result (bench_e20 gates this).
+// enabling it cannot perturb any measured result (bench_observer_matrix
+// gates this).
 
 #ifndef UKVM_SRC_CHECK_RACE_H_
 #define UKVM_SRC_CHECK_RACE_H_
@@ -44,9 +46,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/core/crossings.h"
 #include "src/core/ids.h"
 #include "src/hw/machine.h"
-#include "src/hw/race_sink.h"
 
 namespace ucheck {
 
@@ -66,7 +68,7 @@ struct RaceViolation {
   std::string detail;
 };
 
-class RaceDetector : public hwsim::RaceSink {
+class RaceDetector {
  public:
   struct Stats {
     uint64_t releases = 0;
@@ -79,10 +81,10 @@ class RaceDetector : public hwsim::RaceSink {
     size_t shadow_cells = 0;
   };
 
-  // Installs itself as the machine's race sink and as a ledger trace sink
-  // (for IPC call/reply edges). One detector per machine.
-  explicit RaceDetector(hwsim::Machine& machine);
-  ~RaceDetector() override;
+  // Reads `machine`'s clock for violation timestamps; the events arrive
+  // through the methods below (the Auditor forwards the machine's race
+  // events and ledger crossings).
+  explicit RaceDetector(hwsim::Machine& machine) : machine_(machine) {}
 
   RaceDetector(const RaceDetector&) = delete;
   RaceDetector& operator=(const RaceDetector&) = delete;
@@ -93,16 +95,18 @@ class RaceDetector : public hwsim::RaceSink {
   // upcall etc. — are reported at their mechanism sites instead).
   void SetHubDomain(ukvm::DomainId hub) { hub_ = hub; }
 
-  // hwsim::RaceSink interface.
-  void Release(ukvm::DomainId ctx, uint64_t key) override;
-  void Acquire(ukvm::DomainId ctx, uint64_t key) override;
-  void SharedWrite(ukvm::DomainId ctx, uint64_t object, uint64_t offset,
-                   const char* what) override;
-  void SharedRead(ukvm::DomainId ctx, uint64_t object, uint64_t offset,
-                  const char* what) override;
-  void RingPublish(ukvm::DomainId ctx, uint64_t key, uint64_t count) override;
-  bool RingObserve(ukvm::DomainId ctx, uint64_t key, uint64_t index) override;
-  void ContextDead(ukvm::DomainId ctx) override;
+  // The race half of hwsim::Observer (same contracts).
+  void Release(ukvm::DomainId ctx, uint64_t key);
+  void Acquire(ukvm::DomainId ctx, uint64_t key);
+  void SharedWrite(ukvm::DomainId ctx, uint64_t object, uint64_t offset, const char* what);
+  void SharedRead(ukvm::DomainId ctx, uint64_t object, uint64_t offset, const char* what);
+  void RingPublish(ukvm::DomainId ctx, uint64_t key, uint64_t count);
+  bool RingObserve(ukvm::DomainId ctx, uint64_t key, uint64_t index);
+  void ContextDead(ukvm::DomainId ctx);
+
+  // IPC call/reply edge: a ledger crossing between two non-hub domains
+  // releases the sender's history to the receiver.
+  void OnCrossing(const ukvm::CrossingEvent& event);
 
   size_t violation_count() const;
   uint64_t RuleCount(RaceRule rule) const {
@@ -150,10 +154,7 @@ class RaceDetector : public hwsim::RaceSink {
   std::string DescribeObject(uint64_t object, uint64_t offset) const;
   std::string CtxName(size_t c) const;
 
-  void OnCrossing(const ukvm::CrossingEvent& event);
-
   hwsim::Machine& machine_;
-  uint32_t trace_sink_id_ = 0;
   ukvm::DomainId hub_ = ukvm::DomainId::Invalid();
 
   std::unordered_map<uint32_t, size_t> ctx_index_;  // DomainId value -> dense

@@ -136,18 +136,4 @@ CrossingSnapshot CrossingLedger::Snapshot() const {
   return snap;
 }
 
-void CrossingLedger::Reset() {
-  for (MechanismSlot& slot : slots_) {
-    slot.count = 0;
-    slot.cycles = 0;
-    slot.bytes = 0;
-  }
-  kind_counts_.fill(0);
-  total_count_ = 0;
-  total_cycles_ = 0;
-  if (reset_hook_) {
-    reset_hook_();
-  }
-}
-
 }  // namespace ukvm

@@ -105,7 +105,6 @@ class CrossingLedger {
   MechanismStats StatsFor(std::string_view name) const;
 
   CrossingSnapshot Snapshot() const;
-  void Reset();
 
   // --- Trace stream (feeds the crossing-discipline linter and the flight
   // --- recorder) --------------------------------------------------------------
@@ -121,10 +120,6 @@ class CrossingLedger {
   // Clock for event timestamps; the owning Machine installs its simulated
   // clock here. Without one, event times are 0.
   void SetTimeSource(std::function<uint64_t()> now) { now_ = std::move(now); }
-
-  // Observer for Reset(), so stream consumers can drop their running state
-  // in step with the aggregates.
-  void SetResetHook(std::function<void()> hook) { reset_hook_ = std::move(hook); }
 
   // Mechanism table introspection (ids are dense, [0, mechanism_count)).
   size_t mechanism_count() const { return slots_.size(); }
@@ -151,7 +146,6 @@ class CrossingLedger {
   std::vector<std::pair<uint32_t, std::function<void(const CrossingEvent&)>>> sinks_;
   uint32_t next_sink_id_ = 1;
   std::function<uint64_t()> now_;
-  std::function<void()> reset_hook_;
 };
 
 }  // namespace ukvm

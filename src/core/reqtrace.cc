@@ -71,11 +71,6 @@ void RequestTrace::Enable(const ReqTraceConfig& config) {
   drop_next_ring_stash_ = drop_next_channel_adopt_ = false;
 }
 
-void RequestTrace::Disable() {
-  enabled_ = false;
-  current_ = ReqTraceRef{};
-}
-
 uint32_t RequestTrace::InternName(std::string_view name) {
   const auto it = name_ids_.find(std::string(name));
   if (it != name_ids_.end()) {

@@ -152,8 +152,6 @@ class RequestTrace {
   // Arms the tracer; clears previously recorded requests. Interned names
   // survive (instrumentation sites cache ids at construction time).
   void Enable(const ReqTraceConfig& config);
-  // Stops recording; already-captured data stays readable for export.
-  void Disable();
   bool enabled() const { return enabled_; }
 
   void SetTimeSource(std::function<uint64_t()> now) { now_ = std::move(now); }

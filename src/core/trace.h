@@ -4,7 +4,7 @@
 // Everything here observes the simulation without perturbing it: no method
 // in this file ever charges simulated cycles, so a run with tracing on is
 // cycle-for-cycle identical to the same run with tracing off (proven by
-// bench_e17_trace_overhead). The only cost of tracing is host wall-clock.
+// bench_observer_matrix). The only cost of tracing is host wall-clock.
 //
 // Three instruments share one Tracer per machine:
 //   - Flight recorder: a fixed-capacity ring of typed TraceEvents. Spans

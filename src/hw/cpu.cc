@@ -117,9 +117,16 @@ ukvm::Result<Translation> Cpu::Translate(Vaddr va, bool write, bool user_access)
   if (write) {
     pte->dirty = true;
   }
-  tlb_.Insert(vpn, pte->frame, pte->writable, pte->user);
+  FillTlb(vpn, pte->frame, pte->writable, pte->user);
   return Translation{machine_.memory().FrameBase(pte->frame) + offset, pte->frame, pte->writable,
                      pte->user};
+}
+
+void Cpu::FillTlb(Vaddr key, Frame frame, bool writable, bool user) {
+  const TlbEntry& entry = tlb_.Insert(key, frame, writable, user);
+  if (Observer* observer = machine_.observer()) {
+    observer->TlbInsert(entry);
+  }
 }
 
 void Cpu::ChargeSegmentReloads(uint32_t count) {

@@ -107,6 +107,11 @@ class Cpu {
   // mappings — the caller decides whether to raise a page-fault trap.
   ukvm::Result<Translation> Translate(Vaddr va, bool write, bool user_access);
 
+  // The MMU's refill after a walk: inserts the entry under `key` (the
+  // salted vpn) and reports it to the machine's observer. Uncharged — the
+  // walk that found the PTE carries the cost.
+  void FillTlb(Vaddr key, Frame frame, bool writable, bool user);
+
   // Charges the cost of reloading `count` segment registers (zero-cost on
   // platforms without segmentation).
   void ChargeSegmentReloads(uint32_t count);

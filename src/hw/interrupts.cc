@@ -4,8 +4,12 @@
 
 namespace hwsim {
 
-InterruptController::InterruptController(uint32_t lines)
-    : pending_(lines, false), masked_(lines, false) {
+InterruptController::InterruptController(uint32_t lines, ukvm::Tracer& tracer)
+    : pending_(lines, false),
+      masked_(lines, false),
+      tracer_(tracer),
+      assert_name_(tracer.InternName("irq.assert")),
+      deliver_name_(tracer.InternName("irq.deliver")) {
   assert(lines > 0);
 }
 
@@ -14,9 +18,7 @@ void InterruptController::Assert(ukvm::IrqLine line) {
   if (!pending_[line.value()]) {
     pending_[line.value()] = true;
     ++asserts_;
-    if (trace_hook_) {
-      trace_hook_(line, /*delivered=*/false);
-    }
+    tracer_.Instant(assert_name_, ukvm::kHardwareDomain, line.value());
   }
 }
 
@@ -35,9 +37,7 @@ std::optional<ukvm::IrqLine> InterruptController::TakePending() {
     if (pending_[i] && !masked_[i]) {
       pending_[i] = false;
       ++deliveries_;
-      if (trace_hook_) {
-        trace_hook_(ukvm::IrqLine(i), /*delivered=*/true);
-      }
+      tracer_.Instant(deliver_name_, ukvm::kHardwareDomain, i);
       return ukvm::IrqLine(i);
     }
   }

@@ -11,17 +11,19 @@
 #define UKVM_SRC_HW_INTERRUPTS_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
 #include "src/core/ids.h"
+#include "src/core/trace.h"
 
 namespace hwsim {
 
 class InterruptController {
  public:
-  explicit InterruptController(uint32_t lines);
+  // `tracer` is the machine's flight recorder: each Assert that latches a
+  // new edge and each successful TakePending records an instant there.
+  InterruptController(uint32_t lines, ukvm::Tracer& tracer);
 
   uint32_t num_lines() const { return static_cast<uint32_t>(pending_.size()); }
 
@@ -40,13 +42,6 @@ class InterruptController {
   uint64_t asserts() const { return asserts_; }
   uint64_t deliveries() const { return deliveries_; }
 
-  // Observer for the flight recorder: fired on each Assert that latches a
-  // new edge (delivered=false) and on each successful TakePending
-  // (delivered=true). Purely observational — no cycles, no state.
-  void SetTraceHook(std::function<void(ukvm::IrqLine, bool delivered)> hook) {
-    trace_hook_ = std::move(hook);
-  }
-
  private:
   bool LineInRange(ukvm::IrqLine line) const { return line.value() < pending_.size(); }
 
@@ -54,7 +49,9 @@ class InterruptController {
   std::vector<bool> masked_;
   uint64_t asserts_ = 0;
   uint64_t deliveries_ = 0;
-  std::function<void(ukvm::IrqLine, bool)> trace_hook_;
+  ukvm::Tracer& tracer_;
+  uint32_t assert_name_ = 0;
+  uint32_t deliver_name_ = 0;
 };
 
 // Inter-processor interrupt vectors. Unlike device lines these are

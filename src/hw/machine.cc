@@ -13,7 +13,7 @@ namespace hwsim {
 Machine::Machine(Platform platform, uint64_t memory_bytes, uint32_t num_vcpus)
     : platform_(std::move(platform)),
       memory_(memory_bytes, platform_.page_shift),
-      irq_controller_(platform_.irq_lines),
+      irq_controller_(platform_.irq_lines, tracer_),
       ipis_(num_vcpus == 0 ? 1 : num_vcpus),
       vcpu_accounting_(num_vcpus == 0 ? 1 : num_vcpus) {
   if (num_vcpus == 0) {
@@ -27,12 +27,6 @@ Machine::Machine(Platform platform, uint64_t memory_bytes, uint32_t num_vcpus)
   tracer_.SetTimeSource([this] { return now_; });
   reqtrace_.SetTimeSource([this] { return now_; });
   trace_idle_frame_ = tracer_.profiler().InternFrame("idle");
-  trace_irq_assert_name_ = tracer_.InternName("irq.assert");
-  trace_irq_deliver_name_ = tracer_.InternName("irq.deliver");
-  irq_controller_.SetTraceHook([this](ukvm::IrqLine line, bool delivered) {
-    tracer_.Instant(delivered ? trace_irq_deliver_name_ : trace_irq_assert_name_,
-                    ukvm::kHardwareDomain, line.value());
-  });
 }
 
 void Machine::EnableTracing(const ukvm::TraceConfig& config) {
@@ -40,36 +34,21 @@ void Machine::EnableTracing(const ukvm::TraceConfig& config) {
   // The tracer lives in core and cannot see this layer's idle constant.
   tracer_.RegisterDomain(kIdleDomain, "idle");
   tracer_.RegisterDomain(ukvm::kHardwareDomain, "hardware");
-  if (trace_sink_id_ == 0) {
-    trace_sink_id_ = ledger_.AddTraceSink(
+  if (!tracing_subscribed_) {
+    tracing_subscribed_ = true;
+    ledger_.AddTraceSink(
         [this](const ukvm::CrossingEvent& event) { tracer_.OnCrossing(event, ledger_); });
   }
   accounting_.SetObserver(&tracer_.profiler());
 }
 
-void Machine::DisableTracing() {
-  accounting_.SetObserver(nullptr);
-  if (trace_sink_id_ != 0) {
-    ledger_.RemoveTraceSink(trace_sink_id_);
-    trace_sink_id_ = 0;
-  }
-  tracer_.Disable();
-}
-
 void Machine::EnableRequestTracing(const ukvm::ReqTraceConfig& config) {
   reqtrace_.Enable(config);
-  if (reqtrace_sink_id_ == 0) {
-    reqtrace_sink_id_ = ledger_.AddTraceSink(
+  if (!reqtrace_subscribed_) {
+    reqtrace_subscribed_ = true;
+    ledger_.AddTraceSink(
         [this](const ukvm::CrossingEvent& event) { reqtrace_.OnCrossing(event, ledger_); });
   }
-}
-
-void Machine::DisableRequestTracing() {
-  if (reqtrace_sink_id_ != 0) {
-    ledger_.RemoveTraceSink(reqtrace_sink_id_);
-    reqtrace_sink_id_ = 0;
-  }
-  reqtrace_.Disable();
 }
 
 void Machine::Charge(uint64_t cycles) { ChargeTo(cpu().current_domain(), cycles); }
@@ -242,9 +221,9 @@ uint64_t Machine::BeginTlbShootdown(const PageTable* space, std::span<const Vadd
     ++shootdown_stats_.ipis_sent;
     Charge(costs().ipi_send);
   }
-  if (race_sink_ != nullptr) {
+  if (Observer* race = race_observer()) {
     // The IPI posts publish the request's flush list to every target.
-    race_sink_->Release(cpu().current_domain(), RaceEdgeKey(RaceEdgeKind::kIpi, id));
+    race->Release(cpu().current_domain(), RaceEdgeKey(RaceEdgeKind::kIpi, id));
   }
   shootdowns_.emplace(id, std::move(req));
   return id;
@@ -277,11 +256,11 @@ void Machine::DeliverShootdownIpis(uint32_t vcpu) {
       req.max_target_cost = cost;
     }
     ++shootdown_stats_.remote_acks;
-    if (race_sink_ != nullptr) {
+    if (Observer* race = race_observer()) {
       // The handler sees the initiator's history (IPI receipt) and its ack
       // publishes its own back to the initiator's spin-wait.
-      race_sink_->Acquire(target.current_domain(), RaceEdgeKey(RaceEdgeKind::kIpi, id));
-      race_sink_->Release(target.current_domain(), RaceEdgeKey(RaceEdgeKind::kIpiAck, id));
+      race->Acquire(target.current_domain(), RaceEdgeKey(RaceEdgeKind::kIpi, id));
+      race->Release(target.current_domain(), RaceEdgeKey(RaceEdgeKind::kIpiAck, id));
     }
   }
 }
@@ -300,8 +279,8 @@ void Machine::WaitTlbShootdown(uint64_t id) {
   const uint64_t spin_t0 = now_;
   Charge(it->second.max_target_cost);
   reqtrace_.ShootdownLeaf(cpu().current_domain(), spin_t0, now_);
-  if (race_sink_ != nullptr) {
-    race_sink_->Acquire(cpu().current_domain(), RaceEdgeKey(RaceEdgeKind::kIpiAck, id));
+  if (Observer* race = race_observer()) {
+    race->Acquire(cpu().current_domain(), RaceEdgeKey(RaceEdgeKind::kIpiAck, id));
   }
   shootdowns_.erase(it);
 }
@@ -395,10 +374,9 @@ void Machine::RaiseTrap(TrapFrame& frame) {
 }
 
 void Machine::NotifyDmaTarget(Paddr target, bool to_memory) {
-  if (!dma_audit_hook_) {
-    return;
+  if (observer_ != nullptr) {
+    observer_->DmaTarget(DmaAccess{memory_.FrameOf(target), to_memory, cpu().current_domain()});
   }
-  dma_audit_hook_(DmaAccess{memory_.FrameOf(target), to_memory, cpu().current_domain()});
 }
 
 void Machine::DeliverPendingInterrupts() {

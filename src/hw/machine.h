@@ -29,8 +29,8 @@
 #include "src/hw/cpu.h"
 #include "src/hw/interrupts.h"
 #include "src/hw/memory.h"
+#include "src/hw/observer.h"
 #include "src/hw/platform.h"
-#include "src/hw/race_sink.h"
 #include "src/hw/trap.h"
 
 namespace hwsim {
@@ -85,21 +85,20 @@ class Machine {
 
   // --- Tracing (E17) --------------------------------------------------------
 
-  // Arms the flight recorder, latency histograms, and cycle profiler: hooks
-  // the ledger's trace stream, the IRQ controller, and CPU accounting.
-  // Observation never charges simulated cycles, so enabling this leaves
-  // every sim-cycle number byte-identical (bench_e17_trace_overhead).
+  // Arms the flight recorder, latency histograms, and cycle profiler:
+  // subscribes to the ledger's trace stream and CPU accounting
+  // (instrumented code calls tracer() directly). Observation never charges
+  // simulated cycles, so enabling this leaves every sim-cycle number
+  // byte-identical (bench_observer_matrix).
   void EnableTracing(const ukvm::TraceConfig& config);
-  void DisableTracing();
 
   // --- Request tracing (E22) ------------------------------------------------
 
-  // Arms the causal request tracer: hooks the ledger's trace stream and
-  // makes ChargeCopy / shootdown waits / the event loop feed per-request
+  // Arms the causal request tracer: subscribes to the ledger's trace stream
+  // and makes ChargeCopy / shootdown waits / the event loop feed per-request
   // DAGs. Same contract as EnableTracing: observation only, zero charges,
-  // sim results byte-identical on or off (bench_e22_reqtrace).
+  // sim results byte-identical on or off (bench_observer_matrix).
   void EnableRequestTracing(const ukvm::ReqTraceConfig& config);
-  void DisableRequestTracing();
 
   // Post-mortem bundle: on the first auditor violation or watchdog trip the
   // failure edge calls this to dump the flight-recorder ring, histogram
@@ -228,33 +227,23 @@ class Machine {
   // the CPU has interrupts enabled. Kernels call this at safe points.
   void DeliverPendingInterrupts();
 
-  // --- DMA auditing ---------------------------------------------------------
+  // --- Observation ---------------------------------------------------------
 
-  // One device DMA touching physical memory: the frame under `target`,
-  // whether the device writes memory (rx/read) or reads it (tx/write), and
-  // the domain that was running when the transfer was submitted.
-  struct DmaAccess {
-    Frame frame = 0;
-    bool to_memory = false;
-    ukvm::DomainId initiator;
-  };
-
-  // Observer for device DMA; installed by the invariant auditor, nullptr to
-  // detach. Devices report targets via NotifyDmaTarget at submit time.
-  void SetDmaAuditHook(std::function<void(const DmaAccess&)> hook) {
-    dma_audit_hook_ = std::move(hook);
+  // The machine's one observer slot (src/hw/observer.h), filled by the
+  // invariant auditor (src/check); nullptr empties it. `race_edges` also
+  // routes the race-detection events to it (E20). Observation only — with
+  // or without an observer, charges are identical.
+  void SetObserver(Observer* observer, bool race_edges) {
+    observer_ = observer;
+    race_edges_ = race_edges;
   }
+  Observer* observer() const { return observer_; }
+  // The observer when it takes race edges, else null: race call sites test
+  // this before computing keys, so audit-only runs skip that work.
+  Observer* race_observer() const { return race_edges_ ? observer_ : nullptr; }
 
   // Called by device models for each page a DMA transfer touches.
   void NotifyDmaTarget(Paddr target, bool to_memory);
-
-  // --- Race detection (E20) --------------------------------------------------
-
-  // Observer for synchronization edges and shared-memory accesses; installed
-  // by the happens-before detector (src/check/race), nullptr to detach.
-  // Observation only — with or without a sink, charges are identical.
-  void SetRaceSink(RaceSink* sink) { race_sink_ = sink; }
-  RaceSink* race_sink() const { return race_sink_; }
 
   // Deterministic per-machine identity for shared objects (descriptor
   // rings) named in race-detector keys.
@@ -289,6 +278,8 @@ class Machine {
 
   Platform platform_;
   PhysicalMemory memory_;
+  // Before irq_controller_, which records its instants here.
+  ukvm::Tracer tracer_;
   InterruptController irq_controller_;
   IpiController ipis_;
   std::vector<std::unique_ptr<Cpu>> cpus_;
@@ -301,17 +292,14 @@ class Machine {
   std::vector<DeadSpace> dead_spaces_;
   ShootdownStats shootdown_stats_;
   ukvm::Counters counters_;
-  ukvm::Tracer tracer_;
-  uint32_t trace_sink_id_ = 0;
+  bool tracing_subscribed_ = false;
   ukvm::RequestTrace reqtrace_;
-  uint32_t reqtrace_sink_id_ = 0;
+  bool reqtrace_subscribed_ = false;
   bool postmortem_dumped_ = false;
   uint32_t trace_idle_frame_ = 0;
-  uint32_t trace_irq_assert_name_ = 0;
-  uint32_t trace_irq_deliver_name_ = 0;
   TrapHandler* trap_handler_ = nullptr;
-  std::function<void(const DmaAccess&)> dma_audit_hook_;
-  RaceSink* race_sink_ = nullptr;
+  Observer* observer_ = nullptr;
+  bool race_edges_ = false;
   uint64_t next_race_object_id_ = 1;
 
   uint64_t now_ = 0;

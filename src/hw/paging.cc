@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "src/hw/machine.h"
+
 namespace hwsim {
 
 TlbSaltRegistry::State& TlbSaltRegistry::state() {
@@ -55,7 +57,21 @@ PageTable::PageTable(uint32_t page_shift, uint32_t vaddr_bits)
   assert(vaddr_bits_ > page_shift_);
 }
 
+PageTable::PageTable(Machine& machine)
+    : PageTable(machine.platform().page_shift, machine.platform().vaddr_bits) {
+  machine_ = &machine;
+}
+
 PageTable::~PageTable() { TlbSaltRegistry::Retire(salt_id_); }
+
+void PageTable::Report(PteOp op, Vaddr vpn, const Pte& pte) const {
+  if (machine_ == nullptr) {
+    return;
+  }
+  if (Observer* observer = machine_->observer()) {
+    observer->PteChanged(*this, op, vpn, pte);
+  }
+}
 
 uint64_t PageTable::max_va() const {
   if (vaddr_bits_ >= 64) {
@@ -78,9 +94,7 @@ ukvm::Err PageTable::Map(Vaddr va, Frame frame, PtePerms perms) {
   pte.user = perms.user;
   pte.accessed = false;
   pte.dirty = false;
-  if (audit_hook_) {
-    audit_hook_(AuditOp::kMap, VpnOf(va), pte);
-  }
+  Report(PteOp::kMap, VpnOf(va), pte);
   return ukvm::Err::kNone;
 }
 
@@ -95,9 +109,7 @@ ukvm::Err PageTable::Unmap(Vaddr va) {
   const Pte removed = *pte;
   *pte = Pte{};
   --mapped_pages_;
-  if (audit_hook_) {
-    audit_hook_(AuditOp::kUnmap, VpnOf(va), removed);
-  }
+  Report(PteOp::kUnmap, VpnOf(va), removed);
   return ukvm::Err::kNone;
 }
 

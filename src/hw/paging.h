@@ -21,6 +21,8 @@
 
 namespace hwsim {
 
+class Machine;
+
 // Issues the TLB salt identities page tables carry (upper 32 key bits).
 // Recycling is double-gated: an id returns to the free pool only after the
 // table is destroyed (Retire) AND the machine's shootdown protocol reports
@@ -66,6 +68,9 @@ struct PtePerms {
   bool user = true;
 };
 
+// What a Map/Unmap did to a PTE, as reported to the machine's observer.
+enum class PteOp : uint8_t { kMap, kUnmap };
+
 // Result of a translation attempt.
 struct Translation {
   Paddr paddr = 0;
@@ -76,7 +81,12 @@ struct Translation {
 
 class PageTable {
  public:
+  // A standalone table: nothing observes its updates.
   PageTable(uint32_t page_shift, uint32_t vaddr_bits);
+  // A table of `machine` (its platform's page and address sizes): Map and
+  // Unmap report to the machine's observer slot. Direct WalkCreate writers
+  // (the paravirtual PT interface) bypass this and report their batch.
+  explicit PageTable(Machine& machine);
   ~PageTable();
 
   PageTable(const PageTable&) = delete;
@@ -99,15 +109,8 @@ class PageTable {
   // Visits every present mapping (vpn, pte).
   void ForEachMapping(const std::function<void(Vaddr vpn, const Pte&)>& fn) const;
 
-  // Observer for Map/Unmap on this table. For kMap the PTE is the entry as
-  // installed; for kUnmap it is the entry that was just removed. Installed
-  // per-instance by the invariant auditor; pass nullptr to detach. Direct
-  // WalkCreate writers (the paravirtual PT interface) bypass this and carry
-  // their own hook.
-  enum class AuditOp : uint8_t { kMap, kUnmap };
-  void SetAuditHook(std::function<void(AuditOp, Vaddr vpn, const Pte&)> hook) {
-    audit_hook_ = std::move(hook);
-  }
+  // The machine whose observer sees this table's updates; null if standalone.
+  const Machine* machine() const { return machine_; }
 
   uint64_t mapped_pages() const { return mapped_pages_; }
   uint32_t page_shift() const { return page_shift_; }
@@ -141,6 +144,7 @@ class PageTable {
   };
 
   bool VaInRange(Vaddr va) const { return va < max_va(); }
+  void Report(PteOp op, Vaddr vpn, const Pte& pte) const;
 
   uint32_t page_shift_;
   uint32_t vaddr_bits_;
@@ -148,7 +152,7 @@ class PageTable {
   uint64_t instance_id_ = 0;
   uint64_t mapped_pages_ = 0;
   std::unordered_map<uint64_t, std::unique_ptr<LeafTable>> directory_;
-  std::function<void(AuditOp, Vaddr, const Pte&)> audit_hook_;
+  Machine* machine_ = nullptr;
 };
 
 }  // namespace hwsim

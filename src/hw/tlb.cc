@@ -16,7 +16,7 @@ std::optional<TlbEntry> Tlb::Lookup(Vaddr vpn) {
   return slots_[it->second];
 }
 
-void Tlb::Insert(Vaddr vpn, Frame frame, bool writable, bool user) {
+const TlbEntry& Tlb::Insert(Vaddr vpn, Frame frame, bool writable, bool user) {
   auto it = index_.find(vpn);
   uint32_t slot;
   if (it != index_.end()) {
@@ -30,9 +30,7 @@ void Tlb::Insert(Vaddr vpn, Frame frame, bool writable, bool user) {
     index_[vpn] = slot;
   }
   slots_[slot] = TlbEntry{vpn, frame, writable, user, true, ++insert_seq_};
-  if (insert_hook_) {
-    insert_hook_(slots_[slot]);
-  }
+  return slots_[slot];
 }
 
 uint32_t Tlb::FlushIf(const std::function<bool(const TlbEntry&)>& pred) {

@@ -35,7 +35,8 @@ class Tlb {
   explicit Tlb(uint32_t capacity);
 
   std::optional<TlbEntry> Lookup(Vaddr vpn);
-  void Insert(Vaddr vpn, Frame frame, bool writable, bool user);
+  // Returns the entry as stored.
+  const TlbEntry& Insert(Vaddr vpn, Frame frame, bool writable, bool user);
   void FlushAll();
   void FlushPage(Vaddr vpn);
 
@@ -50,12 +51,6 @@ class Tlb {
 
   // Visits every valid entry inserted after stamp `after` (exclusive).
   void ForEachValidSince(uint64_t after, const std::function<void(const TlbEntry&)>& fn) const;
-
-  // Observer called after each Insert with the entry as stored. Installed
-  // by the invariant auditor; pass nullptr to detach.
-  void SetInsertHook(std::function<void(const TlbEntry&)> hook) {
-    insert_hook_ = std::move(hook);
-  }
 
   uint32_t capacity() const { return static_cast<uint32_t>(slots_.size()); }
   // Stamp of the most recent insert; entries carry stamps in (0, insert_seq].
@@ -73,7 +68,6 @@ class Tlb {
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t flushes_ = 0;
-  std::function<void(const TlbEntry&)> insert_hook_;
 };
 
 }  // namespace hwsim

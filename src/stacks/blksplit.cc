@@ -15,24 +15,6 @@ constexpr hwsim::Vaddr kBlkMapBase = 0xE800'0000ull;
 constexpr uint32_t kBlkMapSlots = 64;
 constexpr size_t kRingCapacity = 64;
 
-// Reports one access to a grant-shared I/O page to the race sink, if any.
-// Keyed by (frame, current owner) so a recycled frame gets a fresh cell.
-void RaceFrameAccess(hwsim::Machine& machine, DomainId ctx, hwsim::Frame frame, bool write,
-                     const char* what) {
-  hwsim::RaceSink* rs = machine.race_sink();
-  if (rs == nullptr || !ctx.valid()) {
-    return;
-  }
-  const DomainId owner = machine.memory().OwnerOf(frame);
-  const uint64_t key = hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kFrame, frame,
-                                          owner.valid() ? owner.value() : 0);
-  if (write) {
-    rs->SharedWrite(ctx, key, 0, what);
-  } else {
-    rs->SharedRead(ctx, key, 0, what);
-  }
-}
-
 }  // namespace
 
 // --- BlkBack ---------------------------------------------------------------------

@@ -8,12 +8,7 @@ NativeStack::NativeStack(Config config)
     : machine_(config.platform, config.memory_bytes, config.num_vcpus),
       nic_(machine_, ukvm::IrqLine(kNicIrq), config.nic),
       disk_(machine_, ukvm::IrqLine(kDiskIrq), config.disk) {
-  if (config.trace.enabled) {
-    machine_.EnableTracing(config.trace);
-  }
-  if (config.request_trace.enabled) {
-    machine_.EnableRequestTracing(config.request_trace);
-  }
+  ArmTracers(machine_, config);
   machine_.tracer().RegisterDomain(kOsDomain, "native-os");
   // Frames for NIC staging plus one disk staging frame.
   std::vector<hwsim::Frame> pool;
@@ -30,11 +25,7 @@ NativeStack::NativeStack(Config config)
   const ukvm::Err err = os_->Boot(/*format_disk=*/true);
   assert(err == ukvm::Err::kNone);
   (void)err;
-  if (config.audit || config.race_detect) {
-    ucheck::Auditor::Options opts;
-    opts.race_detect = config.race_detect;
-    auditor_ = std::make_unique<ucheck::Auditor>(machine_, opts);
-  }
+  auditor_ = MakeAuditor(machine_, config);
 }
 
 }  // namespace ustack

@@ -14,27 +14,21 @@
 #include "src/hw/platform.h"
 #include "src/os/kernel.h"
 #include "src/os/ports/native_port.h"
+#include "src/stacks/observers.h"
 
 namespace ustack {
 
 class NativeStack {
  public:
-  struct Config {
+  // The native stack has no page tables and shares no memory across
+  // domains: its auditor runs the ledger linter and DMA checks, and race
+  // detection only the edge bookkeeping.
+  struct Config : ObserverConfig {
     hwsim::Platform platform = hwsim::MakeX86Platform();
     uint64_t memory_bytes = 32ull * 1024 * 1024;
     uint32_t num_vcpus = 1;  // >1 arms the TLB shootdown protocol (E18)
     hwsim::Nic::Config nic;
     hwsim::Disk::Config disk;
-    // Constructs the isolation auditor (src/check). The native stack has no
-    // page tables, so only the ledger linter and DMA checks are live.
-    bool audit = UKVM_CHECK_DEFAULT != 0;
-    // E20 happens-before race detection. The native stack shares no memory
-    // across domains, so this only exercises the edge bookkeeping.
-    bool race_detect = false;
-    // E17 flight recorder / histograms / profiler (off by default).
-    ukvm::TraceConfig trace;
-    // E22 causal request tracing (off by default; observation only).
-    ukvm::ReqTraceConfig request_trace;
   };
 
   explicit NativeStack(Config config);
@@ -61,8 +55,8 @@ class NativeStack {
   hwsim::Disk disk_;
   std::unique_ptr<minios::NativePort> port_;
   std::unique_ptr<minios::Os> os_;
-  // Declared last: destroyed first, detaching its hooks while the machine
-  // is still alive.
+  // Declared last: destroyed first, emptying the machine's observer slot
+  // while the machine is still alive.
   std::unique_ptr<ucheck::Auditor> auditor_;
 };
 

@@ -22,25 +22,6 @@ constexpr hwsim::Vaddr kBackendMapBase = 0xE000'0000ull;
 constexpr uint32_t kBackendMapSlots = 64;
 constexpr size_t kRingCapacity = 256;
 
-// Reports one access to a grant-shared payload frame to the race sink, if
-// any. Keying by (frame, current owner) gives a recycled or flipped frame a
-// fresh shadow cell — ownership transfer is its own ordering.
-void RaceFrameAccess(hwsim::Machine& machine, DomainId ctx, hwsim::Frame frame, bool write,
-                     const char* what) {
-  hwsim::RaceSink* rs = machine.race_sink();
-  if (rs == nullptr || !ctx.valid()) {
-    return;
-  }
-  const DomainId owner = machine.memory().OwnerOf(frame);
-  const uint64_t key = hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kFrame, frame,
-                                          owner.valid() ? owner.value() : 0);
-  if (write) {
-    rs->SharedWrite(ctx, key, 0, what);
-  } else {
-    rs->SharedRead(ctx, key, 0, what);
-  }
-}
-
 }  // namespace
 
 // --- NetBack ---------------------------------------------------------------------

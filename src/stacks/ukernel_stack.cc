@@ -29,12 +29,7 @@ UkernelStack::UkernelStack(Config config)
     : machine_(config.platform, config.memory_bytes, config.num_vcpus),
       nic_(machine_, ukvm::IrqLine(kNicIrq), config.nic),
       disk_(machine_, ukvm::IrqLine(kDiskIrq), config.disk) {
-  if (config.trace.enabled) {
-    machine_.EnableTracing(config.trace);
-  }
-  if (config.request_trace.enabled) {
-    machine_.EnableRequestTracing(config.request_trace);
-  }
+  ArmTracers(machine_, config);
   slice_blocks_ = config.slice_blocks;
   disk_retry_ = config.disk_retry;
   nic_retry_ = config.nic_retry;
@@ -62,10 +57,8 @@ UkernelStack::UkernelStack(Config config)
     guests_.push_back(MakeGuest("guest" + std::to_string(i)));
   }
   machine_.cpu().SetInterruptsEnabled(true);
-  if (config.audit || config.race_detect) {
-    ucheck::Auditor::Options opts;
-    opts.race_detect = config.race_detect;
-    auditor_ = std::make_unique<ucheck::Auditor>(machine_, opts);
+  auditor_ = MakeAuditor(machine_, config);
+  if (auditor_) {
     auditor_->AttachUkernel(*kernel_);
   }
 }

@@ -20,6 +20,7 @@
 #include "src/hw/platform.h"
 #include "src/os/kernel.h"
 #include "src/os/ports/ukernel_port.h"
+#include "src/stacks/observers.h"
 #include "src/stacks/ukservers.h"
 #include "src/stacks/watchdog.h"
 #include "src/stacks/xenbus.h"
@@ -29,7 +30,7 @@ namespace ustack {
 
 class UkernelStack {
  public:
-  struct Config {
+  struct Config : ObserverConfig {
     hwsim::Platform platform = hwsim::MakeX86Platform();
     uint64_t memory_bytes = 64ull * 1024 * 1024;
     uint32_t num_vcpus = 1;  // >1 arms the TLB shootdown protocol (E18)
@@ -43,20 +44,6 @@ class UkernelStack {
     udrv::RetryPolicy disk_retry;
     udrv::RetryPolicy nic_retry;
     DegradePolicy degrade;
-    // Constructs the isolation auditor (src/check) over this stack. The
-    // default follows the UKVM_CHECK build option; benches flip it off to
-    // measure hook-free baselines.
-    bool audit = UKVM_CHECK_DEFAULT != 0;
-    // E20 happens-before race detection (IPC-edge vector clocks). Off by
-    // default; charges no simulated cycles either way.
-    bool race_detect = false;
-    // E17 flight recorder / histograms / profiler. Off by default; with
-    // tracing off, the instrumented paths charge exactly the same simulated
-    // cycles as before the tracer existed.
-    ukvm::TraceConfig trace;
-    // E22 causal request tracing: per-request DAGs across IPC calls, ring
-    // slots, and journal replay. Same discipline — observation only.
-    ukvm::ReqTraceConfig request_trace;
     // E19 crash recovery — default off, so every pre-E19 path is
     // byte-identical. On: block writes are journaled by the port and
     // replayed (same ids) after RestartBlockServer; the stack-owned
@@ -170,8 +157,8 @@ class UkernelStack {
   DegradePolicy degrade_;
   ukvm::DomainId monitor_task_ = ukvm::DomainId::Invalid();
   ukvm::ThreadId monitor_thread_ = ukvm::ThreadId::Invalid();
-  // Declared last: destroyed first, detaching its hooks while the kernel
-  // and machine are still alive.
+  // Declared last: destroyed first, emptying the machine's observer slot
+  // while the kernel and machine are still alive.
   std::unique_ptr<ucheck::Auditor> auditor_;
 };
 

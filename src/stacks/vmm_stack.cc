@@ -14,12 +14,7 @@ VmmStack::VmmStack(Config config)
     : machine_(config.platform, config.memory_bytes, config.num_vcpus),
       nic_(machine_, ukvm::IrqLine(kNicIrq), config.nic),
       disk_(machine_, ukvm::IrqLine(kDiskIrq), config.disk) {
-  if (config.trace.enabled) {
-    machine_.EnableTracing(config.trace);
-  }
-  if (config.request_trace.enabled) {
-    machine_.EnableRequestTracing(config.request_trace);
-  }
+  ArmTracers(machine_, config);
   disk_retry_ = config.disk_retry;
   nic_retry_ = config.nic_retry;
   degrade_ = config.degrade;
@@ -142,10 +137,8 @@ VmmStack::VmmStack(Config config)
     guests_.push_back(MakeGuest("DomU" + std::to_string(i + 1), config));
   }
 
-  if (config.audit || config.race_detect) {
-    ucheck::Auditor::Options opts;
-    opts.race_detect = config.race_detect;
-    auditor_ = std::make_unique<ucheck::Auditor>(machine_, opts);
+  auditor_ = MakeAuditor(machine_, config);
+  if (auditor_) {
     auditor_->AttachVmm(*hv_);
   }
 }

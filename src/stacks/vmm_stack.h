@@ -24,6 +24,7 @@
 #include "src/os/ports/vmm_port.h"
 #include "src/stacks/blksplit.h"
 #include "src/stacks/netsplit.h"
+#include "src/stacks/observers.h"
 #include "src/stacks/port_mux.h"
 #include "src/vmm/hypervisor.h"
 
@@ -31,7 +32,7 @@ namespace ustack {
 
 class VmmStack {
  public:
-  struct Config {
+  struct Config : ObserverConfig {
     hwsim::Platform platform = hwsim::MakeX86Platform();
     uint64_t memory_bytes = 64ull * 1024 * 1024;
     uint32_t num_vcpus = 1;  // >1 arms the TLB shootdown protocol (E18)
@@ -74,22 +75,6 @@ class VmmStack {
     udrv::RetryPolicy disk_retry;
     udrv::RetryPolicy nic_retry;
     DegradePolicy degrade;
-    // Constructs the isolation auditor (src/check) over this stack. The
-    // default follows the UKVM_CHECK build option; benches flip it off to
-    // measure hook-free baselines.
-    bool audit = UKVM_CHECK_DEFAULT != 0;
-    // E20 happens-before race detection over the split drivers' rings and
-    // grant-shared frames. Off by default; the detector charges no simulated
-    // cycles, so every measured result is byte-identical either way.
-    bool race_detect = false;
-    // E17 flight recorder / histograms / profiler. Off by default; with
-    // tracing off, the instrumented paths charge exactly the same simulated
-    // cycles as before the tracer existed.
-    ukvm::TraceConfig trace;
-    // E22 causal request tracing: per-request DAGs across ring slots, event
-    // channels, and recovery replay. Same discipline as `trace` — enabling
-    // it never changes a single simulated cycle.
-    ukvm::ReqTraceConfig request_trace;
   };
 
   struct Guest {
@@ -218,8 +203,8 @@ class VmmStack {
   udrv::RetryPolicy disk_retry_;
   udrv::RetryPolicy nic_retry_;
   DegradePolicy degrade_;
-  // Declared last: destroyed first, detaching its hooks while the
-  // hypervisor and machine are still alive.
+  // Declared last: destroyed first, emptying the machine's observer slot
+  // while the hypervisor and machine are still alive.
   std::unique_ptr<ucheck::Auditor> auditor_;
 };
 

@@ -6,7 +6,7 @@
 // descriptor copies. Notification still travels out-of-band via event
 // channels — the ring is only the data plane.
 //
-// When the machine has a race sink installed (E20), the ring reports the
+// When the machine's observer takes race edges (E20), the ring reports the
 // real protocol it models: the producer's slot stores (SharedWrite per
 // descriptor), its index publish (RingPublish — the release half), and the
 // consumer's index check (RingObserve — the acquire half) followed by its
@@ -36,6 +36,26 @@
 #include "src/hw/machine.h"
 
 namespace ustack {
+
+// Reports one split-driver access to a grant-shared payload frame to the
+// race observer, if any. Keyed by (frame, current owner), so a recycled or
+// flipped frame gets a fresh shadow cell — ownership transfer is its own
+// ordering.
+inline void RaceFrameAccess(hwsim::Machine& machine, ukvm::DomainId ctx, hwsim::Frame frame,
+                            bool write, const char* what) {
+  hwsim::Observer* race = machine.race_observer();
+  if (race == nullptr || !ctx.valid()) {
+    return;
+  }
+  const ukvm::DomainId owner = machine.memory().OwnerOf(frame);
+  const uint64_t key = hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kFrame, frame,
+                                          owner.valid() ? owner.value() : 0);
+  if (write) {
+    race->SharedWrite(ctx, key, 0, what);
+  } else {
+    race->SharedRead(ctx, key, 0, what);
+  }
+}
 
 // Seeded protocol violations for the race detector's mutation self-tests.
 // One-shot: the mutation applies to the next affected operation only.
@@ -204,7 +224,7 @@ class XenRing {
 
  private:
   bool RaceOn(ukvm::DomainId ctx) const {
-    return machine_.race_sink() != nullptr && ctx.valid();
+    return machine_.race_observer() != nullptr && ctx.valid();
   }
   uint64_t RingId() {
     if (ring_id_ == 0) {
@@ -252,17 +272,17 @@ class XenRing {
     return true;
   }
 
-  // Traffic from before the sink was installed (the detector attaches after
+  // Traffic from before the detector was armed (the auditor attaches after
   // boot, and frontends advertise rx buffers during it) is ordered history:
   // mark everything already produced as published, with no context, so it
   // neither fires kRingReadBeforePublish nor adds an artificial HB edge.
-  void RaceBaseline(hwsim::RaceSink& sink) {
+  void RaceBaseline(hwsim::Observer& race) {
     if (race_baseline_done_) {
       return;
     }
     race_baseline_done_ = true;
-    sink.RingPublish(ukvm::DomainId::Invalid(), ReqKey(), req_prod_);
-    sink.RingPublish(ukvm::DomainId::Invalid(), RespKey(), rsp_prod_);
+    race.RingPublish(ukvm::DomainId::Invalid(), ReqKey(), req_prod_);
+    race.RingPublish(ukvm::DomainId::Invalid(), RespKey(), rsp_prod_);
   }
 
   // Producer protocol for `count` descriptors starting at absolute index
@@ -271,23 +291,23 @@ class XenRing {
     if (!RaceOn(ctx)) {
       return;
     }
-    hwsim::RaceSink& sink = *machine_.race_sink();
-    RaceBaseline(sink);
+    hwsim::Observer& race = *machine_.race_observer();
+    RaceBaseline(race);
     if (TakeMutation(RingMutation::kEarlyPublish)) {
       // Bug under test: index published before the slot stores land.
-      sink.RingPublish(ctx, key, prod + count);
+      race.RingPublish(ctx, key, prod + count);
       for (size_t i = 0; i < count; ++i) {
-        sink.SharedWrite(ctx, key, (prod + i) % capacity_, SlotLabel(key));
+        race.SharedWrite(ctx, key, (prod + i) % capacity_, SlotLabel(key));
       }
       return;
     }
     for (size_t i = 0; i < count; ++i) {
-      sink.SharedWrite(ctx, key, (prod + i) % capacity_, SlotLabel(key));
+      race.SharedWrite(ctx, key, (prod + i) % capacity_, SlotLabel(key));
     }
     if (TakeMutation(RingMutation::kSkipPublish)) {
       return;  // bug under test: slot stores with no index publish
     }
-    sink.RingPublish(ctx, key, prod + count);
+    race.RingPublish(ctx, key, prod + count);
   }
 
   // Consumer protocol for the descriptor at absolute index `cons`: check
@@ -297,10 +317,10 @@ class XenRing {
     if (!RaceOn(ctx)) {
       return;
     }
-    hwsim::RaceSink& sink = *machine_.race_sink();
-    RaceBaseline(sink);
-    if (sink.RingObserve(ctx, key, cons)) {
-      sink.SharedRead(ctx, key, cons % capacity_, what);
+    hwsim::Observer& race = *machine_.race_observer();
+    RaceBaseline(race);
+    if (race.RingObserve(ctx, key, cons)) {
+      race.SharedRead(ctx, key, cons % capacity_, what);
     }
   }
 

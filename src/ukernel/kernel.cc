@@ -56,7 +56,7 @@ Kernel::~Kernel() {
 Result<DomainId> Kernel::CreateTask(ThreadId pager) {
   machine_.ChargeTo(kKernelDomain, machine_.costs().kernel_op);
   const DomainId id{next_task_id_++};
-  tasks_.emplace(id, std::make_unique<Task>(id, machine_.platform(), pager));
+  tasks_.emplace(id, std::make_unique<Task>(id, machine_, pager));
   if (!root_task_.valid()) {
     root_task_ = id;
   }

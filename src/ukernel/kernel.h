@@ -212,7 +212,7 @@ class Kernel : public hwsim::TrapHandler {
   uint64_t ipc_calls() const { return ipc_calls_; }
 
   // Visits every live task (order unspecified); for the invariant auditor,
-  // which also installs per-space audit hooks, hence the non-const refs.
+  // whose space views hold mutable table pointers, hence the non-const refs.
   void ForEachTask(const std::function<void(Task&)>& fn);
 
  private:
@@ -321,7 +321,7 @@ class Kernel : public hwsim::TrapHandler {
   std::unordered_map<ukvm::DomainId, std::unique_ptr<Task>> tasks_;
   std::unordered_map<ukvm::ThreadId, std::unique_ptr<Tcb>> threads_;
   std::unordered_map<ukvm::IrqLine, ukvm::ThreadId> irq_routes_;
-  MapDb mapdb_;
+  MapDb mapdb_{machine_};
   RunQueue run_queue_;
 
   // Revocations awaiting their cross-vCPU shootdown round (space is

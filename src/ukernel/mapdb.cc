@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/hw/machine.h"
+
 namespace ukern {
 namespace {
 
@@ -20,6 +22,15 @@ void MapDb::IndexNode(MapNode* node) {
   index_[Key{node->task.value(), node->vpn}] = node;
 }
 
+void MapDb::ReportChanged() const {
+  if (machine_ == nullptr) {
+    return;
+  }
+  if (hwsim::Observer* observer = machine_->observer()) {
+    observer->DelegationChanged();
+  }
+}
+
 void MapDb::UnindexNode(const MapNode* node) {
   index_.erase(Key{node->task.value(), node->vpn});
 }
@@ -32,9 +43,7 @@ MapNode* MapDb::AddRoot(ukvm::DomainId task, hwsim::Vaddr vpn, hwsim::Frame fram
   MapNode* raw = node.get();
   roots_.push_back(std::move(node));
   IndexNode(raw);
-  if (audit_hook_) {
-    audit_hook_();
-  }
+  ReportChanged();
   return raw;
 }
 
@@ -49,9 +58,7 @@ MapNode* MapDb::AddChild(MapNode* parent, ukvm::DomainId task, hwsim::Vaddr vpn,
   MapNode* raw = node.get();
   parent->children.push_back(std::move(node));
   IndexNode(raw);
-  if (audit_hook_) {
-    audit_hook_();
-  }
+  ReportChanged();
   return raw;
 }
 
@@ -66,9 +73,7 @@ ukvm::Err MapDb::MoveNode(MapNode* node, ukvm::DomainId new_task, hwsim::Vaddr n
   node->task = new_task;
   node->vpn = new_vpn;
   IndexNode(node);
-  if (audit_hook_) {
-    audit_hook_();
-  }
+  ReportChanged();
   return ukvm::Err::kNone;
 }
 
@@ -105,9 +110,7 @@ void MapDb::RemoveSubtree(MapNode* node, bool include_self, const RemovalFn& on_
     on_remove(node->task, node->vpn);
     DestroyNode(node);
   }
-  if (audit_hook_) {
-    audit_hook_();
-  }
+  ReportChanged();
 }
 
 void MapDb::RemoveAllOf(ukvm::DomainId task, const RemovalFn& on_remove) {

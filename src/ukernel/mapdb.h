@@ -19,6 +19,10 @@
 #include "src/core/ids.h"
 #include "src/hw/memory.h"
 
+namespace hwsim {
+class Machine;
+}
+
 namespace ukern {
 
 struct MapNode {
@@ -33,6 +37,12 @@ class MapDb {
  public:
   // A mapping removal notification: (task, vpn) whose PTE must be cleared.
   using RemovalFn = std::function<void(ukvm::DomainId task, hwsim::Vaddr vpn)>;
+
+  // A standalone database: nothing observes its mutations.
+  MapDb() = default;
+  // The kernel's database: every structural mutation (add, move, remove)
+  // reports DelegationChanged to `machine`'s observer.
+  explicit MapDb(hwsim::Machine& machine) : machine_(&machine) {}
 
   // Adds a root mapping (initial physical memory grant to the root task).
   MapNode* AddRoot(ukvm::DomainId task, hwsim::Vaddr vpn, hwsim::Frame frame);
@@ -57,10 +67,6 @@ class MapDb {
   // Visits every node in the database; for the invariant auditor.
   void ForEachNode(const std::function<void(const MapNode&)>& fn) const;
 
-  // Observer called after any structural mutation (add, move, remove).
-  // Installed by the auditor; nullptr detaches.
-  void SetAuditHook(std::function<void()> hook) { audit_hook_ = std::move(hook); }
-
   size_t node_count() const { return index_.size(); }
 
  private:
@@ -80,10 +86,11 @@ class MapDb {
   // Detaches `node` from its parent (or the root list) and destroys it and
   // its already-unindexed subtree.
   void DestroyNode(MapNode* node);
+  void ReportChanged() const;
 
   std::vector<std::unique_ptr<MapNode>> roots_;
   std::unordered_map<Key, MapNode*, KeyHash> index_;
-  std::function<void()> audit_hook_;
+  hwsim::Machine* machine_ = nullptr;
 };
 
 }  // namespace ukern

@@ -7,14 +7,13 @@
 
 #include "src/core/ids.h"
 #include "src/hw/paging.h"
-#include "src/hw/platform.h"
 #include "src/hw/segmentation.h"
 
 namespace ukern {
 
 struct Task {
-  Task(ukvm::DomainId id_in, const hwsim::Platform& platform, ukvm::ThreadId pager_in)
-      : id(id_in), pager(pager_in), space(platform.page_shift, platform.vaddr_bits) {}
+  Task(ukvm::DomainId id_in, hwsim::Machine& machine, ukvm::ThreadId pager_in)
+      : id(id_in), pager(pager_in), space(machine) {}
 
   ukvm::DomainId id;
   ukvm::ThreadId pager;  // user-level pager that resolves this task's faults

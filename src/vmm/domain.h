@@ -18,7 +18,6 @@
 #include "src/core/error.h"
 #include "src/core/ids.h"
 #include "src/hw/paging.h"
-#include "src/hw/platform.h"
 #include "src/hw/segmentation.h"
 #include "src/hw/trap.h"
 
@@ -28,12 +27,8 @@ namespace uvmm {
 using Pfn = uint64_t;
 
 struct Domain {
-  Domain(ukvm::DomainId id_in, std::string name_in, const hwsim::Platform& platform,
-         bool privileged_in)
-      : id(id_in),
-        name(std::move(name_in)),
-        privileged(privileged_in),
-        space(platform.page_shift, platform.vaddr_bits) {}
+  Domain(ukvm::DomainId id_in, std::string name_in, hwsim::Machine& machine, bool privileged_in)
+      : id(id_in), name(std::move(name_in)), privileged(privileged_in), space(machine) {}
 
   ukvm::DomainId id;
   std::string name;

@@ -11,8 +11,10 @@ using ukvm::DomainId;
 using ukvm::Err;
 using ukvm::Result;
 
-EventChannelTable::EventChannelTable(DeliverFn deliver, hwsim::Machine* machine)
-    : deliver_(std::move(deliver)), machine_(machine) {
+EventChannelTable::EventChannelTable(DeliverFn deliver, hwsim::Machine& machine)
+    : deliver_(std::move(deliver)),
+      machine_(machine),
+      trace_send_name_(machine.tracer().InternName("evtchn.send")) {
   assert(deliver_);
 }
 
@@ -73,17 +75,18 @@ Err EventChannelTable::Send(DomainId caller, uint32_t port) {
     return Err::kDead;  // peer domain was destroyed
   }
   ++sends_;
-  if (machine_ != nullptr && machine_->race_sink() != nullptr) {
+  if (hwsim::Observer* race = machine_.race_observer()) {
     // Release half of send->upcall, fired on *every* successful Send — the
     // pending bit latches, so the one eventual upcall acquires the joined
     // history of the whole coalesced burst.
-    machine_->race_sink()->Release(
-        caller, hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kEvtchn, local->remote_dom.value(),
-                                   local->remote_port));
+    race->Release(caller, hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kEvtchn,
+                                             local->remote_dom.value(), local->remote_port));
   }
-  if (trace_hook_) {
-    trace_hook_(local->remote_dom, local->remote_port, remote->pending);
-  }
+  machine_.tracer().Instant(trace_send_name_, local->remote_dom, local->remote_port,
+                            remote->pending ? 1 : 0);
+  // E22: latch the sending request on the channel until the upcall
+  // delivers (DeliverUpcall adopts it).
+  machine_.reqtrace().ChannelStash(local->remote_dom, local->remote_port, remote->pending);
   if (remote->pending) {
     // Already signalled and not yet consumed: the bit latches this Send
     // too. One upcall (on consume/unmask) covers the whole burst.

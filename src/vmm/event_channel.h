@@ -29,10 +29,11 @@ class EventChannelTable {
   // interrupt into `target` for `port`.
   using DeliverFn = std::function<void(ukvm::DomainId target, uint32_t port)>;
 
-  // `machine`, when given, lets Send report the release half of the
-  // send->upcall happens-before edge to an installed race sink (E20). The
-  // acquire half fires in the hypervisor's upcall delivery.
-  explicit EventChannelTable(DeliverFn deliver, hwsim::Machine* machine = nullptr);
+  // Every successful Send reports to `machine`'s observers: the release
+  // half of the send->upcall happens-before edge (E20; the acquire half
+  // fires in the hypervisor's upcall delivery), an "evtchn.send" instant
+  // (E17) and the request stash the upcall adopts (E22).
+  EventChannelTable(DeliverFn deliver, hwsim::Machine& machine);
 
   // Creates a local port that `remote` may later bind to.
   ukvm::Result<uint32_t> AllocUnbound(ukvm::DomainId owner, ukvm::DomainId remote);
@@ -88,14 +89,6 @@ class EventChannelTable {
   uint64_t coalesced_sends() const { return coalesced_sends_; }
   size_t ports_of(ukvm::DomainId domain) const;
 
-  // Flight-recorder observer, fired on every successful Send with the
-  // target end of the channel and whether the send coalesced into an
-  // already-pending bit. Purely observational.
-  void SetTraceHook(
-      std::function<void(ukvm::DomainId target, uint32_t port, bool coalesced)> hook) {
-    trace_hook_ = std::move(hook);
-  }
-
  private:
   struct Port {
     bool allocated = false;
@@ -109,8 +102,8 @@ class EventChannelTable {
   Port* FindPort(ukvm::DomainId domain, uint32_t port);
 
   DeliverFn deliver_;
-  hwsim::Machine* machine_ = nullptr;
-  std::function<void(ukvm::DomainId, uint32_t, bool)> trace_hook_;
+  hwsim::Machine& machine_;
+  uint32_t trace_send_name_ = 0;
   std::unordered_map<ukvm::DomainId, std::vector<Port>> ports_;
   uint64_t sends_ = 0;
   uint64_t coalesced_sends_ = 0;

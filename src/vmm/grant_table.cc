@@ -29,6 +29,12 @@ GrantTable::Entry* GrantTable::FindEntry(DomainId granter, uint32_t ref) {
   return &it->second[ref];
 }
 
+void GrantTable::ReportChanged() {
+  if (hwsim::Observer* observer = machine_.observer()) {
+    observer->DelegationChanged();
+  }
+}
+
 Result<uint32_t> GrantTable::NewEntry(DomainId granter, Entry entry) {
   auto& table = tables_[granter];
   for (uint32_t ref = 0; ref < table.size(); ++ref) {
@@ -118,9 +124,7 @@ Err GrantTable::MapGrant(DomainId grantee, DomainId granter, uint32_t ref, hwsim
   ++entry->active_mappings;
   entry->mapped_vas.push_back(va);
   machine_.ledger().Record(mech_map_, granter, grantee, 0, machine_.memory().page_size());
-  if (audit_hook_) {
-    audit_hook_();
-  }
+  ReportChanged();
   return Err::kNone;
 }
 
@@ -148,9 +152,7 @@ Err GrantTable::UnmapGrant(DomainId grantee, DomainId granter, uint32_t ref, hws
     entry->mapped_vas.erase(va_it);
   }
   machine_.ledger().Record(mech_unmap_, grantee, granter, 0, 0);
-  if (audit_hook_) {
-    audit_hook_();
-  }
+  ReportChanged();
   return Err::kNone;
 }
 
@@ -240,9 +242,7 @@ Result<hwsim::Frame> GrantTable::Transfer(DomainId caller, Pfn caller_pfn, Domai
   machine_.ledger().Record(mech_transfer_, caller, granter, 0, machine_.memory().page_size());
   // A transfer grant is single-use.
   *entry = Entry{};
-  if (audit_hook_) {
-    audit_hook_();
-  }
+  ReportChanged();
   return *slot_mfn;
 }
 
@@ -265,9 +265,7 @@ void GrantTable::DropAllOf(DomainId domain) {
       }
     }
   }
-  if (audit_hook_) {
-    audit_hook_();
-  }
+  ReportChanged();
 }
 
 GrantTable::ReclaimStats GrantTable::ReclaimDeadDomain(DomainId dead) {
@@ -324,9 +322,7 @@ GrantTable::ReclaimStats GrantTable::ReclaimDeadDomain(DomainId dead) {
       }
     }
   }
-  if (audit_hook_) {
-    audit_hook_();
-  }
+  ReportChanged();
   return stats;
 }
 

@@ -122,10 +122,6 @@ class GrantTable {
   // Visits every in-use grant entry.
   void ForEachActive(const std::function<void(const GrantView&)>& fn) const;
 
-  // Observer called after any operation that changes grant state (grant,
-  // end, map, unmap, transfer). Installed by the auditor; nullptr detaches.
-  void SetAuditHook(std::function<void()> hook) { audit_hook_ = std::move(hook); }
-
   uint64_t transfers() const { return transfers_; }
   uint64_t copies() const { return copies_; }
   uint64_t copied_bytes() const { return copied_bytes_; }
@@ -145,6 +141,9 @@ class GrantTable {
 
   Entry* FindEntry(ukvm::DomainId granter, uint32_t ref);
   ukvm::Result<uint32_t> NewEntry(ukvm::DomainId granter, Entry entry);
+  // Reports DelegationChanged to the machine's observer after a map, unmap,
+  // transfer or domain drop/reclaim.
+  void ReportChanged();
 
   hwsim::Machine& machine_;
   DomainResolver resolve_;
@@ -164,7 +163,6 @@ class GrantTable {
   uint32_t batch_depth_ = 0;
   bool batch_shootdown_pending_ = false;
   uint64_t deferred_shootdowns_ = 0;
-  std::function<void()> audit_hook_;
 };
 
 // Persistent-grant recycling cache (Xen's "persistent grants" protocol

@@ -55,15 +55,7 @@ Hypervisor::Hypervisor(hwsim::Machine& machine, Config config)
       exc_(machine, sched_, kVmmDomain, config.hole_base, config.hole_end),
       pt_virt_(machine, config.hole_base, config.hole_end) {
   evtchn_ = std::make_unique<EventChannelTable>(
-      [this](DomainId target, uint32_t port) { DeliverUpcall(target, port); }, &machine_);
-  const uint32_t evtchn_trace_name = machine_.tracer().InternName("evtchn.send");
-  evtchn_->SetTraceHook([this, evtchn_trace_name](DomainId target, uint32_t port,
-                                                  bool coalesced) {
-    machine_.tracer().Instant(evtchn_trace_name, target, port, coalesced ? 1 : 0);
-    // E22: latch the sending request on the channel until the upcall
-    // delivers (DeliverUpcall adopts it).
-    machine_.reqtrace().ChannelStash(target, port, coalesced);
-  });
+      [this](DomainId target, uint32_t port) { DeliverUpcall(target, port); }, machine_);
   gnttab_ = std::make_unique<GrantTable>(
       machine_, [this](DomainId dom) { return FindDomain(dom); });
   gnttab_->SetHole(config_.hole_base, config_.hole_end);
@@ -102,7 +94,7 @@ Result<DomainId> Hypervisor::CreateDomain(const std::string& name, uint64_t page
     return Err::kNoMemory;
   }
   const DomainId id{next_domain_id_++};
-  auto dom = std::make_unique<Domain>(id, name, machine_.platform(), privileged);
+  auto dom = std::make_unique<Domain>(id, name, machine_, privileged);
   dom->p2m.reserve(pages);
   for (uint64_t i = 0; i < pages; ++i) {
     auto frame = machine_.memory().AllocFrame(id);
@@ -173,10 +165,10 @@ Err Hypervisor::DestroyDomain(DomainId id) {
   for (DomainId peer : peers) {
     DeliverDomainDead(peer, id);
   }
-  if (hwsim::RaceSink* rs = machine_.race_sink()) {
+  if (hwsim::Observer* race = machine_.race_observer()) {
     // The corpse's mappings were force-revoked with a shootdown above;
     // that revocation orders its accesses before anything later.
-    rs->ContextDead(id);
+    race->ContextDead(id);
   }
   return Err::kNone;
 }
@@ -224,12 +216,12 @@ Domain* Hypervisor::HypercallProlog(DomainId dom, HypercallNr nr) {
   ++total_hypercalls_;
   ++hypercall_counts_[static_cast<size_t>(nr)];
   machine_.ledger().Record(mech_hypercall_, dom, kVmmDomain, machine_.costs().hypercall_entry, 0);
-  if (hwsim::RaceSink* rs = machine_.race_sink()) {
+  if (hwsim::Observer* race = machine_.race_observer()) {
     // Degenerate self-edge (release+acquire by the same context): entry and
     // exit order nothing across domains — the detector must not let the VMM
     // hub transitively serialize all guests, so the crossing events above
     // are also excluded from its edge stream (SetHubDomain).
-    rs->Release(dom, hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kHypercall, dom.value()));
+    race->Release(dom, hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kHypercall, dom.value()));
   }
   return d;
 }
@@ -242,8 +234,9 @@ void Hypervisor::HypercallEpilog(Domain* dom) {
   if (dom != nullptr) {
     machine_.ledger().Record(mech_hypercall_ret_, kVmmDomain, dom->id,
                              machine_.costs().hypercall_return, 0);
-    if (hwsim::RaceSink* rs = machine_.race_sink()) {
-      rs->Acquire(dom->id, hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kHypercall, dom->id.value()));
+    if (hwsim::Observer* race = machine_.race_observer()) {
+      race->Acquire(dom->id,
+                    hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kHypercall, dom->id.value()));
     }
   }
   assert(!hc_trace_stack_.empty());
@@ -691,10 +684,11 @@ void Hypervisor::DeliverUpcall(DomainId target, uint32_t port) {
   ukvm::ProfScope frame(machine_.tracer(), trace_upcall_frame_);
   machine_.Charge(machine_.costs().interrupt_dispatch);
   sched_.SwitchTo(*d, hwsim::PrivLevel::kGuestKernel);
-  if (hwsim::RaceSink* rs = machine_.race_sink()) {
+  if (hwsim::Observer* race = machine_.race_observer()) {
     // Acquire half of send->upcall: one upcall covers every Send latched
     // into the pending bit since the last consume.
-    rs->Acquire(target, hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kEvtchn, target.value(), port));
+    race->Acquire(target,
+                  hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kEvtchn, target.value(), port));
   }
   // E22: the upcall handler runs on behalf of whichever request kicked the
   // channel — adopt its stash (a crossing node [send, now]) for the scope

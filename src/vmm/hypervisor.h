@@ -136,7 +136,7 @@ class Hypervisor : public hwsim::TrapHandler {
   bool crash_recovery() const { return crash_recovery_; }
 
   // Visits every live domain (order unspecified); for the invariant auditor,
-  // which also installs per-space audit hooks, hence the non-const refs.
+  // whose space views hold mutable table pointers, hence the non-const refs.
   void ForEachDomain(const std::function<void(Domain&)>& fn);
 
   EventChannelTable& evtchn() { return *evtchn_; }

@@ -60,8 +60,9 @@ Err PtVirt::Apply(Domain& dom, std::span<const MmuUpdate> updates) {
   }
   machine_.ledger().Record(mech_update_, dom.id, dom.id, 0,
                            updates.size() * machine_.memory().page_size());
-  if (audit_hook_) {
-    audit_hook_(dom);
+  // One report per successfully applied batch, after all updates landed.
+  if (hwsim::Observer* observer = machine_.observer()) {
+    observer->PtBatchApplied(dom.id, dom.space);
   }
   return Err::kNone;
 }

@@ -11,7 +11,6 @@
 #define UKVM_SRC_VMM_PT_VIRT_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 
 #include "src/core/error.h"
@@ -41,17 +40,12 @@ class PtVirt {
   uint64_t hole_base() const { return hole_base_; }
   uint64_t hole_end() const { return hole_end_; }
 
-  // Observer called once per successfully applied batch, after all updates
-  // landed. Installed by the invariant auditor; nullptr detaches.
-  void SetAuditHook(std::function<void(const Domain&)> hook) { audit_hook_ = std::move(hook); }
-
  private:
   hwsim::Machine& machine_;
   uint64_t hole_base_;
   uint64_t hole_end_;
   uint32_t mech_update_ = 0;
   uint64_t updates_applied_ = 0;
-  std::function<void(const Domain&)> audit_hook_;
 };
 
 }  // namespace uvmm

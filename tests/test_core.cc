@@ -139,18 +139,6 @@ TEST(Crossings, IpcLikeExcludesInterrupts) {
   EXPECT_EQ(ledger.Snapshot().IpcLikeCount(), 1u);
 }
 
-TEST(Crossings, ResetClearsCountsKeepsMechanisms) {
-  CrossingLedger ledger;
-  const uint32_t call = ledger.InternMechanism("m", CrossingKind::kSyncCall);
-  ledger.Record(call, DomainId(1), DomainId(2), 10, 5);
-  ledger.Reset();
-  EXPECT_EQ(ledger.total_count(), 0u);
-  EXPECT_EQ(ledger.StatsFor("m").count, 0u);
-  // Mechanism id still valid after reset.
-  ledger.Record(call, DomainId(1), DomainId(2), 1, 1);
-  EXPECT_EQ(ledger.total_count(), 1u);
-}
-
 TEST(Metrics, CpuAccountingShares) {
   CpuAccounting acct;
   acct.Charge(DomainId(1), 300);

@@ -135,8 +135,6 @@ FuzzResult RunNativeFuzz(uint64_t seed, uint32_t steps, bool incremental_tlb) {
   SplitMix64 rng(seed * 2 + 1);
   hwsim::Machine machine(PlatformForSeed(seed), 16ull * 1024 * 1024, VcpusForSeed(seed));
 
-  // Declared before the auditor: it detaches its space hooks on destruction,
-  // so every table still attached at scope exit must outlive it.
   struct Space {
     std::unique_ptr<hwsim::PageTable> table;
     DomainId domain;
@@ -154,8 +152,7 @@ FuzzResult RunNativeFuzz(uint64_t seed, uint32_t steps, bool incremental_tlb) {
 
   auto make_space = [&] {
     Space s;
-    s.table = std::make_unique<hwsim::PageTable>(machine.platform().page_shift,
-                                                 machine.platform().vaddr_bits);
+    s.table = std::make_unique<hwsim::PageTable>(machine);
     s.domain = DomainId{next_dom++};
     s.next_va = 0x0100'0000;
     auditor.AttachSpace(s.domain, *s.table);

@@ -17,7 +17,7 @@
 #include "src/check/race.h"
 #include "src/hw/machine.h"
 #include "src/hw/platform.h"
-#include "src/hw/race_sink.h"
+#include "src/hw/observer.h"
 #include "src/stacks/native_stack.h"
 #include "src/stacks/ukernel_stack.h"
 #include "src/stacks/vmm_stack.h"
@@ -38,7 +38,7 @@ using ustack::XenbusState;
 // --- Happens-before core ----------------------------------------------------------
 
 // A bare machine plus detector; accesses and edges are reported directly
-// through the RaceSink interface, no stack in between.
+// through the detector's race interface, no stack in between.
 struct CoreFixture {
   CoreFixture() : machine(hwsim::MakeX86Platform(), 4ull * 1024 * 1024), det(machine) {}
 
@@ -118,17 +118,29 @@ TEST(RaceCore, DistinctOffsetsDoNotConflict) {
 
 // --- Ring-discipline mutations ----------------------------------------------------
 
+// An auditor with race detection armed: the machine routes race events to
+// it, and it forwards them to its detector.
+ucheck::Auditor::Options RaceOptions() {
+  ucheck::Auditor::Options opts;
+  opts.race_detect = true;
+  return opts;
+}
+
 // A raw ring between two fake domains, deliberately with no event channel:
 // in a full stack the evtchn send->upcall edge would order even a mutated
 // publish and mask the seeded bug.
 struct RingFixture {
-  RingFixture() : machine(hwsim::MakeX86Platform(), 4ull * 1024 * 1024), det(machine),
-                  ring(machine, 8) {
+  RingFixture()
+      : machine(hwsim::MakeX86Platform(), 4ull * 1024 * 1024),
+        auditor(machine, RaceOptions()),
+        det(*auditor.race()),
+        ring(machine, 8) {
     ring.BindRaceEndpoints(DomainId{1}, DomainId{2});
   }
 
   hwsim::Machine machine;
-  RaceDetector det;
+  ucheck::Auditor auditor;
+  RaceDetector& det;
   ustack::XenRing<uint32_t, uint32_t> ring;
 };
 
@@ -184,7 +196,8 @@ TEST(RaceMutation, EarlyPublishFiresExactlyUnsyncedRule) {
 
 TEST(RaceMutation, UnboundRingIsUninstrumented) {
   hwsim::Machine machine(hwsim::MakeX86Platform(), 4ull * 1024 * 1024);
-  RaceDetector det(machine);
+  ucheck::Auditor auditor(machine, RaceOptions());
+  RaceDetector& det = *auditor.race();
   ustack::XenRing<uint32_t, uint32_t> ring(machine, 8);  // no BindRaceEndpoints
   ring.SetRaceMutation(RingMutation::kSkipPublish);
   ASSERT_TRUE(ring.PushRequest(7));

@@ -342,6 +342,39 @@ TEST(ReqTraceMutation, DroppedUpcallAdoptionLeavesRequestUnparented) {
   EXPECT_LT(lint.parented_fraction(), 1.0);
 }
 
+TEST(ReqTraceE2E, EventChannelHandoffParentsRequestDag) {
+  // The event-channel table stashes the sending request on every Send; the
+  // upcall adopts it as an evtchn.upcall crossing node under the sender's
+  // node, so the request stays one connected DAG across the kick.
+  ustack::VmmStack::Config config;
+  config.request_trace.enabled = true;
+  ustack::VmmStack stack(config);
+  auto& front = *stack.guest(0).blkfront;
+  std::vector<uint8_t> block(front.block_size(), 0x44);
+  const uint64_t completed_before = stack.machine().reqtrace().Lint().completed;
+  ASSERT_EQ(front.Write(2, 1, block), Err::kNone);
+  stack.machine().RunUntilIdle();
+
+  const ukvm::RequestTrace& rt = stack.machine().reqtrace();
+  const ukvm::ReqTraceLint lint = rt.Lint();
+  EXPECT_GT(lint.completed, completed_before);
+  EXPECT_EQ(lint.fully_parented, lint.completed);
+  EXPECT_EQ(lint.orphaned_handoffs, 0u);
+  bool adopted = false;
+  for (const ukvm::CompletedRequest& req : rt.slowest()) {
+    for (const ukvm::ReqNode& node : req.nodes) {
+      if (rt.Name(node.name) == "evtchn.upcall") {
+        adopted = true;
+        EXPECT_TRUE(req.parented);
+        EXPECT_EQ(node.kind, ukvm::ReqNodeKind::kCrossing);
+        ASSERT_NE(node.parent, ukvm::kReqNoParent);
+        EXPECT_LT(node.parent, req.nodes.size());
+      }
+    }
+  }
+  EXPECT_TRUE(adopted) << rt.SlowestReport();
+}
+
 // --- Recovery attribution --------------------------------------------------------
 
 TEST(ReqTraceRecovery, KilledBackendShowsRecoveryPhasesOnCriticalPath) {

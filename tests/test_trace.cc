@@ -455,6 +455,38 @@ TEST(TraceE2E, AuditorAndTracerRunTogetherCleanly) {
   EXPECT_GT(stack.machine().tracer().events_recorded(), 0u);
 }
 
+TEST(TraceE2E, IrqAndEventChannelInstantsReachFlightRecorder) {
+  // The interrupt controller and the event-channel table record straight
+  // into the machine-owned tracer: a block write raises the disk IRQ
+  // (assert + deliver) and kicks the frontend's event channel.
+  ustack::VmmStack::Config config;
+  config.trace.enabled = true;
+  ustack::VmmStack stack(config);
+  auto& front = *stack.guest(0).blkfront;
+  std::vector<uint8_t> block(front.block_size(), 0x3C);
+  ASSERT_EQ(front.Write(1, 1, block), ukvm::Err::kNone);
+  stack.machine().RunUntilIdle();
+
+  const Tracer& tracer = stack.machine().tracer();
+  size_t asserts = 0, delivers = 0, sends = 0;
+  tracer.ForEachEvent([&](const TraceEvent& event) {
+    if (event.type != TraceEventType::kInstant) {
+      return;
+    }
+    const std::string& name = tracer.Name(event.name);
+    if (name == "irq.assert" || name == "irq.deliver") {
+      EXPECT_EQ(event.domain, ukvm::kHardwareDomain);
+      EXPECT_EQ(event.a, stack.disk().line().value());
+      ++(name == "irq.assert" ? asserts : delivers);
+    } else if (name == "evtchn.send") {
+      ++sends;
+    }
+  });
+  EXPECT_GE(asserts, 1u);
+  EXPECT_GE(delivers, 1u);
+  EXPECT_GE(sends, 2u);  // request kick to the backend, response kick back
+}
+
 TEST(TraceE2E, UkernelHistogramsCaptureCrossingLatency) {
   const ExportPair uk = RunTracedUkernel();
   (void)uk;
