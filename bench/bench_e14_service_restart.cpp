@@ -89,5 +89,6 @@ int main() {
       "intact — the service really is 'just a server' in both worlds (§3.1). The VMM's\n"
       "replacement unit is a whole domain (memory allocation, event channels, ring\n"
       "reconnects), the microkernel's a task — same semantics, different granularity.\n");
+  uharness::WriteJsonIfRequested("E14");
   return 0;
 }

@@ -246,6 +246,7 @@ int main() {
       "into bounded error replies, and the watchdog restarts via each stack's own\n"
       "recovery path (never a private back door). The schedule is seeded: a second\n"
       "run prints this table bit-identically.\n");
+  uharness::WriteJsonIfRequested("E15");
   const bool ok = uk.Availability() > 0.0 && vp.Availability() > 0.0 && vd.Availability() > 0.0;
   if (!ok) {
     std::printf("FAIL: an architecture lost all availability under the soak\n");

@@ -153,5 +153,6 @@ int main() {
       "storage dead, everything else alive (the paper: 'exactly the same situation as\n"
       "if a server fails in an L4-based system'). Only the super-VM configuration\n"
       "(everything in Dom0) turns one failure into a system-wide I/O outage.\n");
+  uharness::WriteJsonIfRequested("E5");
   return 0;
 }
