@@ -202,7 +202,6 @@ RunResult RunBurstsWithKills(Target& t) {
 
 RunResult RunUkernel() {
   ustack::UkernelStack::Config config;
-  config.crash_recovery = true;
   config.trace.enabled = true;
   ustack::UkernelStack stack(config);
   stack.ArmFaults(StormPlan());
@@ -219,15 +218,14 @@ RunResult RunUkernel() {
   t.applied_total = [&] { return stack.blk_recovery_log().applied_total(); };
   t.suppressed_total = [&] { return stack.blk_recovery_log().suppressed_total(); };
   t.acked_total = [&] { return stack.guest(0).port->blk_writes_acked_ok(); };
-  t.reconnects = [&] { return stack.guest(0).xenbus->reconnects(); };
-  t.replayed_total = [&] { return stack.guest(0).xenbus->replayed_total(); };
+  t.reconnects = [&] { return stack.guest(0).xenbus.reconnects(); };
+  t.replayed_total = [&] { return stack.guest(0).xenbus.replayed_total(); };
   return RunBurstsWithKills(t);
 }
 
 RunResult RunVmm(bool parallax) {
   ustack::VmmStack::Config config;
   config.parallax_storage = parallax;
-  config.crash_recovery = true;
   config.trace.enabled = true;
   ustack::VmmStack stack(config);
   stack.ArmFaults(StormPlan());

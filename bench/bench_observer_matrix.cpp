@@ -246,7 +246,6 @@ void VmmRecoveryKill(const ustack::ObserverConfig& observers, CellResult& r) {
   ustack::VmmStack::Config config;
   static_cast<ustack::ObserverConfig&>(config) = observers;
   config.parallax_storage = true;
-  config.crash_recovery = true;
   ustack::VmmStack stack(config);
   auto& front = *stack.guest(0).blkfront;
   std::vector<uint8_t> block(front.block_size(), 0);

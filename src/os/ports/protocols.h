@@ -18,8 +18,8 @@ inline constexpr uint64_t kOsSyscallLabel = 0x10;  // app -> OS server
 inline constexpr uint64_t kBlkInfoLabel = 0x20;    // -> reply [1]=block_size [2]=capacity
 inline constexpr uint64_t kBlkReadLabel = 0x21;    // [1]=lba [2]=count -> reply string=data
 inline constexpr uint64_t kBlkWriteLabel = 0x22;   // [1]=lba [2]=count, string=data
-                                                   // [3]=journal id for E19
-                                                   // exactly-once (0 = legacy)
+                                                   // [3]=journal id [4]=journal
+                                                   // low-water mark (E19)
 inline constexpr uint64_t kNetAttachLabel = 0x30;  // [1]=rx thread id
 inline constexpr uint64_t kNetSendLabel = 0x31;    // string=wire packet
 inline constexpr uint64_t kNetRxLabel = 0x32;      // server -> rx thread, string=packet

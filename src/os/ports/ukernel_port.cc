@@ -97,37 +97,29 @@ class UkernelPort::IpcBlock : public BlockDevice {
       ukvm::ReqOriginScope req_scope(rt, req_write_name_,
                                      port_.machine_.cpu().current_domain());
       port_.PokeWindow(port_.w_.os_thread, port_.w_.srv_window, payload);
-      IpcMessage msg;
-      uint64_t id = 0;
-      if (crash_recovery_) {
-        // Journal before submitting; the entry lives until the server
-        // genuinely answers (any status), so a mid-call server death
-        // leaves it behind for ReplayJournal.
-        id = next_id_++;
-        journal_.emplace(id, JournalEntry{lba + done, chunk,
-                                          std::vector<uint8_t>(payload.begin(), payload.end()),
-                                          req_scope.ref()});
-        msg = IpcMessage::Short(kBlkWriteLabel, lba + done, chunk, id);
-      } else {
-        msg = IpcMessage::Short(kBlkWriteLabel, lba + done, chunk);
-      }
-      msg.has_string = true;
-      msg.string = ukern::StringItem{port_.w_.srv_window, static_cast<uint32_t>(bytes)};
-      IpcMessage reply = port_.w_.kernel->Call(port_.w_.os_thread, port_.w_.blk_server, msg);
+      // Journal before submitting; the entry lives until the server
+      // genuinely answers (any status), so a mid-call server death leaves
+      // it behind for ReplayJournal.
+      const uint64_t id = next_id_++;
+      journal_.emplace(id, JournalEntry{lba + done, chunk,
+                                        std::vector<uint8_t>(payload.begin(), payload.end()),
+                                        req_scope.ref()});
+      IpcMessage reply = port_.w_.kernel->Call(port_.w_.os_thread, port_.w_.blk_server,
+                                               WriteRequest(id, lba + done, chunk, bytes));
       const bool answered =
           reply.status != Err::kDead && reply.status != Err::kBadHandle;
-      if (id != 0 && answered) {
+      const bool ok = reply.status == Err::kNone && static_cast<int64_t>(reply.regs[0]) >= 0;
+      if (answered) {
         // The server answered (success or error): the write's fate is
         // known, so the journal entry is resolved.
         journal_.erase(id);
-        if (reply.status == Err::kNone && static_cast<int64_t>(reply.regs[0]) >= 0) {
+        if (ok) {
           ++writes_acked_ok_;
         }
       }
-      const bool ok = reply.status == Err::kNone && static_cast<int64_t>(reply.regs[0]) >= 0;
       if (ok) {
         rt.EndRequest(req_scope.ref());
-      } else if (answered || id == 0) {
+      } else if (answered) {
         rt.AbandonRequest(req_scope.ref());
       }
       // Unanswered journaled writes stay live for ReplayJournal.
@@ -144,8 +136,6 @@ class UkernelPort::IpcBlock : public BlockDevice {
 
   // --- Crash recovery (E19) ---------------------------------------------------
 
-  void SetCrashRecovery(bool on) { crash_recovery_ = on; }
-
   uint64_t ReplayJournal() {
     uint64_t replayed = 0;
     auto it = journal_.begin();
@@ -160,11 +150,9 @@ class UkernelPort::IpcBlock : public BlockDevice {
       ukvm::ReqAdoptScope req_scope(rt, entry.trace);
       const uint64_t replay_t0 = port_.machine_.Now();
       port_.PokeWindow(port_.w_.os_thread, port_.w_.srv_window, entry.payload);
-      IpcMessage msg = IpcMessage::Short(kBlkWriteLabel, entry.lba, entry.count, id);
-      msg.has_string = true;
-      msg.string =
-          ukern::StringItem{port_.w_.srv_window, static_cast<uint32_t>(entry.payload.size())};
-      IpcMessage reply = port_.w_.kernel->Call(port_.w_.os_thread, port_.w_.blk_server, msg);
+      IpcMessage reply =
+          port_.w_.kernel->Call(port_.w_.os_thread, port_.w_.blk_server,
+                                WriteRequest(id, entry.lba, entry.count, entry.payload.size()));
       if (reply.status == Err::kDead || reply.status == Err::kBadHandle) {
         break;  // the replacement died too; keep the rest for the next round
       }
@@ -190,6 +178,17 @@ class UkernelPort::IpcBlock : public BlockDevice {
     std::vector<uint8_t> payload;
     ukvm::ReqTraceRef trace;  // E22: the write request, live until resolved
   };
+  // A journaled write of the payload staged in the server window: regs[3]
+  // carries its id, regs[4] the lowest journaled id (the journal holds at
+  // least this write), below which the server's log forgets applied ids.
+  IpcMessage WriteRequest(uint64_t id, uint64_t lba, uint32_t count, uint64_t bytes) const {
+    IpcMessage msg = IpcMessage::Short(kBlkWriteLabel, lba, count, id);
+    msg.regs[4] = journal_.begin()->first;
+    msg.reg_count = 5;
+    msg.has_string = true;
+    msg.string = ukern::StringItem{port_.w_.srv_window, static_cast<uint32_t>(bytes)};
+    return msg;
+  }
   void FetchInfo() const {
     if (info_fetched_) {
       return;
@@ -207,7 +206,6 @@ class UkernelPort::IpcBlock : public BlockDevice {
   mutable bool info_fetched_ = false;
   mutable uint32_t block_size_ = 0;
   mutable uint64_t capacity_ = 0;
-  bool crash_recovery_ = false;
   uint64_t next_id_ = 1;  // monotonic across restarts — replay reuses ids
   std::map<uint64_t, JournalEntry> journal_;  // unacked writes, in id order
   uint64_t writes_acked_ok_ = 0;
@@ -307,7 +305,6 @@ ConsoleDevice* UkernelPort::console() { return console_dev_.get(); }
 
 void UkernelPort::SetBlockServer(ThreadId server) { w_.blk_server = server; }
 
-void UkernelPort::SetCrashRecovery(bool on) { block_dev_->SetCrashRecovery(on); }
 uint64_t UkernelPort::ReplayBlockJournal() { return block_dev_->ReplayJournal(); }
 uint64_t UkernelPort::blk_writes_acked_ok() const { return block_dev_->writes_acked_ok(); }
 size_t UkernelPort::blk_journal_depth() const { return block_dev_->journal_depth(); }

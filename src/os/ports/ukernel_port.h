@@ -66,12 +66,11 @@ class UkernelPort : public ArchPort {
   void SetNetServer(ukvm::ThreadId server);
 
   // --- Crash recovery (E19) -------------------------------------------------
-
-  // Off by default (byte-identical). On, block writes carry a monotonic
-  // journal id in regs[3] and stay journaled until the server genuinely
-  // answers; a kernel-level kDead/kBadHandle reply (server task destroyed
-  // mid-call) keeps the entry for replay.
-  void SetCrashRecovery(bool on);
+  //
+  // Block writes carry a monotonic journal id in regs[3] and the journal's
+  // low-water mark in regs[4], and stay journaled until the server
+  // genuinely answers; a kernel-level kDead/kBadHandle reply (server task
+  // destroyed mid-call) keeps the entry for replay.
 
   // Re-issues every journaled (unacknowledged) write with its original id
   // against the current block server; the server's recovery log suppresses

@@ -20,14 +20,16 @@ constexpr size_t kRingCapacity = 64;
 // --- BlkBack ---------------------------------------------------------------------
 
 BlkBack::BlkBack(hwsim::Machine& machine, uvmm::Hypervisor& hv, DomainId backend,
-                 udrv::DiskDriver& driver, uint64_t slice_blocks, PortMux& mux)
+                 udrv::DiskDriver& driver, uint64_t slice_blocks, PortMux& mux,
+                 BlkRecoveryLog& log)
     : machine_(machine),
       hv_(hv),
       backend_(backend),
       driver_(driver),
       slice_blocks_(slice_blocks),
       mux_(mux),
-      health_(machine, "vmm.blk") {
+      health_(machine, "vmm.blk"),
+      recovery_log_(log) {
   req_dev_name_ = machine_.reqtrace().InternName("disk.io");
 }
 
@@ -64,15 +66,17 @@ void BlkBack::OnKick(BlkChannel& chan) {
                                           ? ukvm::ReqTraceRef{}
                                           : chan.ring->popped_traces()[0];
     ukvm::ReqAdoptScope req_scope(machine_.reqtrace(), req_ref);
+    if (req->is_write) {
+      recovery_log_.ForgetBelow(chan.guest, req->low_water);
+    }
     Err err = Err::kNone;
     if (req->count == 0 || req->count > driver_.blocks_per_page() ||
         req->lba + req->count > chan.slice_blocks) {
       err = Err::kOutOfRange;
-    } else if (req->is_write && recovery_log_ != nullptr &&
-               recovery_log_->Applied(chan.guest, req->id)) {
+    } else if (req->is_write && recovery_log_.Applied(chan.guest, req->id)) {
       // Journal replay of a write that landed before the crash: answer
       // success from the ledger without touching the disk (exactly-once).
-      recovery_log_->CountSuppressed();
+      recovery_log_.CountSuppressed();
       chan.ring->PushResponse(BlkResp{req->id, Err::kNone});
       (void)hv_.HcEvtchnSend(backend_, chan.back_port);
       continue;
@@ -128,8 +132,8 @@ void BlkBack::OnKick(BlkChannel& chan) {
                                   backend_, submit_t0, machine_.Now());
       if (status == Err::kNone) {
         health_.RecordSuccess();
-        if (is_write && recovery_log_ != nullptr) {
-          recovery_log_->MarkApplied(chan_ptr->guest, id);
+        if (is_write) {
+          recovery_log_.MarkApplied(chan_ptr->guest, id);
         }
         if (!is_write) {
           // The disk DMA filled the guest's page; this completion runs in
@@ -292,7 +296,7 @@ Err BlkFront::Connect(BlkBack& back) {
 }
 
 void BlkFront::OnBackendDead(DomainId dead) {
-  if (!crash_recovery_ || dead != backend_) {
+  if (dead != backend_) {
     return;
   }
   xenbus_.MarkFailure(machine_.Now());
@@ -386,7 +390,8 @@ Err BlkFront::ReplayWrite(uint64_t id, const JournalEntry& entry, bool& answered
       gref_cache_.InsertGrant(cache_key, gref);
     }
   }
-  chan_->ring->PushRequest(BlkReq{id, /*is_write=*/true, entry.lba, entry.count, gref});
+  chan_->ring->PushRequest(
+      BlkReq{id, /*is_write=*/true, entry.lba, entry.count, gref, LowWater()});
   Err err = hv_.HcEvtchnSend(guest_, chan_->front_port);
   if (err == Err::kNone) {
     err = machine_.WaitUntil([&] { return completed_.contains(id) || chan_ == nullptr; },
@@ -440,11 +445,11 @@ Err BlkFront::Write(uint64_t lba, uint32_t count, std::span<const uint8_t> in) {
 Err BlkFront::DoRequest(bool is_write, uint64_t lba, uint32_t count, std::span<uint8_t> out,
                         std::span<const uint8_t> in) {
   if (chan_ == nullptr) {
-    // A never-connected frontend would block; in recovery mode a null
+    // A never-connected frontend would block; once connected, a null
     // channel means OnBackendDead dropped it, so report the death (the
-    // channel comes back via Reconnect). Journaling is skipped either way —
-    // the request never reached a ring.
-    return crash_recovery_ && backend_.valid() ? Err::kDead : Err::kWouldBlock;
+    // channel comes back via Reconnect). Nothing is journaled: the request
+    // never reached a ring.
+    return backend_.valid() ? Err::kDead : Err::kWouldBlock;
   }
   if (block_size_ == 0) {
     return Err::kInvalidArgument;
@@ -510,25 +515,23 @@ Err BlkFront::DoRequest(bool is_write, uint64_t lba, uint32_t count, std::span<u
       }
     }
     const uint64_t id = next_id_++;
-    if (crash_recovery_ && is_write) {
+    uint64_t low_water = 0;
+    if (is_write) {
       JournalEntry& entry = journal_[id];
       entry.lba = lba + done;
       entry.count = chunk;
       const auto payload = in.subspan(uint64_t{done} * block_size_, bytes);
       entry.payload.assign(payload.begin(), payload.end());
       entry.trace = req_scope.ref();
+      low_water = LowWater();
     }
-    chan_->ring->PushRequest(BlkReq{id, is_write, lba + done, chunk, gref});
+    chan_->ring->PushRequest(BlkReq{id, is_write, lba + done, chunk, gref, low_water});
     Err err = hv_.HcEvtchnSend(guest_, chan_->front_port);
     if (err == Err::kNone) {
-      if (crash_recovery_) {
-        // Also wake on backend death (OnBackendDead nulls the channel)
-        // instead of riding out the full timeout against a corpse.
-        err = machine_.WaitUntil([&] { return completed_.contains(id) || chan_ == nullptr; },
-                                 2'000'000'000ull);
-      } else {
-        err = machine_.WaitUntil([&] { return completed_.contains(id); }, 2'000'000'000ull);
-      }
+      // Also wake on backend death (OnBackendDead nulls the channel)
+      // instead of riding out the full timeout against a corpse.
+      err = machine_.WaitUntil([&] { return completed_.contains(id) || chan_ == nullptr; },
+                               2'000'000'000ull);
     }
     bool answered = false;
     if (err == Err::kNone) {
@@ -537,20 +540,18 @@ Err BlkFront::DoRequest(bool is_write, uint64_t lba, uint32_t count, std::span<u
         err = completed_[id];
         completed_.erase(id);
       } else {
-        err = Err::kDead;  // recovery wake: the backend died under us
+        err = Err::kDead;  // the backend died under us
       }
     }
-    if (crash_recovery_ && is_write) {
-      if (answered) {
-        // The backend replied — the write's fate is known, nothing to replay.
-        journal_.erase(id);
-        if (err == Err::kNone) {
-          ++writes_acked_ok_;
-        }
+    if (is_write && answered) {
+      // The backend replied — the write's fate is known, nothing to replay.
+      journal_.erase(id);
+      if (err == Err::kNone) {
+        ++writes_acked_ok_;
       }
-      // Unanswered (death or timeout): the entry stays journaled; Reconnect
-      // replays it and the recovery log keeps the disk exactly-once.
     }
+    // An unanswered write (death or timeout) stays journaled: Reconnect
+    // replays it and the recovery log keeps the disk exactly-once.
     if (!persistent_) {
       (void)hv_.HcGrantEnd(guest_, gref);
     }
@@ -562,7 +563,7 @@ Err BlkFront::DoRequest(bool is_write, uint64_t lba, uint32_t count, std::span<u
     }
     if (err == Err::kNone) {
       machine_.reqtrace().EndRequest(req_scope.ref());
-    } else if (!(crash_recovery_ && is_write && !answered)) {
+    } else if (!is_write || answered) {
       // Journaled-unanswered writes stay live: Reconnect's replay resolves
       // them and their DAG gains the recovery-phase leaves.
       machine_.reqtrace().AbandonRequest(req_scope.ref());

@@ -36,6 +36,7 @@ struct BlkReq {
   uint64_t lba = 0;        // slice-relative
   uint32_t count = 0;      // blocks (must fit in one page)
   uint32_t gref = 0;       // guest I/O page
+  uint64_t low_water = 0;  // writes: lowest id still journaled (BlkRecoveryLog)
 };
 struct BlkResp {
   uint64_t id = 0;
@@ -54,9 +55,12 @@ struct BlkChannel {
 class BlkBack {
  public:
   // The backend partitions the disk into `slice_blocks`-sized virtual disks
-  // handed to guests in connection order.
+  // handed to guests in connection order. `log` is the stack-owned
+  // exactly-once ledger (it outlives the backend): completed writes are
+  // recorded, and duplicate ids (journal replays of writes that did land
+  // before the crash) are answered success without re-touching the disk.
   BlkBack(hwsim::Machine& machine, uvmm::Hypervisor& hv, ukvm::DomainId backend,
-          udrv::DiskDriver& driver, uint64_t slice_blocks, PortMux& mux);
+          udrv::DiskDriver& driver, uint64_t slice_blocks, PortMux& mux, BlkRecoveryLog& log);
 
   BlkChannel* Connect(ukvm::DomainId guest);
 
@@ -69,12 +73,6 @@ class BlkBack {
   // requests with kRetryExhausted instead of burning retries per request.
   void SetDegradePolicy(const DegradePolicy& policy) { health_.SetPolicy(policy); }
   const ServiceHealth& health() const { return health_; }
-
-  // Attaches the stack-owned exactly-once ledger (nullptr detaches). With a
-  // log attached, completed writes are recorded and duplicate ids (journal
-  // replays of writes that did land before the crash) are answered success
-  // without re-touching the disk.
-  void SetRecoveryLog(BlkRecoveryLog* log) { recovery_log_ = log; }
 
   // Test hook: a wedged backend ignores ring kicks entirely — alive but
   // unresponsive, the failure mode neither the domain-dead upcall nor the
@@ -98,7 +96,7 @@ class BlkBack {
   PortMux& mux_;
   std::vector<std::unique_ptr<BlkChannel>> channels_;
   ServiceHealth health_;
-  BlkRecoveryLog* recovery_log_ = nullptr;  // not owned; outlives the backend
+  BlkRecoveryLog& recovery_log_;
   bool wedged_ = false;
   bool persistent_ = false;
   uvmm::GrantCache map_cache_;  // (guest, gref) -> backend map va
@@ -132,11 +130,9 @@ class BlkFront : public minios::BlockDevice {
   const uvmm::GrantCache& gref_cache() const { return gref_cache_; }
 
   // --- Crash recovery (E19) -------------------------------------------------
-
-  // Off by default: without it every path below is inert and the frontend
-  // behaves byte-identically to the pre-E19 driver. With it, writes are
-  // journaled until acknowledged and replayed (same ids) after a reconnect.
-  void SetCrashRecovery(bool on) { crash_recovery_ = on; }
+  //
+  // Writes are journaled until acknowledged and replayed (same ids) after a
+  // reconnect.
 
   // The backend domain died (domain-dead upcall or supervisor decision):
   // drop the stale channel so in-flight waits wake with kDead. Journaled
@@ -183,6 +179,9 @@ class BlkFront : public minios::BlockDevice {
 
   ukvm::Err DoRequest(bool is_write, uint64_t lba, uint32_t count, std::span<uint8_t> out,
                       std::span<const uint8_t> in);
+  // The lowest journaled id, carried by every write (the journal holds at
+  // least the write being sent): the backend's log forgets the ids below it.
+  uint64_t LowWater() const { return journal_.begin()->first; }
   // Re-issues one journaled write with its original id and waits for the
   // acknowledgement. `answered` reports whether the backend replied at all
   // (any status resolves the entry); kDead means it died again mid-replay.
@@ -210,7 +209,6 @@ class BlkFront : public minios::BlockDevice {
   uint32_t req_rec_reconnect_name_ = 0;  // "recovery.reconnect" leaf
   uint32_t req_rec_replay_name_ = 0;     // "recovery.replay" leaf
   std::unordered_map<uint64_t, ukvm::Err> completed_;  // id -> status
-  bool crash_recovery_ = false;
   XenbusConn xenbus_;
   std::map<uint64_t, JournalEntry> journal_;  // unacked writes, replayed in id order
   uint64_t writes_acked_ok_ = 0;  // write chunks whose final status was kNone

@@ -332,7 +332,7 @@ NetFront::NetFront(hwsim::Machine& machine, uvmm::Hypervisor& hv, DomainId guest
 }
 
 void NetFront::OnBackendDead(DomainId dead) {
-  if (!crash_recovery_ || dead != backend_) {
+  if (dead != backend_) {
     return;
   }
   xenbus_.MarkFailure(machine_.Now());
@@ -443,8 +443,8 @@ void NetFront::ForgetOutstandingRxSlot(uvmm::Pfn pfn) {
 }
 
 Err NetFront::Connect(NetBack& back) {
-  // A fresh channel owes nothing: any outstanding-slot bookkeeping from a
-  // previous (legacy-restart) epoch is void.
+  // A fresh channel owes nothing: slots a previous backend still owed were
+  // journaled at its death (OnBackendDead) and are replayed by Reconnect.
   rx_outstanding_.clear();
   chan_ = back.Connect(guest_);
   if (chan_ == nullptr) {
@@ -495,7 +495,9 @@ void NetFront::PostRxSlot(uvmm::Pfn pfn, bool kick) {
 
 Err NetFront::Send(std::span<const uint8_t> packet) {
   if (chan_ == nullptr) {
-    return Err::kWouldBlock;
+    // Never connected: would block. Connected once: OnBackendDead dropped
+    // the channel, so report the death (Reconnect brings it back).
+    return backend_.valid() ? Err::kDead : Err::kWouldBlock;
   }
   if (packet.size() > machine_.memory().page_size() || packet.size() > mtu()) {
     return Err::kInvalidArgument;

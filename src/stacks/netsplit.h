@@ -177,11 +177,10 @@ class NetFront : public minios::NetDevice {
   void SetPersistentGrants(bool on) { persistent_ = on; }
 
   // --- Crash recovery (E19) -------------------------------------------------
-
-  // Off by default (byte-identical). Network recovery is drop-and-
-  // retransmit: packets lost with the backend are *counted*, never
-  // replayed — upper layers own retransmission, as on a real NIC.
-  void SetCrashRecovery(bool on) { crash_recovery_ = on; }
+  //
+  // Network recovery is drop-and-retransmit: packets lost with the backend
+  // are *counted*, never replayed — upper layers own retransmission, as on
+  // a real NIC.
 
   // The backend domain died: reclaim every pfn parked in tx grants or
   // advertised rx slots back into the free pool and drop the stale channel.
@@ -241,7 +240,6 @@ class NetFront : public minios::NetDevice {
   std::vector<uvmm::Pfn> pool_;  // the full I/O pool, for reclamation on crash
   std::unordered_map<uint32_t, TxGrant> tx_grants_;  // gref -> staging pfn + t0
   RecvHandler handler_;
-  bool crash_recovery_ = false;
   XenbusConn xenbus_;
   uint64_t tx_dropped_on_crash_ = 0;  // in-flight tx packets lost with a backend
   // Rx-slot replay state (E21 satellite of the E19 exactly-once work).

@@ -1,6 +1,7 @@
 #include "src/stacks/ukernel_stack.h"
 
 #include <cassert>
+#include <utility>
 
 #include "src/core/log.h"
 #include "src/os/ports/protocols.h"
@@ -26,38 +27,27 @@ constexpr uint32_t kProbePayloadBytes = 32;
 }  // namespace
 
 UkernelStack::UkernelStack(Config config)
-    : machine_(config.platform, config.memory_bytes, config.num_vcpus),
-      nic_(machine_, ukvm::IrqLine(kNicIrq), config.nic),
-      disk_(machine_, ukvm::IrqLine(kDiskIrq), config.disk) {
-  ArmTracers(machine_, config);
-  slice_blocks_ = config.slice_blocks;
-  disk_retry_ = config.disk_retry;
-  nic_retry_ = config.nic_retry;
-  degrade_ = config.degrade;
-  if (config.faults.any_enabled()) {
-    ArmFaults(config.faults);
+    : config_(std::move(config)),
+      machine_(config_.platform, config_.memory_bytes, config_.num_vcpus),
+      nic_(machine_, ukvm::IrqLine(kNicIrq), config_.nic),
+      disk_(machine_, ukvm::IrqLine(kDiskIrq), config_.disk) {
+  ArmTracers(machine_, config_);
+  if (config_.faults.any_enabled()) {
+    ArmFaults(config_.faults);
   }
   kernel_ = std::make_unique<ukern::Kernel>(machine_);
-  kernel_->SetIpcFastpath(config.ipc_fastpath);
-  kernel_->SetFastpathFeatures(config.fastpath_features);
+  kernel_->SetIpcFastpath(config_.ipc_fastpath);
+  kernel_->SetFastpathFeatures(config_.fastpath_features);
   machine_.tracer().RegisterDomain(kernel_->kernel_domain(), "l4-kernel");
   sigma0_ = std::make_unique<Sigma0>(machine_, *kernel_);
   machine_.tracer().RegisterDomain(sigma0_->task(), "sigma0");
-  net_server_ = std::make_unique<UkNetServer>(machine_, *kernel_, *sigma0_, nic_);
-  machine_.tracer().RegisterDomain(net_server_->task(), "net-server");
-  block_server_ =
-      std::make_unique<UkBlockServer>(machine_, *kernel_, *sigma0_, disk_, config.slice_blocks);
-  machine_.tracer().RegisterDomain(block_server_->task(), "block-server");
-  crash_recovery_ = config.crash_recovery;
-  if (crash_recovery_) {
-    block_server_->SetRecoveryLog(&blk_recovery_log_);
-  }
-  ApplyServerPolicies();
-  for (uint32_t i = 0; i < config.num_guests; ++i) {
+  StartNetServer("net-server");
+  StartBlockServer("block-server");
+  for (uint32_t i = 0; i < config_.num_guests; ++i) {
     guests_.push_back(MakeGuest("guest" + std::to_string(i)));
   }
   machine_.cpu().SetInterruptsEnabled(true);
-  auditor_ = MakeAuditor(machine_, config);
+  auditor_ = MakeAuditor(machine_, config_);
   if (auditor_) {
     auditor_->AttachUkernel(*kernel_);
   }
@@ -69,22 +59,28 @@ void UkernelStack::ArmFaults(const hwsim::FaultPlan& plan) {
   disk_.SetFaultInjector(fault_injector_.get());
 }
 
-void UkernelStack::ApplyServerPolicies() {
-  net_server_->SetRetryPolicy(nic_retry_);
-  net_server_->SetDegradePolicy(degrade_);
-  block_server_->SetRetryPolicy(disk_retry_);
-  block_server_->SetDegradePolicy(degrade_);
+void UkernelStack::StartNetServer(const char* name) {
+  net_server_ = std::make_unique<UkNetServer>(machine_, *kernel_, *sigma0_, nic_);
+  machine_.tracer().RegisterDomain(net_server_->task(), name);
+  net_server_->SetRetryPolicy(config_.nic_retry);
+  net_server_->SetDegradePolicy(config_.degrade);
+}
+
+void UkernelStack::StartBlockServer(const char* name) {
+  block_server_ = std::make_unique<UkBlockServer>(machine_, *kernel_, *sigma0_, disk_,
+                                                  config_.slice_blocks, blk_recovery_log_);
+  machine_.tracer().RegisterDomain(block_server_->task(), name);
+  block_server_->SetRetryPolicy(config_.disk_retry);
+  block_server_->SetDegradePolicy(config_.degrade);
 }
 
 std::unique_ptr<UkernelStack::Guest> UkernelStack::MakeGuest(const std::string& name) {
-  auto g = std::make_unique<Guest>();
   const uint32_t page = static_cast<uint32_t>(machine_.memory().page_size());
 
   auto os_task = kernel_->CreateTask(sigma0_->thread());
   auto app_task = kernel_->CreateTask(sigma0_->thread());
   assert(os_task.ok() && app_task.ok());
-  g->os_task = *os_task;
-  g->app_task = *app_task;
+  auto g = std::make_unique<Guest>(machine_, *os_task, *app_task);
   machine_.tracer().RegisterDomain(g->os_task, name + "-os");
   machine_.tracer().RegisterDomain(g->app_task, name + "-app");
 
@@ -126,11 +122,7 @@ std::unique_ptr<UkernelStack::Guest> UkernelStack::MakeGuest(const std::string& 
   wiring.net_server = net_server_->thread();
 
   g->port = std::make_unique<minios::UkernelPort>(machine_, wiring);
-  if (crash_recovery_) {
-    g->port->SetCrashRecovery(true);
-    g->xenbus = std::make_unique<XenbusConn>(machine_, "uk-blk", g->os_task);
-    g->xenbus->OnConnected();
-  }
+  g->xenbus.OnConnected();
   g->os = std::make_unique<minios::Os>(machine_, *g->port, name);
   ukvm::ProfScope boot_frame(machine_.tracer(),
                              machine_.tracer().profiler().InternFrame("guest.boot"));
@@ -158,7 +150,7 @@ void UkernelStack::RouteWirePort(uint16_t wire_port, size_t i) {
 
 Err UkernelStack::KillBlockServer() {
   const Err err = kernel_->DestroyTask(block_server_->task());
-  if (crash_recovery_ && err == Err::kNone) {
+  if (err == Err::kNone) {
     // Quiesce at the kill edge, not just at restart: the dead server's DMA
     // sources (its staging/window frames) were freed with its task, so an
     // in-flight request completing now would move garbage. Cancelled ops
@@ -167,9 +159,7 @@ Err UkernelStack::KillBlockServer() {
     // The kill edge: the detection segment in each guest's recovery clock
     // starts here, not at the watchdog's (later) failed probe.
     for (auto& g : guests_) {
-      if (g->xenbus != nullptr) {
-        g->xenbus->MarkFailure(machine_.Now());
-      }
+      g->xenbus.MarkFailure(machine_.Now());
     }
   }
   return err;
@@ -178,58 +168,38 @@ Err UkernelStack::KillBlockServer() {
 Err UkernelStack::KillNetServer() { return kernel_->DestroyTask(net_server_->task()); }
 
 Err UkernelStack::RestartBlockServer() {
-  if (crash_recovery_) {
-    for (auto& g : guests_) {
-      if (g->xenbus != nullptr) {
-        g->xenbus->OnDetected();
-      }
-    }
-    // Quiesce: the dead server's in-flight DMA must not complete into
-    // frames the replacement server is about to reuse as staging.
-    machine_.counters().AddNamed("recovery.disk.dma_cancelled", disk_.CancelPending());
+  for (auto& g : guests_) {
+    g->xenbus.OnDetected();
   }
+  // Quiesce: the dead server's in-flight DMA must not complete into
+  // frames the replacement server is about to reuse as staging.
+  machine_.counters().AddNamed("recovery.disk.dma_cancelled", disk_.CancelPending());
   // Carry the slice table over: a fresh server must not hand client A's
   // slice to whichever client happens to speak first.
   auto slices = block_server_->slices();
   const uint64_t next_slice = block_server_->next_slice();
-  block_server_ =
-      std::make_unique<UkBlockServer>(machine_, *kernel_, *sigma0_, disk_, slice_blocks_);
-  machine_.tracer().RegisterDomain(block_server_->task(), "block-server-2");
+  StartBlockServer("block-server-2");
   block_server_->RestoreSlices(std::move(slices), next_slice);
-  block_server_->SetRetryPolicy(disk_retry_);
-  block_server_->SetDegradePolicy(degrade_);
-  if (crash_recovery_) {
-    block_server_->SetRecoveryLog(&blk_recovery_log_);
-    for (auto& g : guests_) {
-      if (g->xenbus != nullptr) {
-        g->xenbus->OnReclaimed();
-      }
-    }
+  for (auto& g : guests_) {
+    g->xenbus.OnReclaimed();
   }
   for (auto& g : guests_) {
-    if (g->port != nullptr) {
-      g->port->SetBlockServer(block_server_->thread());
-      if (g->xenbus != nullptr) {
-        g->xenbus->OnReconnected();
-        g->xenbus->OnReplayed(g->port->ReplayBlockJournal());
-      }
-    }
+    g->port->SetBlockServer(block_server_->thread());
+    g->xenbus.OnReconnected();
+    g->xenbus.OnReplayed(g->port->ReplayBlockJournal());
   }
   return Err::kNone;
 }
 
 Err UkernelStack::RestartNetServer() {
-  net_server_ = std::make_unique<UkNetServer>(machine_, *kernel_, *sigma0_, nic_);
-  machine_.tracer().RegisterDomain(net_server_->task(), "net-server-2");
-  net_server_->SetRetryPolicy(nic_retry_);
-  net_server_->SetDegradePolicy(degrade_);
+  StartNetServer("net-server-2");
   for (const auto& [wire_port, guest_idx] : wire_routes_) {
     if (guest_idx < guests_.size()) {
       net_server_->RoutePort(wire_port, guest(guest_idx).net_rx_thread);
     }
   }
   for (auto& g : guests_) {
-    if (g->port != nullptr && kernel_->ThreadAlive(g->net_rx_thread)) {
+    if (kernel_->ThreadAlive(g->net_rx_thread)) {
       g->port->SetNetServer(net_server_->thread());
     }
   }

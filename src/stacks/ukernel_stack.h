@@ -44,14 +44,6 @@ class UkernelStack {
     udrv::RetryPolicy disk_retry;
     udrv::RetryPolicy nic_retry;
     DegradePolicy degrade;
-    // E19 crash recovery — default off, so every pre-E19 path is
-    // byte-identical. On: block writes are journaled by the port and
-    // replayed (same ids) after RestartBlockServer; the stack-owned
-    // BlkRecoveryLog makes them exactly-once across server restarts; the
-    // restart path quiesces in-flight disk DMA before the replacement
-    // server attaches; each guest's uk-blk xenbus connection records the
-    // recovery phases.
-    bool crash_recovery = false;
     // E21 L4 fast-path IPC — default off, so every pre-E21 charge sequence
     // is byte-identical. On: short register-only Calls (including the OS
     // servers' syscall redirection) take the Liedtke fast path; everything
@@ -65,6 +57,9 @@ class UkernelStack {
   };
 
   struct Guest {
+    Guest(hwsim::Machine& machine, ukvm::DomainId os_dom, ukvm::DomainId app_dom)
+        : os_task(os_dom), app_task(app_dom), xenbus(machine, "uk-blk", os_dom) {}
+
     ukvm::DomainId os_task;
     ukvm::DomainId app_task;
     ukvm::ThreadId os_thread;
@@ -72,9 +67,9 @@ class UkernelStack {
     ukvm::ThreadId net_rx_thread;
     std::unique_ptr<minios::UkernelPort> port;
     std::unique_ptr<minios::Os> os;
-    // The uk-blk connection state machine (crash recovery only; the
-    // microkernel mirror of a frontend's xenbus conn).
-    std::unique_ptr<XenbusConn> xenbus;
+    // The uk-blk connection state machine (the microkernel mirror of a
+    // frontend's xenbus conn).
+    XenbusConn xenbus;
     bool booted = false;
   };
 
@@ -112,12 +107,15 @@ class UkernelStack {
   // Replaces a dead (or live) server with a fresh instance and re-points
   // every guest at it. Disk contents survive (the backing store is intact)
   // and the slice table is carried over so clients keep their slices.
+  // RestartBlockServer also quiesces in-flight disk DMA before the
+  // replacement attaches and replays each port's write journal (same ids);
+  // the stack-owned BlkRecoveryLog makes the writes exactly-once and each
+  // guest's uk-blk xenbus connection records the recovery phases (E19).
   ukvm::Err RestartBlockServer();
   ukvm::Err RestartNetServer();
 
   // The stack-owned exactly-once write ledger (survives server restarts).
   const BlkRecoveryLog& blk_recovery_log() const { return blk_recovery_log_; }
-  bool crash_recovery() const { return crash_recovery_; }
 
   // --- Health probes (service watchdog) ----------------------------------------
   // One request through the service's ordinary IPC interface, issued from a
@@ -136,25 +134,25 @@ class UkernelStack {
   static constexpr uint32_t kDiskIrq = 6;
 
   std::unique_ptr<Guest> MakeGuest(const std::string& name);
-  void ApplyServerPolicies();
+  // The one construction path for each server, shared by boot and the
+  // Restart* paths: a fresh instance registered under `name`, hardened
+  // with the config's retry and degrade policies.
+  void StartNetServer(const char* name);
+  void StartBlockServer(const char* name);
   ukvm::Err EnsureMonitor();
 
+  const Config config_;
   hwsim::Machine machine_;
   hwsim::Nic nic_;
   hwsim::Disk disk_;
   std::unique_ptr<hwsim::FaultInjector> fault_injector_;
   std::unique_ptr<ukern::Kernel> kernel_;
   std::unique_ptr<Sigma0> sigma0_;
+  BlkRecoveryLog blk_recovery_log_;  // outlives every block server writing to it
   std::unique_ptr<UkNetServer> net_server_;
   std::unique_ptr<UkBlockServer> block_server_;
   std::vector<std::unique_ptr<Guest>> guests_;
   std::unordered_map<uint16_t, size_t> wire_routes_;  // re-applied on restart
-  uint64_t slice_blocks_ = 8192;
-  bool crash_recovery_ = false;
-  BlkRecoveryLog blk_recovery_log_;
-  udrv::RetryPolicy disk_retry_;
-  udrv::RetryPolicy nic_retry_;
-  DegradePolicy degrade_;
   ukvm::DomainId monitor_task_ = ukvm::DomainId::Invalid();
   ukvm::ThreadId monitor_thread_ = ukvm::ThreadId::Invalid();
   // Declared last: destroyed first, emptying the machine's observer slot

@@ -235,9 +235,9 @@ IpcMessage UkNetServer::Handle(ThreadId sender, IpcMessage msg) {
 // --- UkBlockServer ----------------------------------------------------------------
 
 UkBlockServer::UkBlockServer(hwsim::Machine& machine, ukern::Kernel& kernel, Sigma0& sigma0,
-                             hwsim::Disk& disk, uint64_t slice_blocks)
+                             hwsim::Disk& disk, uint64_t slice_blocks, BlkRecoveryLog& log)
     : machine_(machine), kernel_(kernel), disk_(disk), slice_blocks_(slice_blocks),
-      health_(machine, "uk.blk") {
+      health_(machine, "uk.blk"), recovery_log_(log) {
   auto task = kernel_.CreateTask(sigma0.thread());
   assert(task.ok());
   task_ = *task;
@@ -356,23 +356,19 @@ IpcMessage UkBlockServer::Handle(ThreadId sender, IpcMessage msg) {
       if (msg.string_data.size() < uint64_t{count} * disk_.config().block_size) {
         return IpcMessage::Error(Err::kInvalidArgument);
       }
-      // Exactly-once (E19): regs[3] carries the client's journal id (0 =
-      // legacy client, no recovery). A replayed id that already hit the
-      // disk is acknowledged from the ledger without re-touching it.
+      // Exactly-once (E19): regs[3] carries the client's journal id and
+      // regs[4] its low-water mark. A replayed id that already hit the disk
+      // is acknowledged from the ledger without re-touching it. SliceBaseOf
+      // resolved the sender, so its task is known.
       const uint64_t req_id = msg.regs[3];
-      ukvm::DomainId client = ukvm::DomainId::Invalid();
-      if (req_id != 0 && recovery_log_ != nullptr) {
-        auto task = kernel_.TaskOf(sender);
-        if (task.ok()) {
-          client = *task;
-          if (recovery_log_->Applied(client, req_id)) {
-            recovery_log_->CountSuppressed();
-            IpcMessage reply;
-            reply.regs[0] = 0;
-            reply.reg_count = 1;
-            return reply;
-          }
-        }
+      const ukvm::DomainId client = *kernel_.TaskOf(sender);
+      recovery_log_.ForgetBelow(client, msg.regs[4]);
+      if (recovery_log_.Applied(client, req_id)) {
+        recovery_log_.CountSuppressed();
+        IpcMessage reply;
+        reply.regs[0] = 0;
+        reply.reg_count = 1;
+        return reply;
       }
       if (health_.ShouldFastFail()) {
         return IpcMessage::Error(Err::kRetryExhausted);
@@ -403,9 +399,7 @@ IpcMessage UkBlockServer::Handle(ThreadId sender, IpcMessage msg) {
       }
       health_.RecordSuccess();
       ++served_;
-      if (req_id != 0 && recovery_log_ != nullptr && client.valid()) {
-        recovery_log_->MarkApplied(client, req_id);
-      }
+      recovery_log_.MarkApplied(client, req_id);
       IpcMessage reply;
       reply.regs[0] = 0;
       reply.reg_count = 1;

@@ -103,8 +103,14 @@ class UkNetServer {
 // User-level block service: serves per-client virtual-disk slices.
 class UkBlockServer {
  public:
+  // `log` is the stack-owned exactly-once ledger (it outlives the server),
+  // the mirror of BlkBack's. Writes carry the client's journal id in
+  // regs[3] and its low-water mark in regs[4], and are deduplicated against
+  // the log keyed by the sender's task: a journal replay of a write that
+  // landed before the crash is answered success without re-touching the
+  // disk.
   UkBlockServer(hwsim::Machine& machine, ukern::Kernel& kernel, Sigma0& sigma0,
-                hwsim::Disk& disk, uint64_t slice_blocks);
+                hwsim::Disk& disk, uint64_t slice_blocks, BlkRecoveryLog& log);
 
   ukvm::DomainId task() const { return task_; }
   ukvm::ThreadId thread() const { return thread_; }
@@ -122,13 +128,6 @@ class UkBlockServer {
     slices_ = std::move(slices);
     next_slice_ = next_slice;
   }
-
-  // Attaches the stack-owned exactly-once ledger (nullptr detaches), the
-  // mirror of BlkBack::SetRecoveryLog. Write requests carrying a nonzero id
-  // in regs[3] are deduplicated against it (keyed by the sender's task):
-  // a journal replay of a write that landed before the crash is answered
-  // success without re-touching the disk.
-  void SetRecoveryLog(BlkRecoveryLog* log) { recovery_log_ = log; }
 
   uint64_t requests_served() const { return served_; }
 
@@ -150,7 +149,7 @@ class UkBlockServer {
   std::unordered_map<ukvm::DomainId, uint64_t> slices_;  // client task -> slice idx
   uint64_t next_slice_ = 0;
   ServiceHealth health_;
-  BlkRecoveryLog* recovery_log_ = nullptr;  // not owned; outlives the server
+  BlkRecoveryLog& recovery_log_;
   uint64_t served_ = 0;
 };
 

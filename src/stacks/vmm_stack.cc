@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cassert>
+#include <utility>
 #include <vector>
 
 #include "src/core/log.h"
@@ -11,25 +12,19 @@ namespace ustack {
 using ukvm::Err;
 
 VmmStack::VmmStack(Config config)
-    : machine_(config.platform, config.memory_bytes, config.num_vcpus),
-      nic_(machine_, ukvm::IrqLine(kNicIrq), config.nic),
-      disk_(machine_, ukvm::IrqLine(kDiskIrq), config.disk) {
-  ArmTracers(machine_, config);
-  disk_retry_ = config.disk_retry;
-  nic_retry_ = config.nic_retry;
-  degrade_ = config.degrade;
-  if (config.faults.any_enabled()) {
-    ArmFaults(config.faults);
+    : config_(std::move(config)),
+      machine_(config_.platform, config_.memory_bytes, config_.num_vcpus),
+      nic_(machine_, ukvm::IrqLine(kNicIrq), config_.nic),
+      disk_(machine_, ukvm::IrqLine(kDiskIrq), config_.disk) {
+  ArmTracers(machine_, config_);
+  if (config_.faults.any_enabled()) {
+    ArmFaults(config_.faults);
   }
   hv_ = std::make_unique<uvmm::Hypervisor>(machine_);
   machine_.tracer().RegisterDomain(hv_->vmm_domain(), "xen");
-  crash_recovery_ = config.crash_recovery;
-  if (crash_recovery_) {
-    hv_->SetCrashRecovery(true);
-  }
 
   // --- Dom0: the privileged driver domain -----------------------------------
-  auto dom0 = hv_->CreateDomain("Dom0", config.dom0_pages, /*privileged=*/true);
+  auto dom0 = hv_->CreateDomain("Dom0", config_.dom0_pages, /*privileged=*/true);
   assert(dom0.ok());
   dom0_ = *dom0;
   machine_.tracer().RegisterDomain(dom0_, "Dom0");
@@ -40,91 +35,10 @@ VmmStack::VmmStack(Config config)
   // The NIC driver + netback live in Dom0, or in a dedicated driver domain
   // when disaggregated (the Xen "driver domain" arrangement — structurally
   // the microkernel's user-level driver server).
-  if (config.net_driver_domain) {
-    auto nd = hv_->CreateDomain("NetDriverVM", config.net_domain_pages, /*privileged=*/true);
-    assert(nd.ok());
-    net_dom_ = *nd;
-    machine_.tracer().RegisterDomain(net_dom_, "NetDriverVM");
-    net_mux_ = std::make_unique<PortMux>();
-    err = hv_->HcSetUpcall(net_dom_, net_mux_->AsUpcall());
-    assert(err == Err::kNone);
-  } else {
-    net_dom_ = dom0_;
-  }
-  PortMux& net_mux = config.net_driver_domain ? *net_mux_ : *dom0_mux_;
-  {
-    uvmm::Domain* nd = hv_->FindDomain(net_dom_);
-    std::vector<hwsim::Frame> pool;
-    for (uvmm::Pfn pfn = 0; pfn < 64; ++pfn) {
-      pool.push_back(nd->p2m[pfn]);
-    }
-    nic_driver_ = std::make_unique<udrv::NicDriver>(machine_, nic_, std::move(pool));
-    nic_driver_->SetRetryPolicy(nic_retry_);
-  }
-  netback_ = std::make_unique<NetBack>(machine_, *hv_, net_dom_, *nic_driver_, config.rx_mode,
-                                       net_mux);
-  netback_->SetDegradePolicy(degrade_);
-  nic_driver_->SetRxCallback(
-      [this](hwsim::Frame frame, uint32_t len) { netback_->OnPacketReceived(frame, len); });
-  if (config.io_batch > 1) {
-    // Batched datapath: NAPI-style polled drains on the NIC driver, with the
-    // netback's flush as the per-round batch boundary (deferred-repost mode).
-    // Poll rounds are timer events; re-enter the driver domain's kernel
-    // context so their cycles are charged like softirq work.
-    netback_->SetRxBatch(config.io_batch);
-    nic_driver_->SetBatchDrainHook([this] { netback_->FlushRx(); });
-    nic_driver_->SetDeferredContext([this](const std::function<void()>& fn) {
-      (void)hv_->RunAsDomainKernel(net_dom_, fn);
-    });
-    nic_driver_->SetInterruptMitigation(true);
-  }
-  if (config.persistent_grants) {
-    netback_->SetPersistentGrants(true);
-  }
-
-  // Route the NIC's hardware interrupt into the driver domain as a virtual IRQ.
-  auto nic_port = hv_->HcEvtchnAllocUnbound(net_dom_, net_dom_);
-  assert(nic_port.ok());
-  net_mux.Route(*nic_port, [this] { nic_driver_->OnInterrupt(); });
-  err = hv_->HcBindIrq(net_dom_, nic_.line(), *nic_port);
+  err = StartNetBackend("NetDriverVM");
   assert(err == Err::kNone);
-
   // --- Storage backend: Dom0 or a Parallax-style storage VM ------------------
-  parallax_ = config.parallax_storage;
-  persistent_grants_ = config.persistent_grants;
-  storage_pages_ = config.storage_pages;
-  slice_blocks_ = config.slice_blocks;
-  net_driver_domain_ = config.net_driver_domain;
-  net_domain_pages_ = config.net_domain_pages;
-  rx_mode_ = config.rx_mode;
-  io_batch_ = config.io_batch;
-  if (config.parallax_storage) {
-    auto sd = hv_->CreateDomain("ParallaxVM", config.storage_pages, /*privileged=*/true);
-    assert(sd.ok());
-    storage_dom_ = *sd;
-    machine_.tracer().RegisterDomain(storage_dom_, "ParallaxVM");
-    storage_mux_ = std::make_unique<PortMux>();
-    err = hv_->HcSetUpcall(storage_dom_, storage_mux_->AsUpcall());
-    assert(err == Err::kNone);
-  } else {
-    storage_dom_ = dom0_;
-  }
-  PortMux& storage_mux = config.parallax_storage ? *storage_mux_ : *dom0_mux_;
-  disk_driver_ = std::make_unique<udrv::DiskDriver>(machine_, disk_);
-  disk_driver_->SetRetryPolicy(disk_retry_);
-  blkback_ = std::make_unique<BlkBack>(machine_, *hv_, storage_dom_, *disk_driver_,
-                                       config.slice_blocks, storage_mux);
-  blkback_->SetDegradePolicy(degrade_);
-  if (config.persistent_grants) {
-    blkback_->SetPersistentGrants(true);
-  }
-  if (crash_recovery_) {
-    blkback_->SetRecoveryLog(&blk_recovery_log_);
-  }
-  auto disk_port = hv_->HcEvtchnAllocUnbound(storage_dom_, storage_dom_);
-  assert(disk_port.ok());
-  storage_mux.Route(*disk_port, [this] { disk_driver_->OnInterrupt(); });
-  err = hv_->HcBindIrq(storage_dom_, disk_.line(), *disk_port);
+  err = StartStorageBackend("ParallaxVM");
   assert(err == Err::kNone);
   (void)err;
 
@@ -133,14 +47,108 @@ VmmStack::VmmStack(Config config)
   machine_.cpu().SetInterruptsEnabled(true);
 
   // --- Guests -----------------------------------------------------------------
-  for (uint32_t i = 0; i < config.num_guests; ++i) {
-    guests_.push_back(MakeGuest("DomU" + std::to_string(i + 1), config));
+  for (uint32_t i = 0; i < config_.num_guests; ++i) {
+    guests_.push_back(MakeGuest("DomU" + std::to_string(i + 1)));
   }
 
-  auditor_ = MakeAuditor(machine_, config);
+  auditor_ = MakeAuditor(machine_, config_);
   if (auditor_) {
     auditor_->AttachVmm(*hv_);
   }
+}
+
+Err VmmStack::StartNetBackend(const std::string& domain_name) {
+  if (config_.net_driver_domain) {
+    auto nd = hv_->CreateDomain(domain_name, config_.net_domain_pages, /*privileged=*/true);
+    if (!nd.ok()) {
+      return nd.error();
+    }
+    net_dom_ = *nd;
+    machine_.tracer().RegisterDomain(net_dom_, domain_name);
+    net_mux_ = std::make_unique<PortMux>();
+    UKVM_TRY(hv_->HcSetUpcall(net_dom_, net_mux_->AsUpcall()));
+  } else if (hv_->DomainAlive(dom0_)) {
+    net_dom_ = dom0_;
+  } else {
+    return Err::kDead;  // Dom0-hosted networking cannot outlive Dom0
+  }
+  PortMux& net_mux = config_.net_driver_domain ? *net_mux_ : *dom0_mux_;
+  const std::vector<hwsim::Frame>& p2m = hv_->FindDomain(net_dom_)->p2m;
+  nic_driver_ = std::make_unique<udrv::NicDriver>(
+      machine_, nic_, std::vector<hwsim::Frame>(p2m.begin(), p2m.begin() + 64));
+  nic_driver_->SetRetryPolicy(config_.nic_retry);
+  netback_ = std::make_unique<NetBack>(machine_, *hv_, net_dom_, *nic_driver_, config_.rx_mode,
+                                       net_mux);
+  netback_->SetDegradePolicy(config_.degrade);
+  nic_driver_->SetRxCallback(
+      [this](hwsim::Frame frame, uint32_t len) { netback_->OnPacketReceived(frame, len); });
+  if (config_.io_batch > 1) {
+    // Batched datapath: NAPI-style polled drains on the NIC driver, with the
+    // netback's flush as the per-round batch boundary (deferred-repost mode).
+    // Poll rounds are timer events; re-enter the driver domain's kernel
+    // context so their cycles are charged like softirq work.
+    netback_->SetRxBatch(config_.io_batch);
+    nic_driver_->SetBatchDrainHook([this] { netback_->FlushRx(); });
+    nic_driver_->SetDeferredContext([this](const std::function<void()>& fn) {
+      (void)hv_->RunAsDomainKernel(net_dom_, fn);
+    });
+    nic_driver_->SetInterruptMitigation(true);
+  }
+  if (config_.persistent_grants) {
+    netback_->SetPersistentGrants(true);
+  }
+  // Route the NIC's hardware interrupt into the driver domain as a virtual IRQ.
+  auto nic_port = hv_->HcEvtchnAllocUnbound(net_dom_, net_dom_);
+  if (!nic_port.ok()) {
+    return nic_port.error();
+  }
+  net_mux.Route(*nic_port, [this] { nic_driver_->OnInterrupt(); });
+  UKVM_TRY(hv_->HcBindIrq(net_dom_, nic_.line(), *nic_port));
+  // A restart's frontends may now rebuild (no guest exists yet at boot).
+  for (auto& g : guests_) {
+    if (hv_->DomainAlive(g->domain)) {
+      g->netfront->xenbus().OnReclaimed();
+    }
+  }
+  return Err::kNone;
+}
+
+Err VmmStack::StartStorageBackend(const std::string& domain_name) {
+  if (config_.parallax_storage) {
+    auto sd = hv_->CreateDomain(domain_name, config_.storage_pages, /*privileged=*/true);
+    if (!sd.ok()) {
+      return sd.error();
+    }
+    storage_dom_ = *sd;
+    machine_.tracer().RegisterDomain(storage_dom_, domain_name);
+    storage_mux_ = std::make_unique<PortMux>();
+    UKVM_TRY(hv_->HcSetUpcall(storage_dom_, storage_mux_->AsUpcall()));
+  } else if (hv_->DomainAlive(dom0_)) {
+    storage_dom_ = dom0_;
+  } else {
+    return Err::kDead;  // Dom0-hosted storage cannot outlive Dom0
+  }
+  PortMux& storage_mux = config_.parallax_storage ? *storage_mux_ : *dom0_mux_;
+  disk_driver_ = std::make_unique<udrv::DiskDriver>(machine_, disk_);
+  disk_driver_->SetRetryPolicy(config_.disk_retry);
+  blkback_ = std::make_unique<BlkBack>(machine_, *hv_, storage_dom_, *disk_driver_,
+                                       config_.slice_blocks, storage_mux, blk_recovery_log_);
+  blkback_->SetDegradePolicy(config_.degrade);
+  if (config_.persistent_grants) {
+    blkback_->SetPersistentGrants(true);
+  }
+  // A restart's frontends may now rebuild (no guest exists yet at boot).
+  for (auto& g : guests_) {
+    if (hv_->DomainAlive(g->domain)) {
+      g->blkfront->xenbus().OnReclaimed();
+    }
+  }
+  auto disk_port = hv_->HcEvtchnAllocUnbound(storage_dom_, storage_dom_);
+  if (!disk_port.ok()) {
+    return disk_port.error();
+  }
+  storage_mux.Route(*disk_port, [this] { disk_driver_->OnInterrupt(); });
+  return hv_->HcBindIrq(storage_dom_, disk_.line(), *disk_port);
 }
 
 void VmmStack::ArmFaults(const hwsim::FaultPlan& plan) {
@@ -149,10 +157,9 @@ void VmmStack::ArmFaults(const hwsim::FaultPlan& plan) {
   disk_.SetFaultInjector(fault_injector_.get());
 }
 
-std::unique_ptr<VmmStack::Guest> VmmStack::MakeGuest(const std::string& name,
-                                                     const Config& config) {
+std::unique_ptr<VmmStack::Guest> VmmStack::MakeGuest(const std::string& name) {
   auto g = std::make_unique<Guest>();
-  auto dom = hv_->CreateDomain(name, config.guest_pages, /*privileged=*/false);
+  auto dom = hv_->CreateDomain(name, config_.guest_pages, /*privileged=*/false);
   assert(dom.ok());
   g->domain = *dom;
   machine_.tracer().RegisterDomain(g->domain, name);
@@ -163,46 +170,40 @@ std::unique_ptr<VmmStack::Guest> VmmStack::MakeGuest(const std::string& name,
   // Dedicated pfn pools at the top of the guest's pseudo-physical memory.
   std::vector<uvmm::Pfn> net_pool;
   std::vector<uvmm::Pfn> blk_pool;
-  for (uvmm::Pfn pfn = config.guest_pages - 64; pfn < config.guest_pages - 8; ++pfn) {
+  for (uvmm::Pfn pfn = config_.guest_pages - 64; pfn < config_.guest_pages - 8; ++pfn) {
     net_pool.push_back(pfn);
   }
-  for (uvmm::Pfn pfn = config.guest_pages - 8; pfn < config.guest_pages; ++pfn) {
+  for (uvmm::Pfn pfn = config_.guest_pages - 8; pfn < config_.guest_pages; ++pfn) {
     blk_pool.push_back(pfn);
   }
 
   g->netfront = std::make_unique<NetFront>(machine_, *hv_, g->domain, net_pool, *g->mux);
-  if (config.io_batch > 1) {
-    g->netfront->SetIoBatch(config.io_batch);
+  if (config_.io_batch > 1) {
+    g->netfront->SetIoBatch(config_.io_batch);
   }
-  if (config.persistent_grants) {
+  if (config_.persistent_grants) {
     g->netfront->SetPersistentGrants(true);
-  }
-  if (crash_recovery_) {
-    g->netfront->SetCrashRecovery(true);
   }
   err = g->netfront->Connect(*netback_);
   assert(err == Err::kNone);
   g->blkfront = std::make_unique<BlkFront>(machine_, *hv_, g->domain, blk_pool, *g->mux);
-  if (config.persistent_grants) {
+  if (config_.persistent_grants) {
     g->blkfront->SetPersistentGrants(true);
   }
-  if (crash_recovery_) {
-    g->blkfront->SetCrashRecovery(true);
-    // Backend death reaches the guest as a kDomainDead upcall ("xenbus
-    // watch fired"); each frontend decides whether the corpse was its peer.
-    Guest* raw = g.get();
-    err = hv_->HcSetDomainDeadHandler(g->domain, [raw](ukvm::DomainId dead) {
-      raw->netfront->OnBackendDead(dead);
-      raw->blkfront->OnBackendDead(dead);
-    });
-    assert(err == Err::kNone);
-  }
+  // Backend death reaches the guest as a kDomainDead upcall ("xenbus watch
+  // fired"); each frontend decides whether the corpse was its peer.
+  Guest* raw = g.get();
+  err = hv_->HcSetDomainDeadHandler(g->domain, [raw](ukvm::DomainId dead) {
+    raw->netfront->OnBackendDead(dead);
+    raw->blkfront->OnBackendDead(dead);
+  });
+  assert(err == Err::kNone);
   err = g->blkfront->Connect(*blkback_);
   assert(err == Err::kNone);
   (void)err;
 
   g->port = std::make_unique<minios::VmmPort>(machine_, *hv_, g->domain, g->netfront.get(),
-                                              g->blkfront.get(), config.request_fast_syscall);
+                                              g->blkfront.get(), config_.request_fast_syscall);
   g->os = std::make_unique<minios::Os>(machine_, *g->port, name);
   ukvm::ProfScope boot_frame(machine_.tracer(),
                              machine_.tracer().profiler().InternFrame("guest.boot"));
@@ -231,11 +232,8 @@ void VmmStack::RouteWirePort(uint16_t wire_port, size_t i) {
 Err VmmStack::KillStorage() { return hv_->DestroyDomain(storage_dom_); }
 
 Err VmmStack::CrashStorageService() {
-  if (parallax_) {
+  if (config_.parallax_storage) {
     return KillStorage();
-  }
-  if (!crash_recovery_) {
-    return Err::kNotSupported;  // a dom0 driver crash has no legacy analogue
   }
   if (!hv_->DomainAlive(dom0_)) {
     return Err::kDead;
@@ -259,135 +257,39 @@ Err VmmStack::KillDom0() { return hv_->DestroyDomain(dom0_); }
 Err VmmStack::KillGuest(size_t i) { return hv_->DestroyDomain(guest(i).domain); }
 
 Err VmmStack::RestartStorage() {
-  if (crash_recovery_) {
-    // The supervisor has decided the backend is gone: advance each live
-    // frontend's xenbus machine and quiesce the disk's completion queue so
-    // no in-flight DMA queued by the dead backend lands after teardown.
-    for (auto& g : guests_) {
-      if (hv_->DomainAlive(g->domain)) {
-        g->blkfront->xenbus().OnDetected();
-      }
-    }
-    machine_.counters().AddNamed("recovery.disk.dma_cancelled", disk_.CancelPending());
-  }
-  if (parallax_) {
-    auto sd = hv_->CreateDomain("ParallaxVM-2", storage_pages_, /*privileged=*/true);
-    if (!sd.ok()) {
-      return sd.error();
-    }
-    storage_dom_ = *sd;
-    machine_.tracer().RegisterDomain(storage_dom_, "ParallaxVM-2");
-    storage_mux_ = std::make_unique<PortMux>();
-    UKVM_TRY(hv_->HcSetUpcall(storage_dom_, storage_mux_->AsUpcall()));
-  } else if (!hv_->DomainAlive(dom0_)) {
-    return Err::kDead;  // Dom0-hosted storage cannot outlive Dom0
-  }
-  PortMux& storage_mux = parallax_ ? *storage_mux_ : *dom0_mux_;
-  disk_driver_ = std::make_unique<udrv::DiskDriver>(machine_, disk_);
-  disk_driver_->SetRetryPolicy(disk_retry_);
-  blkback_ = std::make_unique<BlkBack>(machine_, *hv_, storage_dom_, *disk_driver_,
-                                       slice_blocks_, storage_mux);
-  blkback_->SetDegradePolicy(degrade_);
-  if (persistent_grants_) {
-    blkback_->SetPersistentGrants(true);
-  }
-  if (crash_recovery_) {
-    // The exactly-once ledger outlives the backend — the replacement picks
-    // it up and suppresses replayed writes that already landed.
-    blkback_->SetRecoveryLog(&blk_recovery_log_);
-    for (auto& g : guests_) {
-      if (hv_->DomainAlive(g->domain)) {
-        g->blkfront->xenbus().OnReclaimed();
-      }
-    }
-  }
-  auto disk_port = hv_->HcEvtchnAllocUnbound(storage_dom_, storage_dom_);
-  if (!disk_port.ok()) {
-    return disk_port.error();
-  }
-  storage_mux.Route(*disk_port, [this] { disk_driver_->OnInterrupt(); });
-  UKVM_TRY(hv_->HcBindIrq(storage_dom_, disk_.line(), *disk_port));
+  // The supervisor has decided the backend is gone: advance each live
+  // frontend's xenbus machine and quiesce the disk's completion queue so
+  // no in-flight DMA queued by the dead backend lands after teardown.
   for (auto& g : guests_) {
     if (hv_->DomainAlive(g->domain)) {
-      if (crash_recovery_) {
-        UKVM_TRY(g->blkfront->Reconnect(*blkback_));
-      } else {
-        UKVM_TRY(g->blkfront->Connect(*blkback_));
-      }
+      g->blkfront->xenbus().OnDetected();
+    }
+  }
+  machine_.counters().AddNamed("recovery.disk.dma_cancelled", disk_.CancelPending());
+  // The exactly-once ledger outlives the backend: the replacement picks it
+  // up and suppresses replayed writes that already landed.
+  UKVM_TRY(StartStorageBackend("ParallaxVM-2"));
+  for (auto& g : guests_) {
+    if (hv_->DomainAlive(g->domain)) {
+      UKVM_TRY(g->blkfront->Reconnect(*blkback_));
     }
   }
   return Err::kNone;
 }
 
 Err VmmStack::RestartNetDomain() {
-  if (crash_recovery_) {
-    for (auto& g : guests_) {
-      if (hv_->DomainAlive(g->domain)) {
-        g->netfront->xenbus().OnDetected();
-      }
-    }
-    // Quiesce: forget posted rx buffers (a late arrival must not DMA into
-    // pages the dead driver posted) and orphan in-flight completions.
-    machine_.counters().AddNamed("recovery.nic.rx_forgotten", nic_.CancelPosted());
-  }
-  if (net_driver_domain_) {
-    auto nd = hv_->CreateDomain("NetDriverVM-2", net_domain_pages_, /*privileged=*/true);
-    if (!nd.ok()) {
-      return nd.error();
-    }
-    net_dom_ = *nd;
-    machine_.tracer().RegisterDomain(net_dom_, "NetDriverVM-2");
-    net_mux_ = std::make_unique<PortMux>();
-    UKVM_TRY(hv_->HcSetUpcall(net_dom_, net_mux_->AsUpcall()));
-  } else if (!hv_->DomainAlive(dom0_)) {
-    return Err::kDead;  // Dom0-hosted networking cannot outlive Dom0
-  }
-  PortMux& net_mux = net_driver_domain_ ? *net_mux_ : *dom0_mux_;
-  {
-    uvmm::Domain* nd = hv_->FindDomain(net_dom_);
-    std::vector<hwsim::Frame> pool;
-    for (uvmm::Pfn pfn = 0; pfn < 64; ++pfn) {
-      pool.push_back(nd->p2m[pfn]);
-    }
-    nic_driver_ = std::make_unique<udrv::NicDriver>(machine_, nic_, std::move(pool));
-    nic_driver_->SetRetryPolicy(nic_retry_);
-  }
-  netback_ = std::make_unique<NetBack>(machine_, *hv_, net_dom_, *nic_driver_, rx_mode_,
-                                       net_mux);
-  netback_->SetDegradePolicy(degrade_);
-  nic_driver_->SetRxCallback(
-      [this](hwsim::Frame frame, uint32_t len) { netback_->OnPacketReceived(frame, len); });
-  if (io_batch_ > 1) {
-    netback_->SetRxBatch(io_batch_);
-    nic_driver_->SetBatchDrainHook([this] { netback_->FlushRx(); });
-    nic_driver_->SetDeferredContext([this](const std::function<void()>& fn) {
-      (void)hv_->RunAsDomainKernel(net_dom_, fn);
-    });
-    nic_driver_->SetInterruptMitigation(true);
-  }
-  if (persistent_grants_) {
-    netback_->SetPersistentGrants(true);
-  }
-  auto nic_port = hv_->HcEvtchnAllocUnbound(net_dom_, net_dom_);
-  if (!nic_port.ok()) {
-    return nic_port.error();
-  }
-  net_mux.Route(*nic_port, [this] { nic_driver_->OnInterrupt(); });
-  UKVM_TRY(hv_->HcBindIrq(net_dom_, nic_.line(), *nic_port));
-  if (crash_recovery_) {
-    for (auto& g : guests_) {
-      if (hv_->DomainAlive(g->domain)) {
-        g->netfront->xenbus().OnReclaimed();
-      }
-    }
-  }
   for (auto& g : guests_) {
     if (hv_->DomainAlive(g->domain)) {
-      if (crash_recovery_) {
-        UKVM_TRY(g->netfront->Reconnect(*netback_));
-      } else {
-        UKVM_TRY(g->netfront->Connect(*netback_));
-      }
+      g->netfront->xenbus().OnDetected();
+    }
+  }
+  // Quiesce: forget posted rx buffers (a late arrival must not DMA into
+  // pages the dead driver posted) and orphan in-flight completions.
+  machine_.counters().AddNamed("recovery.nic.rx_forgotten", nic_.CancelPosted());
+  UKVM_TRY(StartNetBackend("NetDriverVM-2"));
+  for (auto& g : guests_) {
+    if (hv_->DomainAlive(g->domain)) {
+      UKVM_TRY(g->netfront->Reconnect(*netback_));
     }
   }
   // The routing table died with the old netback; replay the recorded routes.

@@ -57,16 +57,6 @@ class VmmStack {
     //   persistent_grants: both ends of the net and blk split drivers keep
     //   grants/mappings alive across packets (grant recycling).
     bool persistent_grants = false;
-    // E19 crash recovery — default off, so every pre-E19 path (and all
-    // E1–E18 numbers) is byte-identical. On:
-    //  - DestroyDomain force-revokes the corpse's grants/event channels and
-    //    upcalls surviving peers (kDomainDead);
-    //  - frontends journal writes and replay them (same ids) over a
-    //    xenbus-style reconnect; the stack-owned BlkRecoveryLog makes block
-    //    writes exactly-once across backend restarts;
-    //  - Restart* paths quiesce device DMA queues before tearing down the
-    //    dead backend's driver.
-    bool crash_recovery = false;
     hwsim::Nic::Config nic;
     hwsim::Disk::Config disk;
     // Chaos knobs (E15): seeded device fault injection plus the driver and
@@ -126,32 +116,36 @@ class VmmStack {
   // upcalls). Inside Dom0 it is a driver crash — the domain survives but
   // the backend stops answering; frontends detach so in-flight requests
   // wake with kDead and the watchdog's RestartStorage rebuilds the service.
-  // Requires crash recovery (the dom0-hosted form has no legacy analogue).
   ukvm::Err CrashStorageService();
   // Kills the network driver domain (Dom0 unless disaggregated).
   ukvm::Err KillNetDomain();
   ukvm::Err KillDom0();
   ukvm::Err KillGuest(size_t i);
 
-  // --- Service recovery ---------------------------------------------------------
+  // --- Service recovery (E19) ---------------------------------------------------
+  //
+  // Domain death force-revokes the corpse's grants and event channels and
+  // upcalls the surviving guests (kDomainDead); frontends journal writes
+  // and replay them (same ids) over a xenbus-style reconnect, and the
+  // stack-owned BlkRecoveryLog makes block writes exactly-once across
+  // backend restarts.
 
   // Boots a replacement storage backend (a fresh Parallax VM when
   // disaggregated; rebuilding inside Dom0 otherwise requires Dom0 alive)
-  // and reconnects every guest's blkfront. Disk contents survive. With
-  // crash recovery on, the path quiesces the disk's DMA queue first and
-  // drives each frontend's xenbus machine through reconnect + replay.
+  // and reconnects every guest's blkfront. Disk contents survive. The path
+  // quiesces the disk's DMA queue first and drives each frontend's xenbus
+  // machine through reconnect + replay.
   ukvm::Err RestartStorage();
 
   // Boots a replacement network backend (a fresh driver VM when
   // disaggregated; rebuilding inside Dom0 otherwise), reconnects every
-  // guest's netfront, and replays the recorded wire routes. With crash
-  // recovery on, posted rx buffers and in-flight NIC completions are
-  // cancelled before the old driver is torn down.
+  // guest's netfront, and replays the recorded wire routes. Posted rx
+  // buffers and in-flight NIC completions are cancelled before the old
+  // driver is torn down.
   ukvm::Err RestartNetDomain();
 
   // The stack-owned exactly-once write ledger (survives backend restarts).
   const BlkRecoveryLog& blk_recovery_log() const { return blk_recovery_log_; }
-  bool crash_recovery() const { return crash_recovery_; }
 
   // --- Health probes (service watchdog) ----------------------------------------
   // One request through guest 0's ordinary frontend — the same ring
@@ -168,8 +162,16 @@ class VmmStack {
   static constexpr uint32_t kNicIrq = 5;
   static constexpr uint32_t kDiskIrq = 6;
 
-  std::unique_ptr<Guest> MakeGuest(const std::string& name, const Config& config);
+  std::unique_ptr<Guest> MakeGuest(const std::string& name);
+  // The one construction path for each backend, shared by boot and the
+  // Restart* paths: the hosting domain (a fresh VM named `domain_name` when
+  // disaggregated, else the live Dom0), its driver and backend, the device
+  // IRQ routed in as a virtual IRQ, and each waiting frontend's xenbus
+  // machine advanced to reclaimed (no guest exists yet at boot).
+  ukvm::Err StartNetBackend(const std::string& domain_name);
+  ukvm::Err StartStorageBackend(const std::string& domain_name);
 
+  const Config config_;
   hwsim::Machine machine_;
   hwsim::Nic nic_;
   hwsim::Disk disk_;
@@ -184,25 +186,13 @@ class VmmStack {
   std::unique_ptr<PortMux> net_mux_;
   std::unique_ptr<udrv::NicDriver> nic_driver_;
   std::unique_ptr<udrv::DiskDriver> disk_driver_;
+  BlkRecoveryLog blk_recovery_log_;  // outlives every blkback writing to it
   std::unique_ptr<NetBack> netback_;
   std::unique_ptr<BlkBack> blkback_;
   std::vector<std::unique_ptr<Guest>> guests_;
-  bool parallax_ = false;
-  bool persistent_grants_ = false;
-  uint64_t storage_pages_ = 1024;
-  uint64_t slice_blocks_ = 8192;
-  bool net_driver_domain_ = false;
-  uint64_t net_domain_pages_ = 1024;
-  RxMode rx_mode_ = RxMode::kPageFlip;
-  uint32_t io_batch_ = 1;
-  bool crash_recovery_ = false;
-  BlkRecoveryLog blk_recovery_log_;
   // Wire routes as (wire port, guest index), replayed after a net restart
   // (the routing table lives in the netback and dies with it).
   std::vector<std::pair<uint16_t, size_t>> wire_routes_;
-  udrv::RetryPolicy disk_retry_;
-  udrv::RetryPolicy nic_retry_;
-  DegradePolicy degrade_;
   // Declared last: destroyed first, emptying the machine's observer slot
   // while the hypervisor and machine are still alive.
   std::unique_ptr<ucheck::Auditor> auditor_;

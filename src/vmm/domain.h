@@ -51,8 +51,8 @@ struct Domain {
   std::function<void(uint32_t port)> evtchn_upcall;
 
   // Domain-death notification (E19): called when a domain this one had a
-  // connected event channel to is destroyed. Registered only by crash-aware
-  // frontends; the default (unset) keeps the historical silent-dangle.
+  // connected event channel to is destroyed. Guests register it for their
+  // frontends; a domain that leaves it unset is not notified.
   std::function<void(ukvm::DomainId dead)> domain_dead_upcall;
 
   // Guest page-fault handler.

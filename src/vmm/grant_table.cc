@@ -256,18 +256,6 @@ void GrantTable::EndBatch() {
   }
 }
 
-void GrantTable::DropAllOf(DomainId domain) {
-  tables_.erase(domain);
-  for (auto& [granter, table] : tables_) {
-    for (Entry& entry : table) {
-      if (entry.in_use && entry.grantee == domain) {
-        entry = Entry{};
-      }
-    }
-  }
-  ReportChanged();
-}
-
 GrantTable::ReclaimStats GrantTable::ReclaimDeadDomain(DomainId dead) {
   ReclaimStats stats;
   // Grants the dead domain issued: its frames are about to be freed, so any

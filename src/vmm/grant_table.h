@@ -77,17 +77,11 @@ class GrantTable {
   ukvm::Result<hwsim::Frame> Transfer(ukvm::DomainId caller, Pfn caller_pfn,
                                       ukvm::DomainId granter, uint32_t ref);
 
-  // Drops all grants issued by or mapped by `domain` (domain destruction).
-  // Entries vanish from the table, but grantee-side PTEs installed through
-  // MapGrant stay behind — the historical behaviour, kept for the
-  // recovery-disabled path.
-  void DropAllOf(ukvm::DomainId domain);
-
-  // Crash-recovery teardown (E19): like DropAllOf, but first force-revokes
-  // every live mapping of a grant the dead domain issued — unmapping the
-  // grantee's PTEs and shooting down its TLBs (one batched IPI round per
-  // grantee space, the E18 protocol) so no surviving domain keeps a window
-  // onto frames about to be freed and recycled.
+  // Domain-death teardown (E19): drops every grant issued or held by
+  // `dead`, first force-revoking each live mapping of a grant it issued —
+  // unmapping the grantee's PTEs and shooting down its TLBs (one batched IPI
+  // round per grantee space, the E18 protocol) so no surviving domain keeps
+  // a window onto frames about to be freed and recycled.
   struct ReclaimStats {
     uint32_t grants_revoked = 0;
     uint32_t mappings_unmapped = 0;

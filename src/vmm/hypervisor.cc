@@ -120,10 +120,7 @@ Err Hypervisor::DestroyDomain(DomainId id) {
   }
   // Collect connected event-channel peers before teardown severs the
   // channels: they are the domains owed a kDomainDead notification.
-  std::vector<DomainId> peers;
-  if (crash_recovery_) {
-    peers = evtchn_->PeersOf(id);
-  }
+  const std::vector<DomainId> peers = evtchn_->PeersOf(id);
   machine_.ChargeTo(kVmmDomain, machine_.costs().kernel_op);
   dom->alive = false;
   // Address-space death: every vCPU must drop the domain's translations
@@ -131,16 +128,12 @@ Err Hypervisor::DestroyDomain(DomainId id) {
   // machine's dead-space registry and quarantine-releases its TLB salt.
   machine_.ShootdownSpaceDeath(&dom->space);
   evtchn_->CloseAllOf(id);
-  if (crash_recovery_) {
-    // Force-revoke everything the corpse granted or held: surviving
-    // grantees lose their PTEs (batched shootdown per victim space) so no
-    // window onto the freed frames outlives the domain.
-    const GrantTable::ReclaimStats stats = gnttab_->ReclaimDeadDomain(id);
-    machine_.counters().AddNamed("xen.reclaim.grants", stats.grants_revoked);
-    machine_.counters().AddNamed("xen.reclaim.unmaps", stats.mappings_unmapped);
-  } else {
-    gnttab_->DropAllOf(id);
-  }
+  // Force-revoke everything the corpse granted or held: surviving grantees
+  // lose their PTEs (batched shootdown per victim space) so no window onto
+  // the freed frames outlives the domain.
+  const GrantTable::ReclaimStats stats = gnttab_->ReclaimDeadDomain(id);
+  machine_.counters().AddNamed("xen.reclaim.grants", stats.grants_revoked);
+  machine_.counters().AddNamed("xen.reclaim.unmaps", stats.mappings_unmapped);
   for (auto it = irq_bindings_.begin(); it != irq_bindings_.end();) {
     if (it->second.first == id) {
       it = irq_bindings_.erase(it);
@@ -160,8 +153,8 @@ Err Hypervisor::DestroyDomain(DomainId id) {
     machine_.cpu().SetDomain(kVmmDomain);
     machine_.cpu().SetMode(hwsim::PrivLevel::kPrivileged);
   }
-  // With the corpse fully reclaimed, tell the survivors. Peers that never
-  // registered a handler get the historical silence.
+  // With the corpse fully reclaimed, tell the survivors (those that
+  // registered a handler).
   for (DomainId peer : peers) {
     DeliverDomainDead(peer, id);
   }

@@ -124,16 +124,12 @@ class Hypervisor : public hwsim::TrapHandler {
   // first domain created is Dom0 if `privileged`.
   ukvm::Result<ukvm::DomainId> CreateDomain(const std::string& name, uint64_t pages,
                                             bool privileged);
+  // Domain death (E19): force-revokes the domain's grants (unmapping
+  // surviving grantees' PTEs, with E18-batched shootdowns), frees its frames
+  // and delivers a kDomainDead upcall to every event-channel peer.
   ukvm::Err DestroyDomain(ukvm::DomainId dom);
   Domain* FindDomain(ukvm::DomainId dom);
   bool DomainAlive(ukvm::DomainId dom);
-
-  // E19 crash recovery. When enabled, DestroyDomain force-revokes the dead
-  // domain's grants (unmapping surviving grantees' PTEs, with E18-batched
-  // shootdowns) and delivers a kDomainDead upcall to every event-channel
-  // peer. Default off: the historical teardown, byte-identical to pre-E19.
-  void SetCrashRecovery(bool enabled) { crash_recovery_ = enabled; }
-  bool crash_recovery() const { return crash_recovery_; }
 
   // Visits every live domain (order unspecified); for the invariant auditor,
   // whose space views hold mutable table pointers, hence the non-const refs.
@@ -261,7 +257,6 @@ class Hypervisor : public hwsim::TrapHandler {
   std::unordered_map<ukvm::IrqLine, std::pair<ukvm::DomainId, uint32_t>> irq_bindings_;
   uint32_t next_domain_id_ = 1;  // 0 is the hypervisor itself
   ukvm::DomainId dom0_ = ukvm::DomainId::Invalid();
-  bool crash_recovery_ = false;
 
   uint32_t mech_hypercall_ = 0;
   uint32_t mech_hypercall_ret_ = 0;

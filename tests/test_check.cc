@@ -336,18 +336,50 @@ TEST(CheckMutation, DanglingEventChannelFlagged) {
   dom->alive = true;
 }
 
-TEST(CheckClean, DestroyDomainWithRecoveryLeavesNoDeadReferences) {
-  // The positive counterpart: with crash recovery on, DestroyDomain's
-  // reclamation must leave zero grants or channels naming the corpse.
+TEST(CheckClean, DestroyDomainLeavesNoDeadReferences) {
+  // The positive counterpart: DestroyDomain's reclamation must leave zero
+  // grants or channels naming the corpse.
+  {
+    ustack::VmmStack::Config config;
+    config.parallax_storage = true;
+    ustack::VmmStack stack(config);
+    ASSERT_NE(stack.auditor(), nullptr);
+    ASSERT_EQ(stack.KillStorage(), Err::kNone);
+    stack.auditor()->Checkpoint("after-kill");
+    EXPECT_EQ(CountInvariant(*stack.auditor(), Invariant::kGrantHeldByDeadDomain), 0u);
+    EXPECT_EQ(CountInvariant(*stack.auditor(), Invariant::kDanglingEventChannel), 0u);
+  }
+  // Guest death with persistent grants: Dom0's blkback holds live mappings
+  // of the guest's I/O pages (8 pages x read/write grants). Reclamation
+  // must unmap them before the frames are freed, so neither the freed
+  // frames nor their next owner's are reachable from Dom0.
   ustack::VmmStack::Config config;
-  config.parallax_storage = true;
-  config.crash_recovery = true;
+  config.num_guests = 2;
+  config.persistent_grants = true;
   ustack::VmmStack stack(config);
   ASSERT_NE(stack.auditor(), nullptr);
-  ASSERT_EQ(stack.KillStorage(), Err::kNone);
-  stack.auditor()->Checkpoint("after-kill");
-  EXPECT_EQ(CountInvariant(*stack.auditor(), Invariant::kGrantHeldByDeadDomain), 0u);
-  EXPECT_EQ(CountInvariant(*stack.auditor(), Invariant::kDanglingEventChannel), 0u);
+  stack.RunAsApp(0, [&] {
+    auto& os = stack.guest_os(0);
+    auto pid = os.Spawn("writer");
+    for (int i = 0; i < 4; ++i) {
+      const minios::SyscallRet fd = os.Create(*pid, "f" + std::to_string(i));
+      ASSERT_GE(fd, 0);
+      const std::vector<uint8_t> data(700, static_cast<uint8_t>(i));
+      EXPECT_EQ(os.Write(*pid, fd, data), 700);
+      EXPECT_EQ(os.Close(*pid, fd), 0);
+    }
+  });
+  ASSERT_EQ(stack.KillGuest(0), Err::kNone);
+  stack.auditor()->Checkpoint("after-guest-kill");
+  EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+  // A new domain receives the freed frames.
+  ASSERT_TRUE(stack.hv().CreateDomain("Reuse", config.guest_pages, /*privileged=*/false).ok());
+  stack.auditor()->Checkpoint("after-reuse");
+  for (const std::string& report : stack.auditor()->ViolationReports()) {
+    ADD_FAILURE() << report;
+  }
+  EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+  EXPECT_EQ(stack.machine().counters().Get("xen.reclaim.unmaps"), 16u);
 }
 
 // --- DMA rules ------------------------------------------------------------------

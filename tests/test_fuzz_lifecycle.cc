@@ -750,7 +750,6 @@ FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
 FuzzResult RunUkernelRecoveryFuzzImpl(uint64_t seed, uint32_t steps, bool ipc_fastpath,
                                       ukern::Kernel::FastpathFeatures features = {}) {
   ustack::UkernelStack::Config config;
-  config.crash_recovery = true;
   config.race_detect = true;  // E20: crash/replay histories must stay race-free
   config.ipc_fastpath = ipc_fastpath;
   config.fastpath_features = features;
@@ -767,7 +766,7 @@ FuzzResult RunUkernelRecoveryFuzzImpl(uint64_t seed, uint32_t steps, bool ipc_fa
   t.journal_depth = [&] { return stack.guest(0).port->blk_journal_depth(); };
   t.applied_total = [&] { return stack.blk_recovery_log().applied_total(); };
   t.acked_total = [&] { return stack.guest(0).port->blk_writes_acked_ok(); };
-  t.reconnects = [&] { return stack.guest(0).xenbus->reconnects(); };
+  t.reconnects = [&] { return stack.guest(0).xenbus.reconnects(); };
   FuzzResult out = RunRecoveryFuzzOn(t, seed, steps);
   out.fastpath_taken = stack.kernel().fastpath_stats().taken;
   out.fastpath_replywait = stack.kernel().fastpath_stats().replywait_coalesced;
@@ -793,7 +792,6 @@ FuzzResult RunUkernelCallOnlyRecoveryFuzz(uint64_t seed, uint32_t steps, bool) {
 FuzzResult RunVmmRecoveryFuzz(uint64_t seed, uint32_t steps, bool parallax) {
   ustack::VmmStack::Config config;
   config.parallax_storage = parallax;
-  config.crash_recovery = true;
   config.race_detect = true;  // E20: crash/replay histories must stay race-free
   ustack::VmmStack stack(config);
   auto& front = *stack.guest(0).blkfront;

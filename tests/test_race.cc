@@ -328,7 +328,6 @@ TEST(RaceCleanRun, NativeStackWorkloads) {
 
 TEST(LivenessProbe, DetectsWedgedBackend) {
   ustack::VmmStack::Config config;
-  config.crash_recovery = true;
   config.trace.enabled = true;
   ustack::VmmStack stack(config);
   auto& front = *stack.guest(0).blkfront;
@@ -361,7 +360,6 @@ TEST(LivenessProbe, DetectsWedgedBackend) {
 
 TEST(LivenessProbe, PeriodicProbeDetectsOnceThenStops) {
   ustack::VmmStack::Config config;
-  config.crash_recovery = true;
   ustack::VmmStack stack(config);
   auto& front = *stack.guest(0).blkfront;
 

@@ -108,7 +108,6 @@ TEST(Xenbus, PhasesAdvanceInOrderAndRecordSegments) {
 TEST(Recovery, VmmParallaxMidFlightKillReplaysExactlyOnce) {
   ustack::VmmStack::Config config;
   config.parallax_storage = true;
-  config.crash_recovery = true;
   ustack::VmmStack stack(config);
   auto& front = *stack.guest(0).blkfront;
   const uint32_t bs = front.block_size();
@@ -156,6 +155,15 @@ TEST(Recovery, VmmParallaxMidFlightKillReplaysExactlyOnce) {
   ASSERT_EQ(front.Read(9, 1, back), Err::kNone);
   EXPECT_EQ(back, block);
 
+  // Bounded log: each write's low-water mark lets the backend forget the
+  // ids its client can no longer replay, so a burst leaves at most one
+  // live entry per client however many writes were applied.
+  for (uint64_t lba = 10; lba < 30; ++lba) {
+    ASSERT_EQ(front.Write(lba, 1, block), Err::kNone);
+  }
+  EXPECT_EQ(stack.blk_recovery_log().applied_total(), VmmAckedWrites(stack));
+  EXPECT_LE(stack.blk_recovery_log().live_entries(), stack.num_guests());
+
   if (stack.auditor() != nullptr) {
     stack.auditor()->Checkpoint("after-recovery");
     EXPECT_EQ(stack.auditor()->violation_count(), 0u);
@@ -172,7 +180,6 @@ TEST(Recovery, VmmParallaxDuplicateSuppression) {
   // counter plus the applied/acked equality.
   ustack::VmmStack::Config config;
   config.parallax_storage = true;
-  config.crash_recovery = true;
   ustack::VmmStack stack(config);
   auto& front = *stack.guest(0).blkfront;
   const uint32_t bs = front.block_size();
@@ -198,7 +205,6 @@ TEST(Recovery, VmmParallaxDuplicateSuppression) {
 
 TEST(Recovery, VmmDom0StorageServiceCrashRecovers) {
   ustack::VmmStack::Config config;
-  config.crash_recovery = true;  // storage stays in Dom0
   ustack::VmmStack stack(config);
   auto& front = *stack.guest(0).blkfront;
   const uint32_t bs = front.block_size();
@@ -221,12 +227,46 @@ TEST(Recovery, VmmDom0StorageServiceCrashRecovers) {
   EXPECT_EQ(stack.blk_recovery_log().applied_total(), VmmAckedWrites(stack));
 }
 
+TEST(Recovery, ProbeOvertakingAnAppliedWriteStillSuppressesItsReplay) {
+  // Pins why the recovery log prunes below the journal's low-water mark and
+  // never below the highest id seen. The liveness probe runs on its own
+  // timer, so probes with higher ids reach the backend while a write is
+  // still on the disk. The Dom0 driver then crashes: the frontend drops the
+  // channel, the old blkback still lands the write (applied, never
+  // answered), and the restart replays it. A log that had forgotten every
+  // id below the probes' would apply the write a second time.
+  ustack::VmmStack stack;  // storage inside Dom0
+  auto& front = *stack.guest(0).blkfront;
+  const uint32_t bs = front.block_size();
+  std::vector<uint8_t> block(bs, 0x5c);
+  const uint64_t applied_before = stack.blk_recovery_log().applied_total();
+
+  front.StartLivenessProbe(/*interval_cycles=*/20 * hwsim::kCyclesPerUs,
+                           /*timeout_cycles=*/1'000 * hwsim::kCyclesPerUs);
+  stack.machine().ScheduleAfter(50 * hwsim::kCyclesPerUs,
+                                [&] { (void)stack.CrashStorageService(); });
+  EXPECT_EQ(front.Write(3, 1, block), Err::kDead);
+  EXPECT_EQ(front.journal_depth(), 1u);
+  // The crashed driver's in-flight write still reaches the disk.
+  stack.machine().RunFor(200 * hwsim::kCyclesPerUs);
+  EXPECT_EQ(stack.blk_recovery_log().applied_total(), applied_before + 1);
+
+  ASSERT_EQ(stack.RestartStorage(), Err::kNone);
+  front.StopLivenessProbe();
+  EXPECT_EQ(front.probe_detections(), 0u);
+  EXPECT_EQ(front.journal_depth(), 0u);
+  EXPECT_EQ(stack.blk_recovery_log().suppressed_total(), 1u);
+  EXPECT_EQ(stack.blk_recovery_log().applied_total(), VmmAckedWrites(stack));
+  std::vector<uint8_t> back(bs);
+  ASSERT_EQ(front.Read(3, 1, back), Err::kNone);
+  EXPECT_EQ(back, block);
+}
+
 // --- VMM net: drop-and-retransmit over a restarted driver domain -----------------
 
 TEST(Recovery, VmmNetDriverDomainReconnectRestoresTraffic) {
   ustack::VmmStack::Config config;
   config.net_driver_domain = true;
-  config.crash_recovery = true;
   ustack::VmmStack stack(config);
   uwork::WireHost wire(stack.machine(), stack.nic());
   stack.RouteWirePort(40, 0);
@@ -272,7 +312,6 @@ TEST(Recovery, VmmNetDriverDomainReconnectRestoresTraffic) {
 
 TEST(Recovery, UkernelServerKillReplaysJournaledWrites) {
   ustack::UkernelStack::Config config;
-  config.crash_recovery = true;
   ustack::UkernelStack stack(config);
   auto& g = stack.guest(0);
   ASSERT_TRUE(g.booted);
@@ -291,10 +330,9 @@ TEST(Recovery, UkernelServerKillReplaysJournaledWrites) {
   EXPECT_EQ(g.port->blk_journal_depth(), 1u);
 
   ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
-  ASSERT_NE(g.xenbus, nullptr);
-  EXPECT_TRUE(g.xenbus->connected());
-  EXPECT_EQ(g.xenbus->reconnects(), 1u);
-  EXPECT_EQ(g.xenbus->replayed_total(), 1u);
+  EXPECT_TRUE(g.xenbus.connected());
+  EXPECT_EQ(g.xenbus.reconnects(), 1u);
+  EXPECT_EQ(g.xenbus.replayed_total(), 1u);
   EXPECT_EQ(g.port->blk_journal_depth(), 0u);
 
   // Zero-loss: the journaled write landed through the replay.
@@ -308,6 +346,13 @@ TEST(Recovery, UkernelServerKillReplaysJournaledWrites) {
   EXPECT_EQ(stack.blk_recovery_log().applied_total(), UkAckedWrites(stack));
   EXPECT_EQ(stack.machine().counters().Get("xenbus.reconnects"), 1u);
 
+  // Bounded log: at most one live entry per client after a further burst.
+  for (uint64_t lba = 10; lba < 30; ++lba) {
+    ASSERT_EQ(block->Write(lba, 1, data), Err::kNone);
+  }
+  EXPECT_EQ(stack.blk_recovery_log().applied_total(), UkAckedWrites(stack));
+  EXPECT_LE(stack.blk_recovery_log().live_entries(), stack.num_guests());
+
   if (stack.auditor() != nullptr) {
     stack.auditor()->Checkpoint("after-recovery");
     EXPECT_EQ(stack.auditor()->violation_count(), 0u);
@@ -318,7 +363,6 @@ TEST(Recovery, UkernelDuplicateReplayIsSuppressed) {
   // Drive the dedup path directly: a journaled id that the server already
   // applied must be answered from the ledger, not re-executed.
   ustack::UkernelStack::Config config;
-  config.crash_recovery = true;
   ustack::UkernelStack stack(config);
   auto& g = stack.guest(0);
   auto* block = g.port->block();
@@ -334,7 +378,7 @@ TEST(Recovery, UkernelDuplicateReplayIsSuppressed) {
   // Restart with an empty journal: replay is a no-op, nothing re-applies.
   ASSERT_EQ(stack.KillBlockServer(), Err::kNone);
   ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
-  EXPECT_EQ(g.xenbus->replayed_total(), 0u);
+  EXPECT_EQ(g.xenbus.replayed_total(), 0u);
   EXPECT_EQ(stack.blk_recovery_log().applied_total(), applied_before + 1);
   EXPECT_EQ(stack.blk_recovery_log().suppressed_total(), 0u);
 
@@ -373,7 +417,6 @@ TEST(Recovery, NetRxInFlightAtCrashDeliveredExactlyOnceAndSlotsReplayed) {
   // exactly once at reconnect — the rx mirror of the blk write journal.
   ustack::VmmStack::Config config;
   config.net_driver_domain = true;
-  config.crash_recovery = true;
   ustack::VmmStack stack(config);
   uwork::WireHost wire(stack.machine(), stack.nic());
   stack.RouteWirePort(40, 0);
@@ -424,24 +467,6 @@ TEST(Recovery, NetRxInFlightAtCrashDeliveredExactlyOnceAndSlotsReplayed) {
     stack.auditor()->Checkpoint("after-rx-slot-replay");
     EXPECT_EQ(stack.auditor()->violation_count(), 0u);
   }
-}
-
-// --- Knob off: legacy behavior ----------------------------------------------------
-
-TEST(Recovery, KnobOffKeepsLegacyRestartSemantics) {
-  // Without the knob, restarts use the pre-E19 Connect path: no journal, no
-  // reconnect accounting, no recovery log entries.
-  ustack::VmmStack::Config config;
-  config.parallax_storage = true;
-  ustack::VmmStack stack(config);  // crash_recovery defaults off
-  EXPECT_FALSE(stack.crash_recovery());
-  ASSERT_EQ(stack.KillStorage(), Err::kNone);
-  ASSERT_EQ(stack.RestartStorage(), Err::kNone);
-  auto& front = *stack.guest(0).blkfront;
-  EXPECT_EQ(front.xenbus().reconnects(), 0u);
-  EXPECT_EQ(front.journal_depth(), 0u);
-  EXPECT_EQ(stack.blk_recovery_log().applied_total(), 0u);
-  EXPECT_EQ(stack.machine().counters().Get("xenbus.reconnects"), 0u);
 }
 
 }  // namespace

@@ -380,7 +380,6 @@ TEST(ReqTraceE2E, EventChannelHandoffParentsRequestDag) {
 TEST(ReqTraceRecovery, KilledBackendShowsRecoveryPhasesOnCriticalPath) {
   ustack::VmmStack::Config config;
   config.parallax_storage = true;
-  config.crash_recovery = true;
   config.trace.enabled = true;
   config.request_trace.enabled = true;
   ustack::VmmStack stack(config);
