@@ -359,8 +359,7 @@ TEST(LivenessProbe, DetectsWedgedBackend) {
 }
 
 TEST(LivenessProbe, PeriodicProbeDetectsOnceThenStops) {
-  ustack::VmmStack::Config config;
-  ustack::VmmStack stack(config);
+  ustack::VmmStack stack;
   auto& front = *stack.guest(0).blkfront;
 
   front.StartLivenessProbe(/*interval_cycles=*/50 * hwsim::kCyclesPerUs,

@@ -204,8 +204,7 @@ TEST(Recovery, VmmParallaxDuplicateSuppression) {
 // --- VMM dom0-hosted storage: driver crash inside a surviving Dom0 ---------------
 
 TEST(Recovery, VmmDom0StorageServiceCrashRecovers) {
-  ustack::VmmStack::Config config;
-  ustack::VmmStack stack(config);
+  ustack::VmmStack stack;  // storage stays in Dom0
   auto& front = *stack.guest(0).blkfront;
   const uint32_t bs = front.block_size();
   std::vector<uint8_t> block(bs, 0x33);
@@ -311,8 +310,7 @@ TEST(Recovery, VmmNetDriverDomainReconnectRestoresTraffic) {
 // --- Ukernel: server-session reconnect mirror ------------------------------------
 
 TEST(Recovery, UkernelServerKillReplaysJournaledWrites) {
-  ustack::UkernelStack::Config config;
-  ustack::UkernelStack stack(config);
+  ustack::UkernelStack stack;
   auto& g = stack.guest(0);
   ASSERT_TRUE(g.booted);
   auto* block = g.port->block();
@@ -362,8 +360,7 @@ TEST(Recovery, UkernelServerKillReplaysJournaledWrites) {
 TEST(Recovery, UkernelDuplicateReplayIsSuppressed) {
   // Drive the dedup path directly: a journaled id that the server already
   // applied must be answered from the ledger, not re-executed.
-  ustack::UkernelStack::Config config;
-  ustack::UkernelStack stack(config);
+  ustack::UkernelStack stack;
   auto& g = stack.guest(0);
   auto* block = g.port->block();
   const uint32_t bs = block->block_size();
