@@ -77,10 +77,8 @@ struct Target {
   std::function<Err(uint64_t lba, std::span<uint8_t>)> read;
   std::function<void()> kill;
   std::function<Err()> restart;
-  std::function<size_t()> journal_depth;
-  std::function<uint64_t()> applied_total;
-  std::function<uint64_t()> suppressed_total;
-  std::function<uint64_t()> acked_total;
+  const minios::BlkJournal* journal = nullptr;  // the client's write journal
+  const minios::BlkStore* store = nullptr;      // the stack's exactly-once log
   std::function<uint64_t()> reconnects;
   std::function<uint64_t()> replayed_total;
   uint32_t block_size = 0;
@@ -139,13 +137,13 @@ RunResult RunBurstsWithKills(Target& t) {
         const uint64_t delay = (30 + 17 * static_cast<uint64_t>(cycle)) * hwsim::kCyclesPerUs;
         machine.ScheduleAfter(delay, [&t] { t.kill(); });
       }
-      const size_t depth_before = t.journal_depth();
+      const size_t depth_before = t.journal->size();
       const Err err = t.write(lba, block);
       ++r.writes_attempted;
       if (err == Err::kNone) {
         ++r.writes_acked;
         model[lba] = fill;
-      } else if (t.journal_depth() > depth_before) {
+      } else if (t.journal->size() > depth_before) {
         ++r.writes_journaled;
         model[lba] = fill;
       }
@@ -175,10 +173,10 @@ RunResult RunBurstsWithKills(Target& t) {
 
   r.reconnects = t.reconnects();
   r.replayed = t.replayed_total();
-  r.suppressed = t.suppressed_total();
-  r.applied = t.applied_total();
-  r.acked_ledger = t.acked_total();
-  r.journal_residue = t.journal_depth();
+  r.suppressed = t.store->suppressed_total();
+  r.applied = t.store->applied_total();
+  r.acked_ledger = t.journal->acked_ok();
+  r.journal_residue = t.journal->size();
   r.dma_cancelled = machine.counters().Get("recovery.disk.dma_cancelled");
   r.faults_injected = machine.counters().Get("fault.nic.tx_drop") +
                       machine.counters().Get("fault.nic.corrupt") +
@@ -214,10 +212,8 @@ RunResult RunUkernel() {
   t.read = [&](uint64_t lba, std::span<uint8_t> out) { return block->Read(lba, 1, out); };
   t.kill = [&] { (void)stack.KillBlockServer(); };
   t.restart = [&] { return stack.RestartBlockServer(); };
-  t.journal_depth = [&] { return stack.guest(0).port->blk_journal_depth(); };
-  t.applied_total = [&] { return stack.blk_recovery_log().applied_total(); };
-  t.suppressed_total = [&] { return stack.blk_recovery_log().suppressed_total(); };
-  t.acked_total = [&] { return stack.guest(0).port->blk_writes_acked_ok(); };
+  t.journal = &stack.guest(0).port->blk_journal();
+  t.store = &stack.blk_store();
   t.reconnects = [&] { return stack.guest(0).xenbus.reconnects(); };
   t.replayed_total = [&] { return stack.guest(0).xenbus.replayed_total(); };
   return RunBurstsWithKills(t);
@@ -240,10 +236,8 @@ RunResult RunVmm(bool parallax) {
   // Dom0-hosted: the driver crashes inside the surviving Dom0.
   t.kill = [&] { parallax ? (void)stack.KillStorage() : (void)stack.CrashStorageService(); };
   t.restart = [&] { return stack.RestartStorage(); };
-  t.journal_depth = [&] { return front.journal_depth(); };
-  t.applied_total = [&] { return stack.blk_recovery_log().applied_total(); };
-  t.suppressed_total = [&] { return stack.blk_recovery_log().suppressed_total(); };
-  t.acked_total = [&] { return front.writes_acked_ok(); };
+  t.journal = &front.journal();
+  t.store = &stack.blk_store();
   t.reconnects = [&] { return front.xenbus().reconnects(); };
   t.replayed_total = [&] { return front.xenbus().replayed_total(); };
   return RunBurstsWithKills(t);

@@ -5,7 +5,9 @@
 #   2. clang-tidy over src/ with the repo's .clang-tidy, gating: every
 #      enabled check is an error (skipped with a notice when no clang-tidy
 #      binary is installed);
-#   3. AddressSanitizer+UBSan build (UKVM_SANITIZE=ON) + complete suite;
+#   3. AddressSanitizer+UBSan build (UKVM_SANITIZE=ON) + complete suite,
+#      with assertions live: RelWithDebInfo's flags would add -DNDEBUG and
+#      compile every assert in src/ out of the gate;
 #   4. ThreadSanitizer build (UKVM_TSAN=ON) + complete suite — the simulator
 #      is single-threaded by design, so any report is a design break;
 #   5. E18 lifecycle fuzz sweep: the cross-stack fuzzer's full seed bank
@@ -47,7 +49,8 @@
 #
 # Stages 8-11 run the benches stage 1 already built: observers never
 # charge simulated cycles, so the UKVM_CHECK=ON strict tree regenerates the
-# committed baselines bit-exactly.
+# committed baselines bit-exactly. The sanitizer trees run no bench, so they
+# build only the test binary.
 #
 # Exits non-zero if any stage that can run fails. Build trees live under
 # build-check/ so the default build/ is left alone.
@@ -76,13 +79,14 @@ else
 fi
 
 echo "== [3/11] ASan+UBSan build + tests =="
-cmake -B build-check/asan -S . -DUKVM_SANITIZE=ON >/dev/null
-cmake --build build-check/asan -j"${JOBS}"
+cmake -B build-check/asan -S . -DUKVM_SANITIZE=ON \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g" >/dev/null
+cmake --build build-check/asan -j"${JOBS}" --target ukvm_tests
 ctest --test-dir build-check/asan -j"${JOBS}" --output-on-failure
 
 echo "== [4/11] TSan build + tests =="
 cmake -B build-check/tsan -S . -DUKVM_TSAN=ON >/dev/null
-cmake --build build-check/tsan -j"${JOBS}"
+cmake --build build-check/tsan -j"${JOBS}" --target ukvm_tests
 ctest --test-dir build-check/tsan -j"${JOBS}" --output-on-failure
 
 echo "== [5/11] E18 lifecycle fuzz sweep (extended seed bank, ASan) =="

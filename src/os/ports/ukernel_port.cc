@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstring>
-#include <map>
 
 #include "src/core/log.h"
 #include "src/os/kernel.h"
@@ -13,6 +12,17 @@ namespace minios {
 using ukern::IpcMessage;
 using ukvm::Err;
 using ukvm::ThreadId;
+
+namespace {
+
+// Servers reply in the OS syscall convention: a kernel-level status first,
+// then regs[0] < 0 as -Err.
+Err StatusOf(const IpcMessage& reply) {
+  return reply.status != Err::kNone ? reply.status
+                                    : ErrOf(static_cast<SyscallRet>(reply.regs[0]));
+}
+
+}  // namespace
 
 // --- Device adaptors -----------------------------------------------------------
 
@@ -58,13 +68,9 @@ class UkernelPort::IpcBlock : public BlockDevice {
                                      port_.machine_.cpu().current_domain());
       IpcMessage msg = IpcMessage::Short(kBlkReadLabel, lba + done, chunk);
       IpcMessage reply = port_.w_.kernel->Call(port_.w_.os_thread, port_.w_.blk_server, msg);
-      if (reply.status != Err::kNone) {
+      if (const Err err = StatusOf(reply); err != Err::kNone) {
         rt.AbandonRequest(req_scope.ref());
-        return reply.status;
-      }
-      if (static_cast<int64_t>(reply.regs[0]) < 0) {
-        rt.AbandonRequest(req_scope.ref());
-        return ErrOf(static_cast<SyscallRet>(reply.regs[0]));
+        return err;
       }
       const uint64_t bytes = uint64_t{chunk} * block_size_;
       if (reply.string_data.size() < bytes) {
@@ -91,43 +97,11 @@ class UkernelPort::IpcBlock : public BlockDevice {
     uint32_t done = 0;
     while (done < count) {
       const uint32_t chunk = std::min(count - done, max_blocks);
-      const uint64_t bytes = uint64_t{chunk} * block_size_;
-      const auto payload = in.subspan(uint64_t{done} * block_size_, bytes);
-      auto& rt = port_.machine_.reqtrace();
-      ukvm::ReqOriginScope req_scope(rt, req_write_name_,
-                                     port_.machine_.cpu().current_domain());
-      port_.PokeWindow(port_.w_.os_thread, port_.w_.srv_window, payload);
-      // Journal before submitting; the entry lives until the server
-      // genuinely answers (any status), so a mid-call server death leaves
-      // it behind for ReplayJournal.
-      const uint64_t id = next_id_++;
-      journal_.emplace(id, JournalEntry{lba + done, chunk,
-                                        std::vector<uint8_t>(payload.begin(), payload.end()),
-                                        req_scope.ref()});
-      IpcMessage reply = port_.w_.kernel->Call(port_.w_.os_thread, port_.w_.blk_server,
-                                               WriteRequest(id, lba + done, chunk, bytes));
-      const bool answered =
-          reply.status != Err::kDead && reply.status != Err::kBadHandle;
-      const bool ok = reply.status == Err::kNone && static_cast<int64_t>(reply.regs[0]) >= 0;
-      if (answered) {
-        // The server answered (success or error): the write's fate is
-        // known, so the journal entry is resolved.
-        journal_.erase(id);
-        if (ok) {
-          ++writes_acked_ok_;
-        }
-      }
-      if (ok) {
-        rt.EndRequest(req_scope.ref());
-      } else if (answered) {
-        rt.AbandonRequest(req_scope.ref());
-      }
-      // Unanswered journaled writes stay live for ReplayJournal.
-      if (reply.status != Err::kNone) {
-        return reply.status;
-      }
-      if (static_cast<int64_t>(reply.regs[0]) < 0) {
-        return ErrOf(static_cast<SyscallRet>(reply.regs[0]));
+      const auto payload =
+          in.subspan(uint64_t{done} * block_size_, uint64_t{chunk} * block_size_);
+      const Err err = StatusOf(WriteChunk(/*replay_id=*/0, lba + done, chunk, payload));
+      if (err != Err::kNone) {
+        return err;
       }
       done += chunk;
     }
@@ -137,58 +111,64 @@ class UkernelPort::IpcBlock : public BlockDevice {
   // --- Crash recovery (E19) ---------------------------------------------------
 
   uint64_t ReplayJournal() {
-    uint64_t replayed = 0;
-    auto it = journal_.begin();
-    while (it != journal_.end()) {  // id order: writes land in submit order
-      const uint64_t id = it->first;
-      const JournalEntry& entry = it->second;
-      // The replay re-issues the original request on its own DAG; handoffs
-      // that died with the old server are forgiven, and the whole replay
-      // call becomes a recovery leaf on the request's critical path.
-      auto& rt = port_.machine_.reqtrace();
-      rt.ForgiveHandoffs(entry.trace);
-      ukvm::ReqAdoptScope req_scope(rt, entry.trace);
-      const uint64_t replay_t0 = port_.machine_.Now();
-      port_.PokeWindow(port_.w_.os_thread, port_.w_.srv_window, entry.payload);
-      IpcMessage reply =
-          port_.w_.kernel->Call(port_.w_.os_thread, port_.w_.blk_server,
-                                WriteRequest(id, entry.lba, entry.count, entry.payload.size()));
-      if (reply.status == Err::kDead || reply.status == Err::kBadHandle) {
-        break;  // the replacement died too; keep the rest for the next round
-      }
-      rt.AddLeafTo(entry.trace, req_replay_name_, ukvm::ReqNodeKind::kRecovery,
-                   port_.machine_.cpu().current_domain(), replay_t0, port_.machine_.Now());
-      rt.EndRequest(entry.trace);
-      if (reply.status == Err::kNone && static_cast<int64_t>(reply.regs[0]) >= 0) {
-        ++writes_acked_ok_;
-      }
-      it = journal_.erase(it);
-      ++replayed;
-    }
-    return replayed;
+    return journal_.Replay([this](uint64_t id, const BlkJournal::Entry& entry) {
+      (void)WriteChunk(id, entry.lba, entry.count, entry.payload);
+    });
   }
 
-  uint64_t writes_acked_ok() const { return writes_acked_ok_; }
-  size_t journal_depth() const { return journal_.size(); }
+  const BlkJournal& journal() const { return journal_; }
 
  private:
-  struct JournalEntry {
-    uint64_t lba = 0;
-    uint32_t count = 0;
-    std::vector<uint8_t> payload;
-    ukvm::ReqTraceRef trace;  // E22: the write request, live until resolved
-  };
-  // A journaled write of the payload staged in the server window: regs[3]
-  // carries its id, regs[4] the lowest journaled id (the journal holds at
-  // least this write), below which the server's log forgets applied ids.
-  IpcMessage WriteRequest(uint64_t id, uint64_t lba, uint32_t count, uint64_t bytes) const {
+  // One journaled write IPC: stages the payload in the server window and
+  // calls the block server. A first submission mints its request and
+  // journals it under a fresh id; a replay (`replay_id` != 0) re-issues a
+  // journaled write under its original id and trace. regs[3] carries the
+  // id, regs[4] the journal's low-water mark. A genuine server answer (any
+  // status) resolves the entry; a kernel-level kDead/kBadHandle (server
+  // task destroyed mid-call) keeps it, and its request live, for the next
+  // replay.
+  IpcMessage WriteChunk(uint64_t replay_id, uint64_t lba, uint32_t count,
+                        std::span<const uint8_t> payload) {
+    auto& rt = port_.machine_.reqtrace();
+    const bool replay = replay_id != 0;
+    // One traced request per chunk; the kernel's string copy attributes to
+    // it via the ambient scope. A replay re-adopts the original request,
+    // forgiving the handoffs that died with the old server, and the whole
+    // replay call becomes a recovery leaf on its critical path.
+    ukvm::ReqTraceRef trace;
+    if (replay) {
+      trace = journal_.entries().at(replay_id).trace;
+      rt.ForgiveHandoffs(trace);
+    } else {
+      trace = rt.BeginRequest(req_write_name_, port_.machine_.cpu().current_domain());
+    }
+    ukvm::ReqAdoptScope req_scope(rt, trace);
+    const uint64_t t0 = port_.machine_.Now();
+    port_.PokeWindow(port_.w_.os_thread, port_.w_.srv_window, payload);
+    const uint64_t id = replay ? replay_id : journal_.Add(lba, count, payload, trace);
     IpcMessage msg = IpcMessage::Short(kBlkWriteLabel, lba, count, id);
-    msg.regs[4] = journal_.begin()->first;
+    msg.regs[4] = journal_.LowWater();
     msg.reg_count = 5;
     msg.has_string = true;
-    msg.string = ukern::StringItem{port_.w_.srv_window, static_cast<uint32_t>(bytes)};
-    return msg;
+    msg.string = ukern::StringItem{port_.w_.srv_window, static_cast<uint32_t>(payload.size())};
+    IpcMessage reply = port_.w_.kernel->Call(port_.w_.os_thread, port_.w_.blk_server, msg);
+    if (reply.status == Err::kDead || reply.status == Err::kBadHandle) {
+      return reply;
+    }
+    const bool ok = StatusOf(reply) == Err::kNone;
+    journal_.Resolve(id, ok);
+    if (replay) {
+      rt.AddLeafTo(trace, req_replay_name_, ukvm::ReqNodeKind::kRecovery,
+                   port_.machine_.cpu().current_domain(), t0, port_.machine_.Now());
+      rt.EndRequest(trace);
+    } else if (ok) {
+      rt.EndRequest(trace);
+    } else {
+      rt.AbandonRequest(trace);
+    }
+    return reply;
   }
+
   void FetchInfo() const {
     if (info_fetched_) {
       return;
@@ -206,9 +186,7 @@ class UkernelPort::IpcBlock : public BlockDevice {
   mutable bool info_fetched_ = false;
   mutable uint32_t block_size_ = 0;
   mutable uint64_t capacity_ = 0;
-  uint64_t next_id_ = 1;  // monotonic across restarts — replay reuses ids
-  std::map<uint64_t, JournalEntry> journal_;  // unacked writes, in id order
-  uint64_t writes_acked_ok_ = 0;
+  BlkJournal journal_;  // ids stay monotonic across restarts
   // E22 interned request-trace names.
   uint32_t req_read_name_ = 0;
   uint32_t req_write_name_ = 0;
@@ -234,18 +212,13 @@ class UkernelPort::IpcNet : public NetDevice {
     msg.has_string = true;
     msg.string = ukern::StringItem{port_.w_.srv_window, static_cast<uint32_t>(packet.size())};
     IpcMessage reply = port_.w_.kernel->Call(port_.w_.os_thread, port_.w_.net_server, msg);
-    const bool ok = reply.status == Err::kNone && static_cast<int64_t>(reply.regs[0]) >= 0;
-    if (ok) {
+    const Err err = StatusOf(reply);
+    if (err == Err::kNone) {
       rt.EndRequest(req_scope.ref());
     } else {
       rt.AbandonRequest(req_scope.ref());
     }
-    if (reply.status != Err::kNone) {
-      return reply.status;
-    }
-    return static_cast<int64_t>(reply.regs[0]) < 0
-               ? ErrOf(static_cast<SyscallRet>(reply.regs[0]))
-               : Err::kNone;
+    return err;
   }
 
   void SetRecvHandler(RecvHandler handler) override { handler_ = std::move(handler); }
@@ -306,8 +279,7 @@ ConsoleDevice* UkernelPort::console() { return console_dev_.get(); }
 void UkernelPort::SetBlockServer(ThreadId server) { w_.blk_server = server; }
 
 uint64_t UkernelPort::ReplayBlockJournal() { return block_dev_->ReplayJournal(); }
-uint64_t UkernelPort::blk_writes_acked_ok() const { return block_dev_->writes_acked_ok(); }
-size_t UkernelPort::blk_journal_depth() const { return block_dev_->journal_depth(); }
+const BlkJournal& UkernelPort::blk_journal() const { return block_dev_->journal(); }
 
 void UkernelPort::SetNetServer(ThreadId server) {
   w_.net_server = server;

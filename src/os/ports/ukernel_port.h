@@ -17,6 +17,7 @@
 
 #include "src/hw/machine.h"
 #include "src/os/arch_if.h"
+#include "src/os/blk_protocol.h"
 #include "src/ukernel/kernel.h"
 
 namespace minios {
@@ -72,16 +73,15 @@ class UkernelPort : public ArchPort {
   // genuinely answers; a kernel-level kDead/kBadHandle reply (server task
   // destroyed mid-call) keeps the entry for replay.
 
-  // Re-issues every journaled (unacknowledged) write with its original id
-  // against the current block server; the server's recovery log suppresses
+  // Re-issues every journaled (unanswered) write with its original id
+  // against the current block server; the stack's BlkStore suppresses
   // duplicates that landed before the crash. Returns the number of entries
   // resolved; stops early if the server dies again.
   uint64_t ReplayBlockJournal();
 
-  // Write chunks whose final status was success (exactly-once accounting).
-  uint64_t blk_writes_acked_ok() const;
-  // Journaled writes still awaiting a genuine server answer.
-  size_t blk_journal_depth() const;
+  // Journaled writes still awaiting a genuine server answer, and the count
+  // of writes answered success (exactly-once accounting).
+  const BlkJournal& blk_journal() const;
 
  private:
   class IpcNet;

@@ -20,16 +20,14 @@ constexpr size_t kRingCapacity = 64;
 // --- BlkBack ---------------------------------------------------------------------
 
 BlkBack::BlkBack(hwsim::Machine& machine, uvmm::Hypervisor& hv, DomainId backend,
-                 udrv::DiskDriver& driver, uint64_t slice_blocks, PortMux& mux,
-                 BlkRecoveryLog& log)
+                 udrv::DiskDriver& driver, PortMux& mux, minios::BlkStore& store)
     : machine_(machine),
       hv_(hv),
       backend_(backend),
       driver_(driver),
-      slice_blocks_(slice_blocks),
       mux_(mux),
       health_(machine, "vmm.blk"),
-      recovery_log_(log) {
+      store_(store) {
   req_dev_name_ = machine_.reqtrace().InternName("disk.io");
 }
 
@@ -38,6 +36,10 @@ uint32_t BlkBack::block_size() const {
 }
 
 BlkChannel* BlkBack::Connect(DomainId guest) {
+  auto slice_base = store_.SliceBase(guest);
+  if (!slice_base.ok()) {
+    return nullptr;
+  }
   auto chan = std::make_unique<BlkChannel>();
   chan->guest = guest;
   chan->ring = std::make_unique<XenRing<BlkReq, BlkResp>>(machine_, kRingCapacity);
@@ -46,9 +48,8 @@ BlkChannel* BlkBack::Connect(DomainId guest) {
     return nullptr;
   }
   chan->back_port = *port;
-  chan->slice_base = next_slice_ * slice_blocks_;
-  chan->slice_blocks = slice_blocks_;
-  ++next_slice_;
+  chan->slice_base = *slice_base;
+  chan->slice_blocks = store_.slice_blocks();
   BlkChannel* raw = chan.get();
   mux_.Route(raw->back_port, [this, raw] { OnKick(*raw); });
   channels_.push_back(std::move(chan));
@@ -66,17 +67,13 @@ void BlkBack::OnKick(BlkChannel& chan) {
                                           ? ukvm::ReqTraceRef{}
                                           : chan.ring->popped_traces()[0];
     ukvm::ReqAdoptScope req_scope(machine_.reqtrace(), req_ref);
-    if (req->is_write) {
-      recovery_log_.ForgetBelow(chan.guest, req->low_water);
-    }
     Err err = Err::kNone;
     if (req->count == 0 || req->count > driver_.blocks_per_page() ||
         req->lba + req->count > chan.slice_blocks) {
       err = Err::kOutOfRange;
-    } else if (req->is_write && recovery_log_.Applied(chan.guest, req->id)) {
+    } else if (req->is_write && store_.AlreadyApplied(chan.guest, req->id, req->low_water)) {
       // Journal replay of a write that landed before the crash: answer
-      // success from the ledger without touching the disk (exactly-once).
-      recovery_log_.CountSuppressed();
+      // success from the store without touching the disk (exactly-once).
       chan.ring->PushResponse(BlkResp{req->id, Err::kNone});
       (void)hv_.HcEvtchnSend(backend_, chan.back_port);
       continue;
@@ -133,7 +130,7 @@ void BlkBack::OnKick(BlkChannel& chan) {
       if (status == Err::kNone) {
         health_.RecordSuccess();
         if (is_write) {
-          recovery_log_.MarkApplied(chan_ptr->guest, id);
+          store_.MarkApplied(chan_ptr->guest, id);
         }
         if (!is_write) {
           // The disk DMA filled the guest's page; this completion runs in
@@ -185,7 +182,7 @@ Err BlkFront::ProbeBackend(uint64_t timeout_cycles) {
   if (chan_ == nullptr) {
     return Err::kWouldBlock;
   }
-  const uint64_t id = next_id_++;
+  const uint64_t id = journal_.NextId();
   const uint64_t t0 = machine_.Now();
   // Zero-block read: the backend's bounds check rejects it (kOutOfRange)
   // straight from the kick handler, before any grant work. The status is
@@ -260,7 +257,7 @@ void BlkFront::ProbeTick() {
   }
   // Issue the next one while the connection believes itself healthy.
   if (!probe_inflight_ && chan_ != nullptr && xenbus_.connected()) {
-    const uint64_t id = next_id_++;
+    const uint64_t id = journal_.NextId();
     if (chan_->ring->PushRequest(BlkReq{id, /*is_write=*/false, 0, 0, 0}) &&
         hv_.HcEvtchnSend(guest_, chan_->front_port) == Err::kNone) {
       probe_inflight_ = true;
@@ -281,6 +278,7 @@ Err BlkFront::Connect(BlkBack& back) {
   // Cached grants name the previous backend; a reconnect (e.g. storage
   // restart) must re-grant against the new one.
   gref_cache_.Clear();
+  persistent_ = back.persistent_grants();
   backend_ = back.backend();
   chan_->ring->BindRaceEndpoints(guest_, backend_);
   block_size_ = back.block_size();
@@ -314,10 +312,10 @@ Err BlkFront::Reconnect(BlkBack& back) {
   // Attach the recovery phases to every journaled request's DAG: the outage
   // window [failure, detected] and the rebuild [detected, reconnected] are
   // exactly where those requests' wall-clock went (E22). The replay segment
-  // is added per entry by ReplayWrite.
+  // is added per entry as it is re-submitted.
   const RecoveryPhases phases = xenbus_.last_phases();
   if (phases.valid()) {
-    for (const auto& [id, entry] : journal_) {
+    for (const auto& [id, entry] : journal_.entries()) {
       machine_.reqtrace().AddLeafTo(entry.trace, req_rec_detect_name_,
                                     ukvm::ReqNodeKind::kRecovery, guest_, phases.failure_at,
                                     phases.detected_at);
@@ -326,100 +324,14 @@ Err BlkFront::Reconnect(BlkBack& back) {
                                     phases.reconnected_at);
     }
   }
-  // Replay unacknowledged writes in id order with their original ids; the
-  // backend's recovery log turns duplicates into success replies. A write
-  // the backend answers (any status) is resolved; if the backend dies again
+  // Replay unanswered writes in id order with their original ids; the
+  // store turns duplicates into success replies. If the backend dies again
   // mid-replay the tail stays journaled for the next reconnect.
-  uint64_t replayed = 0;
-  std::vector<uint64_t> resolved;
-  for (const auto& [id, entry] : journal_) {
-    bool answered = false;
-    (void)ReplayWrite(id, entry, answered);
-    if (!answered) {
-      break;
-    }
-    resolved.push_back(id);
-    ++replayed;
-  }
-  for (uint64_t id : resolved) {
-    journal_.erase(id);
-  }
+  const uint64_t replayed = journal_.Replay([this](uint64_t id, const auto& entry) {
+    (void)SubmitChunk(id, /*is_write=*/true, entry.lba, entry.count, {}, entry.payload);
+  });
   xenbus_.OnReplayed(replayed);
   return Err::kNone;
-}
-
-Err BlkFront::ReplayWrite(uint64_t id, const JournalEntry& entry, bool& answered) {
-  answered = false;
-  if (chan_ == nullptr) {
-    return Err::kDead;
-  }
-  if (free_pfns_.empty()) {
-    return Err::kBusy;
-  }
-  // The replay re-issues the *original* request: re-adopt its trace so the
-  // second staging copy and ring traversal join the same DAG, and forgive
-  // the handoffs that died with the old backend (ring stash, lost upcall).
-  machine_.reqtrace().ForgiveHandoffs(entry.trace);
-  ukvm::ReqAdoptScope req_scope(machine_.reqtrace(), entry.trace);
-  const uint64_t replay_t0 = machine_.Now();
-  uvmm::Domain* dom = hv_.FindDomain(guest_);
-  const uvmm::Pfn pfn = free_pfns_.front();
-  free_pfns_.pop_front();
-  auto mfn = dom->MfnOf(pfn);
-  assert(mfn.ok());
-  machine_.memory().Write(machine_.memory().FrameBase(*mfn), entry.payload);
-  machine_.ChargeCopy(entry.payload.size());
-  RaceFrameAccess(machine_, guest_, *mfn, /*write=*/true, "blk.payload");
-  const uint64_t cache_key = uint64_t{pfn} * 2;  // writes grant read-only pages
-  uint32_t gref = 0;
-  bool cached_grant = false;
-  if (persistent_) {
-    if (auto hit = gref_cache_.LookupGrant(cache_key)) {
-      gref = *hit;
-      cached_grant = true;
-    }
-  }
-  if (!cached_grant) {
-    auto fresh = hv_.HcGrantAccess(guest_, backend_, pfn, /*writable=*/false);
-    if (!fresh.ok()) {
-      free_pfns_.push_back(pfn);
-      return fresh.error();
-    }
-    gref = *fresh;
-    if (persistent_) {
-      gref_cache_.InsertGrant(cache_key, gref);
-    }
-  }
-  chan_->ring->PushRequest(
-      BlkReq{id, /*is_write=*/true, entry.lba, entry.count, gref, LowWater()});
-  Err err = hv_.HcEvtchnSend(guest_, chan_->front_port);
-  if (err == Err::kNone) {
-    err = machine_.WaitUntil([&] { return completed_.contains(id) || chan_ == nullptr; },
-                             2'000'000'000ull);
-  }
-  if (err == Err::kNone) {
-    if (completed_.contains(id)) {
-      answered = true;
-      err = completed_[id];
-      completed_.erase(id);
-      if (err == Err::kNone) {
-        ++writes_acked_ok_;
-      }
-    } else {
-      err = Err::kDead;  // woke because the backend died again
-    }
-  }
-  if (answered) {
-    machine_.reqtrace().AddLeafTo(entry.trace, req_rec_replay_name_,
-                                  ukvm::ReqNodeKind::kRecovery, guest_, replay_t0,
-                                  machine_.Now());
-    machine_.reqtrace().EndRequest(entry.trace);
-  }
-  if (!persistent_) {
-    (void)hv_.HcGrantEnd(guest_, gref);
-  }
-  free_pfns_.push_back(pfn);
-  return err;
 }
 
 void BlkFront::OnResponse() {
@@ -460,122 +372,141 @@ Err BlkFront::DoRequest(bool is_write, uint64_t lba, uint32_t count, std::span<u
   }
   const uint32_t blocks_per_page =
       static_cast<uint32_t>(machine_.memory().page_size() / block_size_);
-  uvmm::Domain* dom = hv_.FindDomain(guest_);
-
   uint32_t done = 0;
   while (done < count) {
     if (!hv_.DomainAlive(backend_)) {
       return Err::kDead;
     }
     const uint32_t chunk = std::min(count - done, blocks_per_page);
+    const uint64_t offset = uint64_t{done} * block_size_;
     const uint64_t bytes = uint64_t{chunk} * block_size_;
-    const uint64_t chunk_t0 = machine_.Now();
-    if (free_pfns_.empty()) {
-      return Err::kBusy;
-    }
-    const uvmm::Pfn pfn = free_pfns_.front();
-    free_pfns_.pop_front();
-    auto mfn = dom->MfnOf(pfn);
-    assert(mfn.ok());
-    // One traced request per chunk: the staging copy, grant, ring stash,
-    // kick, and (on reads) the payload copy-out all attribute to it.
-    ukvm::ReqOriginScope req_scope(machine_.reqtrace(),
-                                   is_write ? req_write_name_ : req_read_name_, guest_);
-
-    if (is_write) {
-      // Guest kernel copies the payload into the I/O page.
-      machine_.memory().Write(machine_.memory().FrameBase(*mfn),
-                              in.subspan(uint64_t{done} * block_size_, bytes));
-      machine_.ChargeCopy(bytes);
-      RaceFrameAccess(machine_, guest_, *mfn, /*write=*/true, "blk.payload");
-    }
-    // Persistent mode caches one grant per (pfn, direction); the backend's
-    // mapping stays live, so the grant is never ended (EndGrant would see
-    // kBusy anyway while the backend holds it mapped).
-    const bool writable = !is_write;
-    const uint64_t cache_key = uint64_t{pfn} * 2 + (writable ? 1 : 0);
-    uint32_t gref = 0;
-    bool cached_grant = false;
-    if (persistent_) {
-      if (auto hit = gref_cache_.LookupGrant(cache_key)) {
-        gref = *hit;
-        cached_grant = true;
-      }
-    }
-    if (!cached_grant) {
-      auto fresh = hv_.HcGrantAccess(guest_, backend_, pfn, writable);
-      if (!fresh.ok()) {
-        free_pfns_.push_back(pfn);
-        machine_.reqtrace().AbandonRequest(req_scope.ref());
-        return fresh.error();
-      }
-      gref = *fresh;
-      if (persistent_) {
-        gref_cache_.InsertGrant(cache_key, gref);
-      }
-    }
-    const uint64_t id = next_id_++;
-    uint64_t low_water = 0;
-    if (is_write) {
-      JournalEntry& entry = journal_[id];
-      entry.lba = lba + done;
-      entry.count = chunk;
-      const auto payload = in.subspan(uint64_t{done} * block_size_, bytes);
-      entry.payload.assign(payload.begin(), payload.end());
-      entry.trace = req_scope.ref();
-      low_water = LowWater();
-    }
-    chan_->ring->PushRequest(BlkReq{id, is_write, lba + done, chunk, gref, low_water});
-    Err err = hv_.HcEvtchnSend(guest_, chan_->front_port);
-    if (err == Err::kNone) {
-      // Also wake on backend death (OnBackendDead nulls the channel)
-      // instead of riding out the full timeout against a corpse.
-      err = machine_.WaitUntil([&] { return completed_.contains(id) || chan_ == nullptr; },
-                               2'000'000'000ull);
-    }
-    bool answered = false;
-    if (err == Err::kNone) {
-      if (completed_.contains(id)) {
-        answered = true;
-        err = completed_[id];
-        completed_.erase(id);
-      } else {
-        err = Err::kDead;  // the backend died under us
-      }
-    }
-    if (is_write && answered) {
-      // The backend replied — the write's fate is known, nothing to replay.
-      journal_.erase(id);
-      if (err == Err::kNone) {
-        ++writes_acked_ok_;
-      }
-    }
-    // An unanswered write (death or timeout) stays journaled: Reconnect
-    // replays it and the recovery log keeps the disk exactly-once.
-    if (!persistent_) {
-      (void)hv_.HcGrantEnd(guest_, gref);
-    }
-    if (err == Err::kNone && !is_write) {
-      RaceFrameAccess(machine_, guest_, *mfn, /*write=*/false, "blk.payload");
-      machine_.memory().Read(machine_.memory().FrameBase(*mfn),
-                             out.subspan(uint64_t{done} * block_size_, bytes));
-      machine_.ChargeCopy(bytes);
-    }
-    if (err == Err::kNone) {
-      machine_.reqtrace().EndRequest(req_scope.ref());
-    } else if (!is_write || answered) {
-      // Journaled-unanswered writes stay live: Reconnect's replay resolves
-      // them and their DAG gains the recovery-phase leaves.
-      machine_.reqtrace().AbandonRequest(req_scope.ref());
-    }
-    free_pfns_.push_back(pfn);
+    // Each side's span is empty on the other kind of request.
+    const Err err = SubmitChunk(/*replay_id=*/0, is_write, lba + done, chunk,
+                                is_write ? out : out.subspan(offset, bytes),
+                                is_write ? in.subspan(offset, bytes) : in);
     if (err != Err::kNone) {
       return err;
     }
-    machine_.tracer().RecordLatency(hist_blk_e2e_, machine_.Now() - chunk_t0);
     done += chunk;
   }
   return Err::kNone;
+}
+
+Err BlkFront::SubmitChunk(uint64_t replay_id, bool is_write, uint64_t lba, uint32_t count,
+                          std::span<uint8_t> out, std::span<const uint8_t> in) {
+  if (chan_ == nullptr) {
+    return Err::kDead;  // the backend died between two chunks or replays
+  }
+  if (free_pfns_.empty()) {
+    return Err::kBusy;
+  }
+  // One traced request per chunk: the staging copy, grant, ring stash,
+  // kick, and (on reads) the payload copy-out all attribute to it. A replay
+  // re-issues the *original* request: it re-adopts that trace and forgives
+  // the handoffs that died with the old backend (ring stash, lost upcall).
+  auto& rt = machine_.reqtrace();
+  const bool replay = replay_id != 0;
+  ukvm::ReqTraceRef trace;
+  if (replay) {
+    trace = journal_.entries().at(replay_id).trace;
+    rt.ForgiveHandoffs(trace);
+  } else {
+    trace = rt.BeginRequest(is_write ? req_write_name_ : req_read_name_, guest_);
+  }
+  ukvm::ReqAdoptScope req_scope(rt, trace);
+  const uint64_t t0 = machine_.Now();
+  const uvmm::Pfn pfn = free_pfns_.front();
+  free_pfns_.pop_front();
+  auto mfn = hv_.FindDomain(guest_)->MfnOf(pfn);
+  assert(mfn.ok());
+
+  if (is_write) {
+    // Guest kernel copies the payload into the I/O page.
+    machine_.memory().Write(machine_.memory().FrameBase(*mfn), in);
+    machine_.ChargeCopy(in.size());
+    RaceFrameAccess(machine_, guest_, *mfn, /*write=*/true, "blk.payload");
+  }
+  // Persistent mode caches one grant per (pfn, direction); the backend's
+  // mapping stays live, so the grant is never ended (EndGrant would see
+  // kBusy anyway while the backend holds it mapped).
+  const bool writable = !is_write;
+  const uint64_t cache_key = uint64_t{pfn} * 2 + (writable ? 1 : 0);
+  uint32_t gref = 0;
+  bool cached_grant = false;
+  if (persistent_) {
+    if (auto hit = gref_cache_.LookupGrant(cache_key)) {
+      gref = *hit;
+      cached_grant = true;
+    }
+  }
+  if (!cached_grant) {
+    auto fresh = hv_.HcGrantAccess(guest_, backend_, pfn, writable);
+    if (!fresh.ok()) {
+      free_pfns_.push_back(pfn);
+      if (!replay) {
+        rt.AbandonRequest(trace);
+      }
+      return fresh.error();
+    }
+    gref = *fresh;
+    if (persistent_) {
+      gref_cache_.InsertGrant(cache_key, gref);
+    }
+  }
+  uint64_t id = replay_id;
+  if (!replay) {
+    id = is_write ? journal_.Add(lba, count, in, trace) : journal_.NextId();
+  }
+  chan_->ring->PushRequest(
+      BlkReq{id, is_write, lba, count, gref, is_write ? journal_.LowWater() : 0});
+  Err err = hv_.HcEvtchnSend(guest_, chan_->front_port);
+  if (err == Err::kNone) {
+    // Also wake on backend death (OnBackendDead nulls the channel)
+    // instead of riding out the full timeout against a corpse.
+    err = machine_.WaitUntil([&] { return completed_.contains(id) || chan_ == nullptr; },
+                             2'000'000'000ull);
+  }
+  bool answered = false;
+  if (err == Err::kNone) {
+    if (completed_.contains(id)) {
+      answered = true;
+      err = completed_[id];
+      completed_.erase(id);
+    } else {
+      err = Err::kDead;  // the backend died under us
+    }
+  }
+  // An answered write's fate is known, so it leaves the journal. An
+  // unanswered one (death or timeout) stays: Reconnect replays it and the
+  // store keeps the disk exactly-once.
+  if (is_write && answered) {
+    journal_.Resolve(id, err == Err::kNone);
+  }
+  if (replay && answered) {
+    rt.AddLeafTo(trace, req_rec_replay_name_, ukvm::ReqNodeKind::kRecovery, guest_, t0,
+                 machine_.Now());
+    rt.EndRequest(trace);
+  }
+  if (!persistent_) {
+    (void)hv_.HcGrantEnd(guest_, gref);
+  }
+  if (err == Err::kNone && !is_write) {
+    RaceFrameAccess(machine_, guest_, *mfn, /*write=*/false, "blk.payload");
+    machine_.memory().Read(machine_.memory().FrameBase(*mfn), out);
+    machine_.ChargeCopy(out.size());
+  }
+  if (!replay) {
+    if (err == Err::kNone) {
+      rt.EndRequest(trace);
+      machine_.tracer().RecordLatency(hist_blk_e2e_, machine_.Now() - t0);
+    } else if (!is_write || answered) {
+      // Journaled-unanswered writes stay live: Reconnect's replay resolves
+      // them and their DAG gains the recovery-phase leaves.
+      rt.AbandonRequest(trace);
+    }
+  }
+  free_pfns_.push_back(pfn);
+  return err;
 }
 
 }  // namespace ustack

@@ -11,16 +11,15 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/core/error.h"
 #include "src/drivers/disk_driver.h"
 #include "src/hw/machine.h"
 #include "src/os/arch_if.h"
+#include "src/os/blk_protocol.h"
 #include "src/stacks/port_mux.h"
 #include "src/stacks/watchdog.h"
 #include "src/stacks/xenbus.h"
@@ -36,7 +35,7 @@ struct BlkReq {
   uint64_t lba = 0;        // slice-relative
   uint32_t count = 0;      // blocks (must fit in one page)
   uint32_t gref = 0;       // guest I/O page
-  uint64_t low_water = 0;  // writes: lowest id still journaled (BlkRecoveryLog)
+  uint64_t low_water = 0;  // writes: lowest id still journaled (BlkJournal)
 };
 struct BlkResp {
   uint64_t id = 0;
@@ -54,20 +53,21 @@ struct BlkChannel {
 
 class BlkBack {
  public:
-  // The backend partitions the disk into `slice_blocks`-sized virtual disks
-  // handed to guests in connection order. `log` is the stack-owned
-  // exactly-once ledger (it outlives the backend): completed writes are
-  // recorded, and duplicate ids (journal replays of writes that did land
-  // before the crash) are answered success without re-touching the disk.
+  // `store` is the stack-owned slice table and exactly-once log (it
+  // outlives the backend): each guest keeps the slice it got on first
+  // connect, completed writes are recorded, and duplicate ids (journal
+  // replays of writes that did land before the crash) are answered success
+  // without re-touching the disk.
   BlkBack(hwsim::Machine& machine, uvmm::Hypervisor& hv, ukvm::DomainId backend,
-          udrv::DiskDriver& driver, uint64_t slice_blocks, PortMux& mux, BlkRecoveryLog& log);
+          udrv::DiskDriver& driver, PortMux& mux, minios::BlkStore& store);
 
   BlkChannel* Connect(ukvm::DomainId guest);
 
   // Persistent-grant mode: each guest I/O page stays mapped across requests
-  // ((guest, gref) -> va cache, no unmap on completion). Both ends must
-  // agree — enable it on BlkFront too, or EndGrant returns kBusy.
+  // ((guest, gref) -> va cache, no unmap on completion). Frontends learn the
+  // setting at Connect.
   void SetPersistentGrants(bool on) { persistent_ = on; }
+  bool persistent_grants() const { return persistent_; }
 
   // Circuit breaker: persistent disk failures make the backend answer ring
   // requests with kRetryExhausted instead of burning retries per request.
@@ -92,16 +92,14 @@ class BlkBack {
   uvmm::Hypervisor& hv_;
   ukvm::DomainId backend_;
   udrv::DiskDriver& driver_;
-  uint64_t slice_blocks_;
   PortMux& mux_;
   std::vector<std::unique_ptr<BlkChannel>> channels_;
   ServiceHealth health_;
-  BlkRecoveryLog& recovery_log_;
+  minios::BlkStore& store_;
   bool wedged_ = false;
   bool persistent_ = false;
   uvmm::GrantCache map_cache_;  // (guest, gref) -> backend map va
   uint32_t next_persistent_slot_ = 0;
-  uint64_t next_slice_ = 0;
   uint64_t map_counter_ = 0;
   uint64_t served_ = 0;
   uint32_t req_dev_name_ = 0;  // E22 "disk.io" device leaf
@@ -114,6 +112,7 @@ class BlkFront : public minios::BlockDevice {
            std::vector<uvmm::Pfn> pool, PortMux& mux);
   ~BlkFront() override;  // cancels any armed liveness-probe event
 
+  // Completes the handshake and adopts the backend's grant mode.
   ukvm::Err Connect(BlkBack& back);
 
   // --- minios::BlockDevice ------------------------------------------------------
@@ -123,15 +122,14 @@ class BlkFront : public minios::BlockDevice {
   ukvm::Err Read(uint64_t lba, uint32_t count, std::span<uint8_t> out) override;
   ukvm::Err Write(uint64_t lba, uint32_t count, std::span<const uint8_t> in) override;
 
-  // Persistent-grant mode: an I/O page's access grant is cached per
-  // (pfn, direction) and never ended, so steady state issues no grant
-  // hypercalls on the request path. Must match the backend's setting.
-  void SetPersistentGrants(bool on) { persistent_ = on; }
+  // Persistent-grant mode (taken from the backend at Connect): an I/O
+  // page's access grant is cached per (pfn, direction) and never ended, so
+  // steady state issues no grant hypercalls on the request path.
   const uvmm::GrantCache& gref_cache() const { return gref_cache_; }
 
   // --- Crash recovery (E19) -------------------------------------------------
   //
-  // Writes are journaled until acknowledged and replayed (same ids) after a
+  // Writes are journaled until answered and replayed (same ids) after a
   // reconnect.
 
   // The backend domain died (domain-dead upcall or supervisor decision):
@@ -140,8 +138,8 @@ class BlkFront : public minios::BlockDevice {
   void OnBackendDead(ukvm::DomainId dead);
 
   // Rebuilds the connection against a restarted backend, then replays every
-  // journaled (unacknowledged) write with its original id; the backend's
-  // recovery log suppresses the ones that landed before the crash.
+  // journaled (unanswered) write with its original id through the ordinary
+  // submit path; the store suppresses the ones that landed before the crash.
   ukvm::Err Reconnect(BlkBack& back);
 
   // --- Frontend-driven liveness probing (E19 follow-up) ---------------------
@@ -166,26 +164,18 @@ class BlkFront : public minios::BlockDevice {
   uint64_t probe_detections() const { return probe_detections_; }
 
   XenbusConn& xenbus() { return xenbus_; }
-  uint64_t writes_acked_ok() const { return writes_acked_ok_; }
-  size_t journal_depth() const { return journal_.size(); }
+  const minios::BlkJournal& journal() const { return journal_; }
 
  private:
-  struct JournalEntry {
-    uint64_t lba = 0;      // slice-relative
-    uint32_t count = 0;    // blocks, fits one page
-    std::vector<uint8_t> payload;
-    ukvm::ReqTraceRef trace;  // E22: the write request, live until resolved
-  };
-
   ukvm::Err DoRequest(bool is_write, uint64_t lba, uint32_t count, std::span<uint8_t> out,
                       std::span<const uint8_t> in);
-  // The lowest journaled id, carried by every write (the journal holds at
-  // least the write being sent): the backend's log forgets the ids below it.
-  uint64_t LowWater() const { return journal_.begin()->first; }
-  // Re-issues one journaled write with its original id and waits for the
-  // acknowledgement. `answered` reports whether the backend replied at all
-  // (any status resolves the entry); kDead means it died again mid-replay.
-  ukvm::Err ReplayWrite(uint64_t id, const JournalEntry& entry, bool& answered);
+  // One page-sized request through the ring: stage the payload, grant the
+  // page, push, kick, and wait for the answer. A first submission mints
+  // its request (and journals a write under a fresh id); a replay
+  // (`replay_id` != 0) re-issues a journaled write under its original id
+  // and trace. Any answer resolves a journaled write.
+  ukvm::Err SubmitChunk(uint64_t replay_id, bool is_write, uint64_t lba, uint32_t count,
+                        std::span<uint8_t> out, std::span<const uint8_t> in);
   void OnResponse();
   void ProbeTick();
 
@@ -200,7 +190,6 @@ class BlkFront : public minios::BlockDevice {
   uvmm::GrantCache gref_cache_;  // pfn*2+writable -> gref
   uint32_t block_size_ = 0;
   uint64_t capacity_ = 0;
-  uint64_t next_id_ = 1;  // monotonic across reconnects — replay reuses ids
   uint32_t hist_blk_e2e_ = 0;  // "blk.e2e": request submit -> completion cycles
   // E22 interned request-trace names.
   uint32_t req_write_name_ = 0;          // "blk.write" origin
@@ -210,8 +199,7 @@ class BlkFront : public minios::BlockDevice {
   uint32_t req_rec_replay_name_ = 0;     // "recovery.replay" leaf
   std::unordered_map<uint64_t, ukvm::Err> completed_;  // id -> status
   XenbusConn xenbus_;
-  std::map<uint64_t, JournalEntry> journal_;  // unacked writes, replayed in id order
-  uint64_t writes_acked_ok_ = 0;  // write chunks whose final status was kNone
+  minios::BlkJournal journal_;  // ids stay monotonic across reconnects
 
   // Periodic liveness-probe state (StartLivenessProbe).
   uint64_t probe_interval_ = 0;   // 0 = probing stopped

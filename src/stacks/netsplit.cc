@@ -451,6 +451,8 @@ Err NetFront::Connect(NetBack& back) {
     return Err::kNoMemory;
   }
   mode_ = back.mode();
+  io_batch_ = back.rx_batch();
+  persistent_ = back.persistent_grants();
   // The handshake carries the backend id out of band (as xenstore would).
   backend_ = back.backend();
   chan_->tx_ring->BindRaceEndpoints(guest_, backend_);

@@ -93,11 +93,13 @@ class NetBack {
   // (the backend returns each frame via RepostRx after the flip/copy).
   void FlushRx();
   void SetRxBatch(size_t batch);
+  size_t rx_batch() const { return rx_batch_; }
 
   // Persistent-grant mode (a real Xen protocol extension): granted tx pages
-  // stay mapped in the backend across packets, keyed by (guest, gref). Both
-  // ends must agree — enable it on NetFront too, or EndGrant returns kBusy.
+  // stay mapped in the backend across packets, keyed by (guest, gref).
+  // Frontends learn the setting at Connect.
   void SetPersistentGrants(bool on) { persistent_ = on; }
+  bool persistent_grants() const { return persistent_; }
 
   // Circuit breaker: persistent transmit failures make the backend answer
   // tx requests with kRetryExhausted instead of wedging against the device.
@@ -157,7 +159,8 @@ class NetFront : public minios::NetDevice {
   NetFront(hwsim::Machine& machine, uvmm::Hypervisor& hv, ukvm::DomainId guest,
            std::vector<uvmm::Pfn> pool, PortMux& mux);
 
-  // Completes the split-driver handshake and posts initial rx slots.
+  // Completes the split-driver handshake, adopts the backend's rx mode, rx
+  // batch and grant mode, and posts initial rx slots.
   ukvm::Err Connect(NetBack& back);
 
   // --- minios::NetDevice ------------------------------------------------------
@@ -165,16 +168,6 @@ class NetFront : public minios::NetDevice {
   ukvm::Err Send(std::span<const uint8_t> packet) override;
   void SetRecvHandler(RecvHandler handler) override { handler_ = std::move(handler); }
   uint32_t mtu() const override { return 1514; }
-
-  // An io batch > 1 makes OnRxResponse drain the whole ring per upcall and
-  // re-advertise all consumed slots under one multicall.
-  void SetIoBatch(size_t batch) { io_batch_ = batch; }
-
-  // Persistent-grant mode: tx staging pages keep their access grant across
-  // sends (pfn -> gref cache, no HcGrantEnd); in grant-copy rx the writable
-  // slot grant is simply reused, so steady state posts slots with zero
-  // hypercalls. Must match the backend's setting.
-  void SetPersistentGrants(bool on) { persistent_ = on; }
 
   // --- Crash recovery (E19) -------------------------------------------------
   //
@@ -248,7 +241,13 @@ class NetFront : public minios::NetDevice {
   uint64_t rx_recovered_on_crash_ = 0;
   uint64_t rx_dropped_on_crash_ = 0;
   uint64_t rx_slots_replayed_ = 0;
+  // An io batch > 1 makes OnRxResponse drain the whole ring per upcall and
+  // re-advertise all consumed slots under one multicall.
   size_t io_batch_ = 1;
+  // Persistent-grant mode: tx staging pages keep their access grant across
+  // sends (pfn -> gref cache, no HcGrantEnd); in grant-copy rx the writable
+  // slot grant is simply reused, so steady state posts slots with zero
+  // hypercalls.
   bool persistent_ = false;
   uvmm::GrantCache tx_gref_cache_;  // staging pfn -> gref
   uint64_t tx_sent_ = 0;

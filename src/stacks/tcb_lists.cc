@@ -40,10 +40,12 @@ std::vector<TcbComponent> UkernelTcbComponents() {
       TcbComponent{"sigma0 (memory server)", TrustClass::kCriticalPath,
                    {"src/stacks/ukservers.cc", "src/stacks/ukservers.h"}},
       TcbComponent{"net driver server", TrustClass::kIsolated, DriverFiles()},
-      TcbComponent{"block service", TrustClass::kIsolated, {"src/hw/disk.cc", "src/hw/disk.h"}},
+      TcbComponent{"block service", TrustClass::kIsolated,
+                   {"src/hw/disk.cc", "src/hw/disk.h", "src/os/blk_protocol.h"}},
       TcbComponent{"MiniOS server (per guest)", TrustClass::kIsolated, MiniOsFiles()},
       TcbComponent{"syscall redirection port", TrustClass::kIsolated,
-                   {"src/os/ports/ukernel_port.cc", "src/os/ports/ukernel_port.h"}},
+                   {"src/os/ports/ukernel_port.cc", "src/os/ports/ukernel_port.h",
+                    "src/os/blk_protocol.h"}},
   };
 }
 
@@ -58,12 +60,13 @@ std::vector<TcbComponent> VmmTcbComponents(bool parallax_storage) {
                    {"src/stacks/netsplit.cc", "src/stacks/netsplit.h"}},
       TcbComponent{"MiniOS guest (per VM)", TrustClass::kIsolated, MiniOsFiles()},
       TcbComponent{"paravirtual port + frontends", TrustClass::kIsolated,
-                   {"src/os/ports/vmm_port.cc", "src/os/ports/vmm_port.h"}},
+                   {"src/os/ports/vmm_port.cc", "src/os/ports/vmm_port.h",
+                    "src/os/blk_protocol.h"}},
   };
   components.push_back(TcbComponent{
       parallax_storage ? "Parallax storage VM" : "Dom0 blkback",
       parallax_storage ? TrustClass::kIsolated : TrustClass::kCriticalPath,
-      {"src/stacks/blksplit.cc", "src/stacks/blksplit.h"}});
+      {"src/stacks/blksplit.cc", "src/stacks/blksplit.h", "src/os/blk_protocol.h"}});
   return components;
 }
 

@@ -67,8 +67,8 @@ void UkernelStack::StartNetServer(const char* name) {
 }
 
 void UkernelStack::StartBlockServer(const char* name) {
-  block_server_ = std::make_unique<UkBlockServer>(machine_, *kernel_, *sigma0_, disk_,
-                                                  config_.slice_blocks, blk_recovery_log_);
+  block_server_ =
+      std::make_unique<UkBlockServer>(machine_, *kernel_, *sigma0_, disk_, blk_store_);
   machine_.tracer().RegisterDomain(block_server_->task(), name);
   block_server_->SetRetryPolicy(config_.disk_retry);
   block_server_->SetDegradePolicy(config_.degrade);
@@ -174,12 +174,7 @@ Err UkernelStack::RestartBlockServer() {
   // Quiesce: the dead server's in-flight DMA must not complete into
   // frames the replacement server is about to reuse as staging.
   machine_.counters().AddNamed("recovery.disk.dma_cancelled", disk_.CancelPending());
-  // Carry the slice table over: a fresh server must not hand client A's
-  // slice to whichever client happens to speak first.
-  auto slices = block_server_->slices();
-  const uint64_t next_slice = block_server_->next_slice();
   StartBlockServer("block-server-2");
-  block_server_->RestoreSlices(std::move(slices), next_slice);
   for (auto& g : guests_) {
     g->xenbus.OnReclaimed();
   }

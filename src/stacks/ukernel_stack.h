@@ -106,16 +106,17 @@ class UkernelStack {
 
   // Replaces a dead (or live) server with a fresh instance and re-points
   // every guest at it. Disk contents survive (the backing store is intact)
-  // and the slice table is carried over so clients keep their slices.
+  // and clients keep their slices (the stack-owned BlkStore holds them).
   // RestartBlockServer also quiesces in-flight disk DMA before the
   // replacement attaches and replays each port's write journal (same ids);
-  // the stack-owned BlkRecoveryLog makes the writes exactly-once and each
-  // guest's uk-blk xenbus connection records the recovery phases (E19).
+  // the store makes the writes exactly-once and each guest's uk-blk xenbus
+  // connection records the recovery phases (E19).
   ukvm::Err RestartBlockServer();
   ukvm::Err RestartNetServer();
 
-  // The stack-owned exactly-once write ledger (survives server restarts).
-  const BlkRecoveryLog& blk_recovery_log() const { return blk_recovery_log_; }
+  // The stack-owned slice table and exactly-once write log (survives
+  // server restarts).
+  const minios::BlkStore& blk_store() const { return blk_store_; }
 
   // --- Health probes (service watchdog) ----------------------------------------
   // One request through the service's ordinary IPC interface, issued from a
@@ -148,7 +149,8 @@ class UkernelStack {
   std::unique_ptr<hwsim::FaultInjector> fault_injector_;
   std::unique_ptr<ukern::Kernel> kernel_;
   std::unique_ptr<Sigma0> sigma0_;
-  BlkRecoveryLog blk_recovery_log_;  // outlives every block server writing to it
+  // Outlives every block server that uses it.
+  minios::BlkStore blk_store_{config_.slice_blocks, config_.disk.capacity_blocks};
   std::unique_ptr<UkNetServer> net_server_;
   std::unique_ptr<UkBlockServer> block_server_;
   std::vector<std::unique_ptr<Guest>> guests_;

@@ -235,9 +235,9 @@ IpcMessage UkNetServer::Handle(ThreadId sender, IpcMessage msg) {
 // --- UkBlockServer ----------------------------------------------------------------
 
 UkBlockServer::UkBlockServer(hwsim::Machine& machine, ukern::Kernel& kernel, Sigma0& sigma0,
-                             hwsim::Disk& disk, uint64_t slice_blocks, BlkRecoveryLog& log)
-    : machine_(machine), kernel_(kernel), disk_(disk), slice_blocks_(slice_blocks),
-      health_(machine, "uk.blk"), recovery_log_(log) {
+                             hwsim::Disk& disk, minios::BlkStore& store)
+    : machine_(machine), kernel_(kernel), disk_(disk), health_(machine, "uk.blk"),
+      store_(store) {
   auto task = kernel_.CreateTask(sigma0.thread());
   assert(task.ok());
   task_ = *task;
@@ -264,150 +264,107 @@ UkBlockServer::UkBlockServer(hwsim::Machine& machine, ukern::Kernel& kernel, Sig
   assert(err == Err::kNone);
 }
 
-Result<uint64_t> UkBlockServer::SliceBaseOf(ThreadId sender) {
-  auto task = kernel_.TaskOf(sender);
-  if (!task.ok()) {
-    return task.error();
+IpcMessage UkBlockServer::Handle(ThreadId sender, IpcMessage msg) {
+  const uint64_t label = msg.regs[0];
+  if (label == ukern::Kernel::kIrqLabel) {
+    driver_->OnInterrupt();
+    return IpcMessage{};
   }
-  auto it = slices_.find(*task);
-  if (it == slices_.end()) {
-    const uint64_t max_slices = disk_.config().capacity_blocks / slice_blocks_;
-    if (next_slice_ >= max_slices) {
-      return Err::kNoMemory;
+  if (label != minios::kBlkInfoLabel && label != minios::kBlkReadLabel &&
+      label != minios::kBlkWriteLabel) {
+    return IpcMessage::Error(Err::kNotSupported);
+  }
+  // Every request names the sender's slice, assigned on first contact.
+  auto client = kernel_.TaskOf(sender);
+  if (!client.ok()) {
+    return IpcMessage::Error(client.error());
+  }
+  auto base = store_.SliceBase(*client);
+  if (!base.ok()) {
+    return IpcMessage::Error(base.error());
+  }
+  IpcMessage reply;
+  reply.regs[0] = 0;
+  reply.reg_count = 1;
+  if (label == minios::kBlkInfoLabel) {
+    reply.regs[1] = disk_.config().block_size;
+    reply.regs[2] = store_.slice_blocks();
+    reply.reg_count = 3;
+    return reply;
+  }
+  const bool is_write = label == minios::kBlkWriteLabel;
+  const uint64_t lba = msg.regs[1];
+  const auto count = static_cast<uint32_t>(msg.regs[2]);
+  if (count == 0 || count > driver_->blocks_per_page() || lba + count > store_.slice_blocks()) {
+    return IpcMessage::Error(Err::kOutOfRange);
+  }
+  const uint32_t bytes = count * disk_.config().block_size;
+  if (is_write) {
+    if (msg.string_data.size() < bytes) {
+      return IpcMessage::Error(Err::kInvalidArgument);
     }
-    it = slices_.emplace(*task, next_slice_++).first;
+    // Exactly-once (E19): regs[3] carries the client's journal id and
+    // regs[4] its low-water mark. A replayed id that already hit the disk
+    // is acknowledged from the store without re-touching it.
+    if (store_.AlreadyApplied(*client, msg.regs[3], msg.regs[4])) {
+      return reply;
+    }
   }
-  return it->second * slice_blocks_;
+  if (health_.ShouldFastFail()) {
+    return IpcMessage::Error(Err::kRetryExhausted);
+  }
+  // Reads land in the staging page. A write's payload landed in our
+  // receive window; write straight from its backing frame (zero extra
+  // copy).
+  const hwsim::Frame frame =
+      is_write ? kernel_.FindTask(task_)->space.Walk(window_va_)->frame : staging_frame_;
+  const Err err = SubmitAndWait(is_write, *base + lba, count, frame);
+  if (err != Err::kNone) {
+    return IpcMessage::Error(err);
+  }
+  if (is_write) {
+    store_.MarkApplied(*client, msg.regs[3]);
+  } else {
+    reply.has_string = true;
+    reply.string = ukern::StringItem{staging_va_, bytes};
+  }
+  return reply;
 }
 
-IpcMessage UkBlockServer::Handle(ThreadId sender, IpcMessage msg) {
-  switch (msg.regs[0]) {
-    case ukern::Kernel::kIrqLabel: {
-      driver_->OnInterrupt();
-      return IpcMessage{};
+Err UkBlockServer::SubmitAndWait(bool is_write, uint64_t lba, uint32_t count,
+                                 hwsim::Frame frame) {
+  // Shared state: a completion that straggles in after we gave up on it
+  // (timeout) must not write through dangling stack references.
+  auto state = std::make_shared<std::pair<bool, Err>>(false, Err::kNone);
+  auto done = [state](Err s) {
+    state->second = s;
+    state->first = true;
+  };
+  Err err = is_write ? driver_->Write(lba, count, frame, done)
+                     : driver_->Read(lba, count, frame, done);
+  if (err == Err::kNone) {
+    // Also wake if this server is destroyed mid-request (E19 crash
+    // injection): the completion will never arrive — the supervisor
+    // cancels the corpse's in-flight DMA — and the caller must see the
+    // death, not a stall. A write's fate is then unknown, so nothing is
+    // marked applied: the client's journal keeps the entry and the replay
+    // settles it after the restart.
+    err = machine_.WaitUntil([&] { return state->first || !kernel_.TaskAlive(task_); },
+                             2'000'000'000ull);
+    if (err == Err::kNone && !state->first) {
+      return Err::kDead;
     }
-    case minios::kBlkInfoLabel: {
-      auto base = SliceBaseOf(sender);
-      if (!base.ok()) {
-        return IpcMessage::Error(base.error());
-      }
-      IpcMessage reply;
-      reply.regs[0] = 0;
-      reply.regs[1] = disk_.config().block_size;
-      reply.regs[2] = slice_blocks_;
-      reply.reg_count = 3;
-      return reply;
-    }
-    case minios::kBlkReadLabel: {
-      auto base = SliceBaseOf(sender);
-      if (!base.ok()) {
-        return IpcMessage::Error(base.error());
-      }
-      const uint64_t lba = msg.regs[1];
-      const auto count = static_cast<uint32_t>(msg.regs[2]);
-      if (count == 0 || count > driver_->blocks_per_page() || lba + count > slice_blocks_) {
-        return IpcMessage::Error(Err::kOutOfRange);
-      }
-      if (health_.ShouldFastFail()) {
-        return IpcMessage::Error(Err::kRetryExhausted);
-      }
-      // Shared state: a completion that straggles in after we gave up on
-      // it (timeout) must not write through dangling stack references.
-      auto state = std::make_shared<std::pair<bool, Err>>(false, Err::kNone);
-      Err err = driver_->Read(*base + lba, count, staging_frame_, [state](Err s) {
-        state->second = s;
-        state->first = true;
-      });
-      if (err == Err::kNone) {
-        // Also wake if this server is destroyed mid-request (E19 crash
-        // injection): the completion will never arrive — the supervisor
-        // cancels the corpse's in-flight DMA — and the caller must see the
-        // death, not a stall.
-        err = machine_.WaitUntil([&] { return state->first || !kernel_.TaskAlive(task_); },
-                                 2'000'000'000ull);
-      }
-      if (err == Err::kNone && !state->first) {
-        return IpcMessage::Error(Err::kDead);
-      }
-      const Err status = state->second;
-      if (err != Err::kNone || status != Err::kNone) {
-        health_.RecordFailure();
-        return IpcMessage::Error(err != Err::kNone ? err : status);
-      }
-      health_.RecordSuccess();
-      ++served_;
-      IpcMessage reply;
-      reply.regs[0] = 0;
-      reply.reg_count = 1;
-      reply.has_string = true;
-      reply.string = ukern::StringItem{staging_va_, count * disk_.config().block_size};
-      return reply;
-    }
-    case minios::kBlkWriteLabel: {
-      auto base = SliceBaseOf(sender);
-      if (!base.ok()) {
-        return IpcMessage::Error(base.error());
-      }
-      const uint64_t lba = msg.regs[1];
-      const auto count = static_cast<uint32_t>(msg.regs[2]);
-      if (count == 0 || count > driver_->blocks_per_page() || lba + count > slice_blocks_) {
-        return IpcMessage::Error(Err::kOutOfRange);
-      }
-      if (msg.string_data.size() < uint64_t{count} * disk_.config().block_size) {
-        return IpcMessage::Error(Err::kInvalidArgument);
-      }
-      // Exactly-once (E19): regs[3] carries the client's journal id and
-      // regs[4] its low-water mark. A replayed id that already hit the disk
-      // is acknowledged from the ledger without re-touching it. SliceBaseOf
-      // resolved the sender, so its task is known.
-      const uint64_t req_id = msg.regs[3];
-      const ukvm::DomainId client = *kernel_.TaskOf(sender);
-      recovery_log_.ForgetBelow(client, msg.regs[4]);
-      if (recovery_log_.Applied(client, req_id)) {
-        recovery_log_.CountSuppressed();
-        IpcMessage reply;
-        reply.regs[0] = 0;
-        reply.reg_count = 1;
-        return reply;
-      }
-      if (health_.ShouldFastFail()) {
-        return IpcMessage::Error(Err::kRetryExhausted);
-      }
-      // The payload landed in our receive window; write straight from its
-      // backing frame (zero extra copy).
-      ukern::Task* t = kernel_.FindTask(task_);
-      const hwsim::Frame window_frame = t->space.Walk(window_va_)->frame;
-      auto state = std::make_shared<std::pair<bool, Err>>(false, Err::kNone);
-      Err err = driver_->Write(*base + lba, count, window_frame, [state](Err s) {
-        state->second = s;
-        state->first = true;
-      });
-      if (err == Err::kNone) {
-        // Wake on our own death too (see the read path): the write's fate
-        // is then unknown — no MarkApplied — so the client's journal keeps
-        // the entry and the replay settles it after the restart.
-        err = machine_.WaitUntil([&] { return state->first || !kernel_.TaskAlive(task_); },
-                                 2'000'000'000ull);
-      }
-      if (err == Err::kNone && !state->first) {
-        return IpcMessage::Error(Err::kDead);
-      }
-      const Err status = state->second;
-      if (err != Err::kNone || status != Err::kNone) {
-        health_.RecordFailure();
-        return IpcMessage::Error(err != Err::kNone ? err : status);
-      }
-      health_.RecordSuccess();
-      ++served_;
-      recovery_log_.MarkApplied(client, req_id);
-      IpcMessage reply;
-      reply.regs[0] = 0;
-      reply.reg_count = 1;
-      return reply;
-    }
-    default:
-      return IpcMessage::Error(Err::kNotSupported);
   }
+  if (err == Err::kNone) {
+    err = state->second;
+  }
+  if (err != Err::kNone) {
+    health_.RecordFailure();
+    return err;
+  }
+  health_.RecordSuccess();
+  ++served_;
+  return Err::kNone;
 }
 
 }  // namespace ustack

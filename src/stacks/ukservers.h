@@ -21,8 +21,8 @@
 #include "src/hw/disk.h"
 #include "src/hw/machine.h"
 #include "src/hw/nic.h"
+#include "src/os/blk_protocol.h"
 #include "src/stacks/watchdog.h"
-#include "src/stacks/xenbus.h"
 #include "src/ukernel/kernel.h"
 
 namespace ustack {
@@ -103,14 +103,14 @@ class UkNetServer {
 // User-level block service: serves per-client virtual-disk slices.
 class UkBlockServer {
  public:
-  // `log` is the stack-owned exactly-once ledger (it outlives the server),
-  // the mirror of BlkBack's. Writes carry the client's journal id in
-  // regs[3] and its low-water mark in regs[4], and are deduplicated against
-  // the log keyed by the sender's task: a journal replay of a write that
-  // landed before the crash is answered success without re-touching the
-  // disk.
+  // `store` is the stack-owned slice table and exactly-once log (it
+  // outlives the server), the same one BlkBack takes. A client task gets
+  // its slice on first contact and keeps it across restarts. Writes carry
+  // the client's journal id in regs[3] and its low-water mark in regs[4]:
+  // a journal replay of a write that landed before the crash is answered
+  // success without re-touching the disk.
   UkBlockServer(hwsim::Machine& machine, ukern::Kernel& kernel, Sigma0& sigma0,
-                hwsim::Disk& disk, uint64_t slice_blocks, BlkRecoveryLog& log);
+                hwsim::Disk& disk, minios::BlkStore& store);
 
   ukvm::DomainId task() const { return task_; }
   ukvm::ThreadId thread() const { return thread_; }
@@ -119,22 +119,13 @@ class UkBlockServer {
   void SetDegradePolicy(const DegradePolicy& policy) { health_.SetPolicy(policy); }
   const ServiceHealth& health() const { return health_; }
 
-  // Slice-table carry-over for restarts: without it a restarted server
-  // would hand slice 0 to whichever client spoke first, silently exposing
-  // one client's blocks to another.
-  const std::unordered_map<ukvm::DomainId, uint64_t>& slices() const { return slices_; }
-  uint64_t next_slice() const { return next_slice_; }
-  void RestoreSlices(std::unordered_map<ukvm::DomainId, uint64_t> slices, uint64_t next_slice) {
-    slices_ = std::move(slices);
-    next_slice_ = next_slice;
-  }
-
   uint64_t requests_served() const { return served_; }
 
  private:
   ukern::IpcMessage Handle(ukvm::ThreadId sender, ukern::IpcMessage msg);
-  // Slice of the sender's task (assigned on first contact).
-  ukvm::Result<uint64_t> SliceBaseOf(ukvm::ThreadId sender);
+  // Moves `count` blocks at absolute `lba` between the disk and `frame`
+  // and waits for the completion; kNone once the disk applied it.
+  ukvm::Err SubmitAndWait(bool is_write, uint64_t lba, uint32_t count, hwsim::Frame frame);
 
   hwsim::Machine& machine_;
   ukern::Kernel& kernel_;
@@ -145,11 +136,8 @@ class UkBlockServer {
   hwsim::Vaddr staging_va_ = 0;
   hwsim::Frame staging_frame_ = 0;
   hwsim::Vaddr window_va_ = 0;
-  uint64_t slice_blocks_;
-  std::unordered_map<ukvm::DomainId, uint64_t> slices_;  // client task -> slice idx
-  uint64_t next_slice_ = 0;
   ServiceHealth health_;
-  BlkRecoveryLog& recovery_log_;
+  minios::BlkStore& store_;
   uint64_t served_ = 0;
 };
 

@@ -132,7 +132,7 @@ Err VmmStack::StartStorageBackend(const std::string& domain_name) {
   disk_driver_ = std::make_unique<udrv::DiskDriver>(machine_, disk_);
   disk_driver_->SetRetryPolicy(config_.disk_retry);
   blkback_ = std::make_unique<BlkBack>(machine_, *hv_, storage_dom_, *disk_driver_,
-                                       config_.slice_blocks, storage_mux, blk_recovery_log_);
+                                       storage_mux, blk_store_);
   blkback_->SetDegradePolicy(config_.degrade);
   if (config_.persistent_grants) {
     blkback_->SetPersistentGrants(true);
@@ -177,19 +177,12 @@ std::unique_ptr<VmmStack::Guest> VmmStack::MakeGuest(const std::string& name) {
     blk_pool.push_back(pfn);
   }
 
+  // Frontends take the rx mode, io batch and grant mode from their backend
+  // at Connect.
   g->netfront = std::make_unique<NetFront>(machine_, *hv_, g->domain, net_pool, *g->mux);
-  if (config_.io_batch > 1) {
-    g->netfront->SetIoBatch(config_.io_batch);
-  }
-  if (config_.persistent_grants) {
-    g->netfront->SetPersistentGrants(true);
-  }
   err = g->netfront->Connect(*netback_);
   assert(err == Err::kNone);
   g->blkfront = std::make_unique<BlkFront>(machine_, *hv_, g->domain, blk_pool, *g->mux);
-  if (config_.persistent_grants) {
-    g->blkfront->SetPersistentGrants(true);
-  }
   // Backend death reaches the guest as a kDomainDead upcall ("xenbus watch
   // fired"); each frontend decides whether the corpse was its peer.
   Guest* raw = g.get();
@@ -266,8 +259,8 @@ Err VmmStack::RestartStorage() {
     }
   }
   machine_.counters().AddNamed("recovery.disk.dma_cancelled", disk_.CancelPending());
-  // The exactly-once ledger outlives the backend: the replacement picks it
-  // up and suppresses replayed writes that already landed.
+  // The store outlives the backend: the replacement hands every guest its
+  // old slice and suppresses replayed writes that already landed.
   UKVM_TRY(StartStorageBackend("ParallaxVM-2"));
   for (auto& g : guests_) {
     if (hv_->DomainAlive(g->domain)) {

@@ -127,8 +127,8 @@ class VmmStack {
   // Domain death force-revokes the corpse's grants and event channels and
   // upcalls the surviving guests (kDomainDead); frontends journal writes
   // and replay them (same ids) over a xenbus-style reconnect, and the
-  // stack-owned BlkRecoveryLog makes block writes exactly-once across
-  // backend restarts.
+  // stack-owned BlkStore keeps every guest's slice and makes block writes
+  // exactly-once across backend restarts.
 
   // Boots a replacement storage backend (a fresh Parallax VM when
   // disaggregated; rebuilding inside Dom0 otherwise requires Dom0 alive)
@@ -144,8 +144,9 @@ class VmmStack {
   // driver is torn down.
   ukvm::Err RestartNetDomain();
 
-  // The stack-owned exactly-once write ledger (survives backend restarts).
-  const BlkRecoveryLog& blk_recovery_log() const { return blk_recovery_log_; }
+  // The stack-owned slice table and exactly-once write log (survives
+  // backend restarts).
+  const minios::BlkStore& blk_store() const { return blk_store_; }
 
   // --- Health probes (service watchdog) ----------------------------------------
   // One request through guest 0's ordinary frontend — the same ring
@@ -186,7 +187,8 @@ class VmmStack {
   std::unique_ptr<PortMux> net_mux_;
   std::unique_ptr<udrv::NicDriver> nic_driver_;
   std::unique_ptr<udrv::DiskDriver> disk_driver_;
-  BlkRecoveryLog blk_recovery_log_;  // outlives every blkback writing to it
+  // Outlives every blkback that uses it.
+  minios::BlkStore blk_store_{config_.slice_blocks, config_.disk.capacity_blocks};
   std::unique_ptr<NetBack> netback_;
   std::unique_ptr<BlkBack> blkback_;
   std::vector<std::unique_ptr<Guest>> guests_;

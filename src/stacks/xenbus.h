@@ -32,67 +32,13 @@
 #define UKVM_SRC_STACKS_XENBUS_H_
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 #include "src/core/ids.h"
 #include "src/hw/machine.h"
 
 namespace ustack {
-
-// Exactly-once write ledger (E19), owned by the *stack* so it survives
-// backend restarts — the moral equivalent of Parallax keeping its metadata
-// in the store rather than in the (restartable) server process. The backend
-// marks a (client, id) applied when the write actually hits the disk; a
-// replayed duplicate is answered success without touching the device. The
-// client key is a guest domain for the VMM's blkback and a client task for
-// the ukernel's block server — both are DomainId-typed.
-//
-// Every write also carries its client's low-water mark: the lowest id still
-// in the client's journal. Ids below it were answered and can never be
-// replayed, so the backend forgets them before consulting the log, which
-// keeps it at about one live entry per client. The mark must come from the
-// journal, not from the highest id seen: a liveness probe can overtake an
-// applied-but-unanswered write whose replay must still be recognised.
-class BlkRecoveryLog {
- public:
-  void ForgetBelow(ukvm::DomainId client, uint64_t low_water) {
-    auto it = applied_.find(client);
-    if (it != applied_.end()) {
-      it->second.erase(it->second.begin(), it->second.lower_bound(low_water));
-    }
-  }
-  bool Applied(ukvm::DomainId client, uint64_t id) const {
-    auto it = applied_.find(client);
-    return it != applied_.end() && it->second.contains(id);
-  }
-  void MarkApplied(ukvm::DomainId client, uint64_t id) {
-    if (applied_[client].insert(id).second) {
-      ++applied_total_;
-    }
-  }
-  void CountSuppressed() { ++suppressed_total_; }
-
-  // Distinct (client, id) writes that reached the disk exactly once.
-  uint64_t applied_total() const { return applied_total_; }
-  // Replayed duplicates answered from the log instead of the device.
-  uint64_t suppressed_total() const { return suppressed_total_; }
-  // Applied ids still remembered, over all clients.
-  size_t live_entries() const {
-    size_t n = 0;
-    for (const auto& [client, ids] : applied_) {
-      n += ids.size();
-    }
-    return n;
-  }
-
- private:
-  std::unordered_map<ukvm::DomainId, std::set<uint64_t>> applied_;
-  uint64_t applied_total_ = 0;
-  uint64_t suppressed_total_ = 0;
-};
 
 enum class XenbusState : uint8_t {
   kInit,          // created, never connected

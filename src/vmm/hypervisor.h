@@ -1,7 +1,7 @@
 // The Xen-style hypervisor.
 //
 // This is the "rich variety of primitives" system of paper §2.2: domains,
-// a thirteen-entry hypercall table (including Xen's multicall batching
+// a fourteen-entry hypercall table (including Xen's multicall batching
 // entry), event channels, grant tables (map, copy,
 // and page-flip transfer), paravirtual page-table updates, a virtualized
 // interrupt controller routing hardware IRQs to driver domains, exception

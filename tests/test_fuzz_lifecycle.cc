@@ -645,9 +645,8 @@ struct RecoveryTarget {
   std::function<Err(uint64_t lba, std::span<uint8_t>)> read;
   std::function<void()> kill;
   std::function<Err()> restart;
-  std::function<size_t()> journal_depth;
-  std::function<uint64_t()> applied_total;
-  std::function<uint64_t()> acked_total;
+  const minios::BlkJournal* journal = nullptr;  // the client's write journal
+  const minios::BlkStore* store = nullptr;      // the stack's exactly-once log
   std::function<uint64_t()> reconnects;
   uint32_t block_size = 0;
 };
@@ -671,12 +670,12 @@ FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
       const uint64_t delay = (10 + rng.Below(120)) * hwsim::kCyclesPerUs;
       t.machine->ScheduleAfter(delay, [&] { t.kill(); });
     }
-    const size_t depth_before = t.journal_depth();
+    const size_t depth_before = t.journal->size();
     const Err err = t.write(lba, block);
     // A write is durable-eventually iff it was acknowledged or journaled;
     // journaled writes replay in id order before any post-restart write can
     // be issued, so last-writer-wins ordering matches issue order.
-    if (err == Err::kNone || t.journal_depth() > depth_before) {
+    if (err == Err::kNone || t.journal->size() > depth_before) {
       model[lba] = fill;
     }
     if (mid_flight_kill) {
@@ -707,7 +706,7 @@ FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
     } else if (op < 90 && !alive) {  // reconnect
       EXPECT_EQ(t.restart(), Err::kNone) << "seed " << seed;
       alive = true;
-      EXPECT_EQ(t.journal_depth(), 0u) << "seed " << seed;
+      EXPECT_EQ(t.journal->size(), 0u) << "seed " << seed;
     } else {  // let completions / upcalls drain
       t.machine->RunFor((1 + rng.Below(200)) * hwsim::kCyclesPerUs);
     }
@@ -720,8 +719,8 @@ FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
   if (!alive) {
     EXPECT_EQ(t.restart(), Err::kNone) << "seed " << seed;
   }
-  EXPECT_EQ(t.journal_depth(), 0u) << "seed " << seed;
-  EXPECT_EQ(t.applied_total(), t.acked_total()) << "seed " << seed;
+  EXPECT_EQ(t.journal->size(), 0u) << "seed " << seed;
+  EXPECT_EQ(t.store->applied_total(), t.journal->acked_ok()) << "seed " << seed;
 
   Digest d;
   d.Mix(t.machine->Now());
@@ -732,10 +731,10 @@ FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
     d.Mix(lba);
     d.Mix(fill);
   }
-  d.Mix(t.applied_total());
-  d.Mix(t.acked_total());
+  d.Mix(t.store->applied_total());
+  d.Mix(t.journal->acked_ok());
   d.Mix(t.reconnects());
-  d.Mix(t.journal_depth());
+  d.Mix(t.journal->size());
 
   FuzzResult out;
   out.digest = d.value;
@@ -763,9 +762,8 @@ FuzzResult RunUkernelRecoveryFuzzImpl(uint64_t seed, uint32_t steps, bool ipc_fa
   t.read = [&](uint64_t lba, std::span<uint8_t> out) { return block->Read(lba, 1, out); };
   t.kill = [&] { (void)stack.KillBlockServer(); };
   t.restart = [&] { return stack.RestartBlockServer(); };
-  t.journal_depth = [&] { return stack.guest(0).port->blk_journal_depth(); };
-  t.applied_total = [&] { return stack.blk_recovery_log().applied_total(); };
-  t.acked_total = [&] { return stack.guest(0).port->blk_writes_acked_ok(); };
+  t.journal = &stack.guest(0).port->blk_journal();
+  t.store = &stack.blk_store();
   t.reconnects = [&] { return stack.guest(0).xenbus.reconnects(); };
   FuzzResult out = RunRecoveryFuzzOn(t, seed, steps);
   out.fastpath_taken = stack.kernel().fastpath_stats().taken;
@@ -805,9 +803,8 @@ FuzzResult RunVmmRecoveryFuzz(uint64_t seed, uint32_t steps, bool parallax) {
   // storage: a driver crash inside the surviving Dom0.
   t.kill = [&] { parallax ? (void)stack.KillStorage() : (void)stack.CrashStorageService(); };
   t.restart = [&] { return stack.RestartStorage(); };
-  t.journal_depth = [&] { return front.journal_depth(); };
-  t.applied_total = [&] { return stack.blk_recovery_log().applied_total(); };
-  t.acked_total = [&] { return front.writes_acked_ok(); };
+  t.journal = &front.journal();
+  t.store = &stack.blk_store();
   t.reconnects = [&] { return front.xenbus().reconnects(); };
   return RunRecoveryFuzzOn(t, seed, steps);
 }

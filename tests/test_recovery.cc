@@ -31,7 +31,7 @@ using ustack::XenbusState;
 uint64_t VmmAckedWrites(ustack::VmmStack& stack) {
   uint64_t acked = 0;
   for (size_t i = 0; i < stack.num_guests(); ++i) {
-    acked += stack.guest(i).blkfront->writes_acked_ok();
+    acked += stack.guest(i).blkfront->journal().acked_ok();
   }
   return acked;
 }
@@ -39,7 +39,7 @@ uint64_t VmmAckedWrites(ustack::VmmStack& stack) {
 uint64_t UkAckedWrites(ustack::UkernelStack& stack) {
   uint64_t acked = 0;
   for (size_t i = 0; i < stack.num_guests(); ++i) {
-    acked += stack.guest(i).port->blk_writes_acked_ok();
+    acked += stack.guest(i).port->blk_journal().acked_ok();
   }
   return acked;
 }
@@ -118,7 +118,7 @@ TEST(Recovery, VmmParallaxMidFlightKillReplaysExactlyOnce) {
   for (uint64_t lba = 0; lba < 4; ++lba) {
     ASSERT_EQ(front.Write(lba, 1, block), Err::kNone);
   }
-  const uint64_t acked_before = front.writes_acked_ok();
+  const uint64_t acked_before = front.journal().acked_ok();
 
   // Kill the storage VM while a write is in flight: the disk's fixed
   // latency is 100us, so a kill at +50us fires inside the frontend's
@@ -126,18 +126,18 @@ TEST(Recovery, VmmParallaxMidFlightKillReplaysExactlyOnce) {
   std::vector<uint8_t> limbo(bs, 0xa7);
   stack.machine().ScheduleAfter(50 * hwsim::kCyclesPerUs, [&] { (void)stack.KillStorage(); });
   EXPECT_EQ(front.Write(7, 1, limbo), Err::kDead);
-  EXPECT_EQ(front.journal_depth(), 1u);  // the limbo write awaits replay
+  EXPECT_EQ(front.journal().size(), 1u);  // the limbo write awaits replay
   EXPECT_EQ(front.xenbus().state(), XenbusState::kConnected);  // not yet "detected"
 
   // Writes during the outage fail fast and are not journaled (no channel).
   EXPECT_EQ(front.Write(9, 1, block), Err::kDead);
-  EXPECT_EQ(front.journal_depth(), 1u);
+  EXPECT_EQ(front.journal().size(), 1u);
 
   ASSERT_EQ(stack.RestartStorage(), Err::kNone);
   EXPECT_TRUE(front.xenbus().connected());
   EXPECT_EQ(front.xenbus().reconnects(), 1u);
-  EXPECT_EQ(front.journal_depth(), 0u);  // replay resolved the limbo write
-  EXPECT_GE(front.writes_acked_ok(), acked_before + 1);
+  EXPECT_EQ(front.journal().size(), 0u);  // replay resolved the limbo write
+  EXPECT_GE(front.journal().acked_ok(), acked_before + 1);
 
   // The in-flight DMA queued by the dead backend was quiesced, not leaked.
   EXPECT_GE(stack.machine().counters().Get("recovery.disk.dma_cancelled"), 1u);
@@ -148,7 +148,7 @@ TEST(Recovery, VmmParallaxMidFlightKillReplaysExactlyOnce) {
   EXPECT_EQ(back, limbo);
 
   // Exactly-once: every applied write was acked exactly once, and vice versa.
-  EXPECT_EQ(stack.blk_recovery_log().applied_total(), VmmAckedWrites(stack));
+  EXPECT_EQ(stack.blk_store().applied_total(), VmmAckedWrites(stack));
 
   // Service is fully back for ordinary I/O.
   ASSERT_EQ(front.Write(9, 1, block), Err::kNone);
@@ -161,8 +161,8 @@ TEST(Recovery, VmmParallaxMidFlightKillReplaysExactlyOnce) {
   for (uint64_t lba = 10; lba < 30; ++lba) {
     ASSERT_EQ(front.Write(lba, 1, block), Err::kNone);
   }
-  EXPECT_EQ(stack.blk_recovery_log().applied_total(), VmmAckedWrites(stack));
-  EXPECT_LE(stack.blk_recovery_log().live_entries(), stack.num_guests());
+  EXPECT_EQ(stack.blk_store().applied_total(), VmmAckedWrites(stack));
+  EXPECT_LE(stack.blk_store().live_entries(), stack.num_guests());
 
   if (stack.auditor() != nullptr) {
     stack.auditor()->Checkpoint("after-recovery");
@@ -193,8 +193,8 @@ TEST(Recovery, VmmParallaxDuplicateSuppression) {
   stack.machine().ScheduleAfter(99 * hwsim::kCyclesPerUs, [&] { (void)stack.KillStorage(); });
   (void)front.Write(3, 1, block);
   ASSERT_EQ(stack.RestartStorage(), Err::kNone);
-  EXPECT_EQ(front.journal_depth(), 0u);
-  EXPECT_EQ(stack.blk_recovery_log().applied_total(), VmmAckedWrites(stack));
+  EXPECT_EQ(front.journal().size(), 0u);
+  EXPECT_EQ(stack.blk_store().applied_total(), VmmAckedWrites(stack));
 
   std::vector<uint8_t> back(bs);
   ASSERT_EQ(front.Read(3, 1, back), Err::kNone);
@@ -214,16 +214,16 @@ TEST(Recovery, VmmDom0StorageServiceCrashRecovers) {
   stack.machine().ScheduleAfter(50 * hwsim::kCyclesPerUs,
                                 [&] { (void)stack.CrashStorageService(); });
   EXPECT_EQ(front.Write(2, 1, limbo), Err::kDead);
-  EXPECT_EQ(front.journal_depth(), 1u);
+  EXPECT_EQ(front.journal().size(), 1u);
 
   ASSERT_EQ(stack.RestartStorage(), Err::kNone);  // Dom0 survived the crash
   EXPECT_TRUE(front.xenbus().connected());
-  EXPECT_EQ(front.journal_depth(), 0u);
+  EXPECT_EQ(front.journal().size(), 0u);
 
   std::vector<uint8_t> back(bs);
   ASSERT_EQ(front.Read(2, 1, back), Err::kNone);
   EXPECT_EQ(back, limbo);
-  EXPECT_EQ(stack.blk_recovery_log().applied_total(), VmmAckedWrites(stack));
+  EXPECT_EQ(stack.blk_store().applied_total(), VmmAckedWrites(stack));
 }
 
 TEST(Recovery, ProbeOvertakingAnAppliedWriteStillSuppressesItsReplay) {
@@ -238,24 +238,24 @@ TEST(Recovery, ProbeOvertakingAnAppliedWriteStillSuppressesItsReplay) {
   auto& front = *stack.guest(0).blkfront;
   const uint32_t bs = front.block_size();
   std::vector<uint8_t> block(bs, 0x5c);
-  const uint64_t applied_before = stack.blk_recovery_log().applied_total();
+  const uint64_t applied_before = stack.blk_store().applied_total();
 
   front.StartLivenessProbe(/*interval_cycles=*/20 * hwsim::kCyclesPerUs,
                            /*timeout_cycles=*/1'000 * hwsim::kCyclesPerUs);
   stack.machine().ScheduleAfter(50 * hwsim::kCyclesPerUs,
                                 [&] { (void)stack.CrashStorageService(); });
   EXPECT_EQ(front.Write(3, 1, block), Err::kDead);
-  EXPECT_EQ(front.journal_depth(), 1u);
+  EXPECT_EQ(front.journal().size(), 1u);
   // The crashed driver's in-flight write still reaches the disk.
   stack.machine().RunFor(200 * hwsim::kCyclesPerUs);
-  EXPECT_EQ(stack.blk_recovery_log().applied_total(), applied_before + 1);
+  EXPECT_EQ(stack.blk_store().applied_total(), applied_before + 1);
 
   ASSERT_EQ(stack.RestartStorage(), Err::kNone);
   front.StopLivenessProbe();
   EXPECT_EQ(front.probe_detections(), 0u);
-  EXPECT_EQ(front.journal_depth(), 0u);
-  EXPECT_EQ(stack.blk_recovery_log().suppressed_total(), 1u);
-  EXPECT_EQ(stack.blk_recovery_log().applied_total(), VmmAckedWrites(stack));
+  EXPECT_EQ(front.journal().size(), 0u);
+  EXPECT_EQ(stack.blk_store().suppressed_total(), 1u);
+  EXPECT_EQ(stack.blk_store().applied_total(), VmmAckedWrites(stack));
   std::vector<uint8_t> back(bs);
   ASSERT_EQ(front.Read(3, 1, back), Err::kNone);
   EXPECT_EQ(back, block);
@@ -319,19 +319,19 @@ TEST(Recovery, UkernelServerKillReplaysJournaledWrites) {
 
   std::vector<uint8_t> data(bs, 0x66);
   ASSERT_EQ(block->Write(5, 1, data), Err::kNone);
-  EXPECT_EQ(g.port->blk_journal_depth(), 0u);
+  EXPECT_EQ(g.port->blk_journal().size(), 0u);
 
   ASSERT_EQ(stack.KillBlockServer(), Err::kNone);
   // A write against the dead server is journaled (limbo) and fails.
   std::vector<uint8_t> limbo(bs, 0x77);
   EXPECT_EQ(block->Write(6, 1, limbo), Err::kDead);
-  EXPECT_EQ(g.port->blk_journal_depth(), 1u);
+  EXPECT_EQ(g.port->blk_journal().size(), 1u);
 
   ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
   EXPECT_TRUE(g.xenbus.connected());
   EXPECT_EQ(g.xenbus.reconnects(), 1u);
   EXPECT_EQ(g.xenbus.replayed_total(), 1u);
-  EXPECT_EQ(g.port->blk_journal_depth(), 0u);
+  EXPECT_EQ(g.port->blk_journal().size(), 0u);
 
   // Zero-loss: the journaled write landed through the replay.
   std::vector<uint8_t> back(bs);
@@ -341,15 +341,15 @@ TEST(Recovery, UkernelServerKillReplaysJournaledWrites) {
   ASSERT_EQ(block->Read(5, 1, back), Err::kNone);
   EXPECT_EQ(back, data);
 
-  EXPECT_EQ(stack.blk_recovery_log().applied_total(), UkAckedWrites(stack));
+  EXPECT_EQ(stack.blk_store().applied_total(), UkAckedWrites(stack));
   EXPECT_EQ(stack.machine().counters().Get("xenbus.reconnects"), 1u);
 
   // Bounded log: at most one live entry per client after a further burst.
   for (uint64_t lba = 10; lba < 30; ++lba) {
     ASSERT_EQ(block->Write(lba, 1, data), Err::kNone);
   }
-  EXPECT_EQ(stack.blk_recovery_log().applied_total(), UkAckedWrites(stack));
-  EXPECT_LE(stack.blk_recovery_log().live_entries(), stack.num_guests());
+  EXPECT_EQ(stack.blk_store().applied_total(), UkAckedWrites(stack));
+  EXPECT_LE(stack.blk_store().live_entries(), stack.num_guests());
 
   if (stack.auditor() != nullptr) {
     stack.auditor()->Checkpoint("after-recovery");
@@ -366,18 +366,18 @@ TEST(Recovery, UkernelDuplicateReplayIsSuppressed) {
   const uint32_t bs = block->block_size();
 
   const uint64_t served_before = stack.block_server().requests_served();
-  const uint64_t applied_before = stack.blk_recovery_log().applied_total();
+  const uint64_t applied_before = stack.blk_store().applied_total();
   std::vector<uint8_t> data(bs, 0x42);
   ASSERT_EQ(block->Write(9, 1, data), Err::kNone);
-  EXPECT_EQ(stack.blk_recovery_log().applied_total(), applied_before + 1);
+  EXPECT_EQ(stack.blk_store().applied_total(), applied_before + 1);
   EXPECT_EQ(stack.block_server().requests_served(), served_before + 1);
 
   // Restart with an empty journal: replay is a no-op, nothing re-applies.
   ASSERT_EQ(stack.KillBlockServer(), Err::kNone);
   ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
   EXPECT_EQ(g.xenbus.replayed_total(), 0u);
-  EXPECT_EQ(stack.blk_recovery_log().applied_total(), applied_before + 1);
-  EXPECT_EQ(stack.blk_recovery_log().suppressed_total(), 0u);
+  EXPECT_EQ(stack.blk_store().applied_total(), applied_before + 1);
+  EXPECT_EQ(stack.blk_store().suppressed_total(), 0u);
 
   // File-level crash consistency through the whole OS path.
   ukvm::ProcessId pid;
@@ -400,7 +400,7 @@ TEST(Recovery, UkernelDuplicateReplayIsSuppressed) {
     EXPECT_EQ(os.Read(pid, fd, back), 5);
     EXPECT_EQ(back, (std::vector<uint8_t>{1, 2, 3, 4, 5}));
   });
-  EXPECT_EQ(stack.blk_recovery_log().applied_total(), UkAckedWrites(stack));
+  EXPECT_EQ(stack.blk_store().applied_total(), UkAckedWrites(stack));
 }
 
 // --- E21 satellite: rx-slot replay across backend death ---------------------------
@@ -462,6 +462,159 @@ TEST(Recovery, NetRxInFlightAtCrashDeliveredExactlyOnceAndSlotsReplayed) {
 
   if (stack.auditor() != nullptr) {
     stack.auditor()->Checkpoint("after-rx-slot-replay");
+    EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+  }
+}
+
+// --- Slices survive a storage restart after a client died ------------------------
+
+TEST(Recovery, StorageRestartAfterGuestDeathKeepsEverySlice) {
+  // Three guests each write their own byte to one lba; guest 0 dies, then
+  // storage dies and restarts. Every survivor must read back its own byte.
+  // A replacement backend that dealt slices out in connection order would
+  // hand each survivor the slice of the guest before it.
+  constexpr uint8_t kFill[3] = {0x11, 0x22, 0x33};
+  for (const bool parallax : {true, false}) {
+    SCOPED_TRACE(parallax ? "vmm + parallax, KillStorage" : "vmm dom0, CrashStorageService");
+    ustack::VmmStack::Config config;
+    config.parallax_storage = parallax;
+    config.num_guests = 3;
+    ustack::VmmStack stack(config);
+    const uint32_t bs = stack.guest(0).blkfront->block_size();
+    const uint64_t lba = stack.guest(0).blkfront->capacity_blocks() - 1;
+    for (size_t i = 0; i < 3; ++i) {
+      ASSERT_EQ(stack.guest(i).blkfront->Write(lba, 1, std::vector<uint8_t>(bs, kFill[i])),
+                Err::kNone);
+    }
+    ASSERT_EQ(stack.KillGuest(0), Err::kNone);
+    ASSERT_EQ(parallax ? stack.KillStorage() : stack.CrashStorageService(), Err::kNone);
+    ASSERT_EQ(stack.RestartStorage(), Err::kNone);
+    for (size_t i = 1; i < 3; ++i) {
+      std::vector<uint8_t> back(bs);
+      ASSERT_EQ(stack.guest(i).blkfront->Read(lba, 1, back), Err::kNone);
+      EXPECT_EQ(back, std::vector<uint8_t>(bs, kFill[i])) << "guest " << i;
+    }
+    if (stack.auditor() != nullptr) {
+      stack.auditor()->Checkpoint("after-slice-restart");
+      EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+    }
+  }
+
+  SCOPED_TRACE("ukernel, KillBlockServer");
+  ustack::UkernelStack::Config config;
+  config.num_guests = 3;
+  ustack::UkernelStack stack(config);
+  const uint32_t bs = stack.guest(0).port->block()->block_size();
+  const uint64_t lba = stack.guest(0).port->block()->capacity_blocks() - 1;
+  for (size_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(stack.guest(i).port->block()->Write(lba, 1, std::vector<uint8_t>(bs, kFill[i])),
+              Err::kNone);
+  }
+  ASSERT_EQ(stack.KillGuest(0), Err::kNone);
+  ASSERT_EQ(stack.KillBlockServer(), Err::kNone);
+  ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
+  for (size_t i = 1; i < 3; ++i) {
+    std::vector<uint8_t> back(bs);
+    ASSERT_EQ(stack.guest(i).port->block()->Read(lba, 1, back), Err::kNone);
+    EXPECT_EQ(back, std::vector<uint8_t>(bs, kFill[i])) << "guest " << i;
+  }
+  if (stack.auditor() != nullptr) {
+    stack.auditor()->Checkpoint("after-slice-restart");
+    EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+  }
+}
+
+// --- A kill inside a restart's own replay ----------------------------------------
+//
+// A restart replays the journal through each client's ordinary submit path.
+// These pins kill the replacement backend while that replay is on the ring:
+// the unanswered tail must stay journaled, and the next restart must replay
+// it exactly once.
+
+TEST(Recovery, VmmKillInsideReplayKeepsTheTailJournaled) {
+  for (const bool parallax : {true, false}) {
+    SCOPED_TRACE(parallax ? "vmm + parallax" : "vmm dom0 storage");
+    ustack::VmmStack::Config config;
+    config.parallax_storage = parallax;
+    ustack::VmmStack stack(config);
+    auto& front = *stack.guest(0).blkfront;
+    const uint32_t bs = front.block_size();
+    const auto kill = [&] {
+      parallax ? (void)stack.KillStorage() : (void)stack.CrashStorageService();
+    };
+
+    // The backend dies with one write on the ring: it journals.
+    std::vector<uint8_t> limbo(bs, 0xc3);
+    stack.machine().ScheduleAfter(50 * hwsim::kCyclesPerUs, kill);
+    ASSERT_EQ(front.Write(7, 1, limbo), Err::kDead);
+    ASSERT_EQ(front.journal().size(), 1u);
+
+    // The replay starts about 8us into the restart and then waits about
+    // 100us on the disk, so a kill at +60us lands while it is in flight.
+    stack.machine().ScheduleAfter(60 * hwsim::kCyclesPerUs, kill);
+    ASSERT_EQ(stack.RestartStorage(), Err::kNone);
+    EXPECT_EQ(front.xenbus().reconnects(), 1u);
+    EXPECT_EQ(front.xenbus().replayed_total(), 0u);
+    EXPECT_EQ(front.journal().size(), 1u);  // unanswered: still journaled
+
+    // Let the killed replay's orphaned completion land where it can; the
+    // next replay is then answered from the store instead of the disk.
+    stack.machine().RunFor(200 * hwsim::kCyclesPerUs);
+    ASSERT_EQ(stack.RestartStorage(), Err::kNone);
+    EXPECT_EQ(front.xenbus().reconnects(), 2u);
+    EXPECT_EQ(front.xenbus().replayed_total(), 1u);
+    EXPECT_EQ(front.journal().size(), 0u);
+    EXPECT_EQ(stack.blk_store().applied_total(), VmmAckedWrites(stack));
+
+    std::vector<uint8_t> back(bs);
+    ASSERT_EQ(front.Read(7, 1, back), Err::kNone);
+    EXPECT_EQ(back, limbo);
+    if (stack.auditor() != nullptr) {
+      stack.auditor()->Checkpoint("after-replay-kill");
+      EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+    }
+  }
+}
+
+TEST(Recovery, UkernelKillInsideReplayKeepsTheTailJournaled) {
+  ustack::UkernelStack stack;
+  auto& g = stack.guest(0);
+  auto* block = g.port->block();
+  const uint32_t bs = block->block_size();
+
+  // Three writes against the dead server journal and fail with kDead.
+  ASSERT_EQ(stack.KillBlockServer(), Err::kNone);
+  std::vector<std::vector<uint8_t>> outage;
+  for (uint8_t i = 0; i < 3; ++i) {
+    outage.emplace_back(bs, static_cast<uint8_t>(0xd0 + i));
+    EXPECT_EQ(block->Write(20 + i, 1, outage.back()), Err::kDead);
+  }
+  ASSERT_EQ(g.port->blk_journal().size(), 3u);
+
+  // Replays start about 4us into the restart and take about 105us each,
+  // so a kill at +160us lands inside the second one.
+  stack.machine().ScheduleAfter(160 * hwsim::kCyclesPerUs,
+                                [&] { (void)stack.KillBlockServer(); });
+  ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
+  EXPECT_EQ(g.xenbus.replayed_total(), 1u);
+  EXPECT_EQ(g.port->blk_journal().size(), 2u);  // the unanswered tail
+
+  ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
+  EXPECT_EQ(g.xenbus.reconnects(), 2u);
+  EXPECT_EQ(g.xenbus.replayed_total(), 3u);
+  EXPECT_EQ(g.port->blk_journal().size(), 0u);
+  // The kill edge cancelled the second replay's DMA, so it reached the disk
+  // only through the next replay: nothing to suppress.
+  EXPECT_EQ(stack.blk_store().suppressed_total(), 0u);
+  EXPECT_EQ(stack.blk_store().applied_total(), UkAckedWrites(stack));
+
+  std::vector<uint8_t> back(bs);
+  for (uint8_t i = 0; i < 3; ++i) {
+    ASSERT_EQ(block->Read(20 + i, 1, back), Err::kNone);
+    EXPECT_EQ(back, outage[i]) << "lba " << 20 + i;
+  }
+  if (stack.auditor() != nullptr) {
+    stack.auditor()->Checkpoint("after-replay-kill");
     EXPECT_EQ(stack.auditor()->violation_count(), 0u);
   }
 }

@@ -392,10 +392,10 @@ TEST(ReqTraceRecovery, KilledBackendShowsRecoveryPhasesOnCriticalPath) {
   const Err err = front.Write(0, 1, block);
   EXPECT_NE(err, Err::kNone);
   stack.machine().RunUntilIdle();
-  EXPECT_GT(front.journal_depth(), 0u);
+  EXPECT_GT(front.journal().size(), 0u);
   ASSERT_EQ(stack.RestartStorage(), Err::kNone);
   stack.machine().RunUntilIdle();
-  EXPECT_EQ(front.journal_depth(), 0u);
+  EXPECT_EQ(front.journal().size(), 0u);
 
   // The replayed request completed, lints clean (its severed handoffs were
   // forgiven), and its retained DAG names the recovery phases.

@@ -105,7 +105,6 @@ class SplitDrvTest : public ::testing::Test {
   ustack::PortMux dom0_mux_, guest_mux_;
   std::unique_ptr<udrv::NicDriver> nic_driver_;
   std::unique_ptr<udrv::DiskDriver> disk_driver_;
-  ustack::BlkRecoveryLog blk_log_;  // the exactly-once ledger a stack owns
 };
 
 TEST_F(SplitDrvTest, NetTxGoesOutZeroCopy) {
@@ -208,8 +207,8 @@ TEST_F(SplitDrvTest, NetRxToDeadGuestDropped) {
 }
 
 TEST_F(SplitDrvTest, BlkRoundTripThroughGrantMapping) {
-  ustack::BlkBack back(machine_, hv_, dom0_, *disk_driver_, /*slice_blocks=*/1024, dom0_mux_,
-                       blk_log_);
+  minios::BlkStore store(/*slice_blocks=*/1024, disk_.config().capacity_blocks);
+  ustack::BlkBack back(machine_, hv_, dom0_, *disk_driver_, dom0_mux_, store);
   ustack::BlkFront front(machine_, hv_, guest_, GuestPfns(200, 208), guest_mux_);
   ASSERT_EQ(front.Connect(back), Err::kNone);
   EXPECT_EQ(front.capacity_blocks(), 1024u);
@@ -227,8 +226,8 @@ TEST_F(SplitDrvTest, BlkRoundTripThroughGrantMapping) {
 }
 
 TEST_F(SplitDrvTest, BlkSlicesAreDisjoint) {
-  ustack::BlkBack back(machine_, hv_, dom0_, *disk_driver_, /*slice_blocks=*/64, dom0_mux_,
-                       blk_log_);
+  minios::BlkStore store(/*slice_blocks=*/64, disk_.config().capacity_blocks);
+  ustack::BlkBack back(machine_, hv_, dom0_, *disk_driver_, dom0_mux_, store);
   auto guest2 = hv_.CreateDomain("DomU2", 64, false);
   ustack::PortMux mux2;
   (void)hv_.HcSetUpcall(*guest2, mux2.AsUpcall());
@@ -250,8 +249,8 @@ TEST_F(SplitDrvTest, BlkSlicesAreDisjoint) {
 }
 
 TEST_F(SplitDrvTest, BlkOutOfSliceRejected) {
-  ustack::BlkBack back(machine_, hv_, dom0_, *disk_driver_, /*slice_blocks=*/64, dom0_mux_,
-                       blk_log_);
+  minios::BlkStore store(/*slice_blocks=*/64, disk_.config().capacity_blocks);
+  ustack::BlkBack back(machine_, hv_, dom0_, *disk_driver_, dom0_mux_, store);
   ustack::BlkFront front(machine_, hv_, guest_, GuestPfns(200, 204), guest_mux_);
   ASSERT_EQ(front.Connect(back), Err::kNone);
   std::vector<uint8_t> buf(512);
@@ -260,7 +259,8 @@ TEST_F(SplitDrvTest, BlkOutOfSliceRejected) {
 }
 
 TEST_F(SplitDrvTest, BlkRequestsToDeadBackendFail) {
-  ustack::BlkBack back(machine_, hv_, dom0_, *disk_driver_, 64, dom0_mux_, blk_log_);
+  minios::BlkStore store(/*slice_blocks=*/64, disk_.config().capacity_blocks);
+  ustack::BlkBack back(machine_, hv_, dom0_, *disk_driver_, dom0_mux_, store);
   ustack::BlkFront front(machine_, hv_, guest_, GuestPfns(200, 204), guest_mux_);
   ASSERT_EQ(front.Connect(back), Err::kNone);
   ASSERT_EQ(hv_.DestroyDomain(dom0_), Err::kNone);
