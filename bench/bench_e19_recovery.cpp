@@ -234,7 +234,7 @@ RunResult RunVmm(bool parallax) {
   t.read = [&](uint64_t lba, std::span<uint8_t> out) { return front.Read(lba, 1, out); };
   // Parallax: whole-VM death (grant reclamation + kDomainDead upcalls).
   // Dom0-hosted: the driver crashes inside the surviving Dom0.
-  t.kill = [&] { parallax ? (void)stack.KillStorage() : (void)stack.CrashStorageService(); };
+  t.kill = [&] { (void)stack.KillStorage(); };
   t.restart = [&] { return stack.RestartStorage(); };
   t.journal = &front.journal();
   t.store = &stack.blk_store();

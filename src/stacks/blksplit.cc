@@ -56,6 +56,13 @@ BlkChannel* BlkBack::Connect(DomainId guest) {
   return raw;
 }
 
+void BlkBack::Kill() {
+  alive_ = false;
+  for (const uvmm::GrantCache::Mapping& m : map_cache_.TakeMappings()) {
+    (void)hv_.HcGrantUnmap(backend_, m.granter, m.ref, m.va);
+  }
+}
+
 void BlkBack::OnKick(BlkChannel& chan) {
   if (wedged_) {
     return;  // alive but unresponsive; requests rot in the ring

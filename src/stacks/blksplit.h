@@ -80,6 +80,14 @@ class BlkBack {
   // exists to detect exactly this.
   void SetWedged(bool wedged) { wedged_ = wedged; }
 
+  // The backend crashes inside its surviving domain (a storage driver
+  // crash in Dom0; the stack detaches its frontends). It unmaps every
+  // persistent mapping, since its successor maps at the same VAs.
+  // Requests already on the disk still complete into the guests' pages;
+  // the restart quiesces the disk before the successor attaches.
+  void Kill();
+  bool alive() const { return alive_; }
+
   ukvm::DomainId backend() const { return backend_; }
   uint32_t block_size() const;
   uint64_t requests_served() const { return served_; }
@@ -97,6 +105,7 @@ class BlkBack {
   ServiceHealth health_;
   minios::BlkStore& store_;
   bool wedged_ = false;
+  bool alive_ = true;
   bool persistent_ = false;
   uvmm::GrantCache map_cache_;  // (guest, gref) -> backend map va
   uint32_t next_persistent_slot_ = 0;

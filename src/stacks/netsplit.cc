@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "src/core/log.h"
-#include "src/os/netstack.h"
 
 namespace ustack {
 
@@ -27,9 +26,10 @@ constexpr size_t kRingCapacity = 256;
 // --- NetBack ---------------------------------------------------------------------
 
 NetBack::NetBack(hwsim::Machine& machine, uvmm::Hypervisor& hv, DomainId backend,
-                 udrv::NicDriver& driver, RxMode mode, PortMux& mux)
+                 udrv::NicDriver& driver, RxMode mode, PortMux& mux,
+                 const minios::NetRoutes& routes)
     : machine_(machine), hv_(hv), backend_(backend), driver_(driver), mode_(mode), mux_(mux),
-      health_(machine, "vmm.net") {
+      routes_(routes), health_(machine, "vmm.net") {
   hist_rx_backlog_ = machine_.tracer().InternHistogram("net.rx.backlog");
   req_rx_name_ = machine_.reqtrace().InternName("net.rx");
   req_flush_name_ = machine_.reqtrace().InternName("net.rx.flush");
@@ -55,24 +55,22 @@ NetChannel* NetBack::Connect(DomainId guest) {
   return raw;
 }
 
-void NetBack::RoutePort(uint16_t wire_port, DomainId guest) {
-  for (auto& chan : channels_) {
-    if (chan->guest == guest) {
-      wire_routes_[wire_port] = chan.get();
-      return;
-    }
-  }
-}
-
 NetChannel* NetBack::ChannelFor(std::span<const uint8_t> packet) {
-  minios::ParsedPacket parsed;
-  if (minios::ParsePacket(packet, parsed)) {
-    auto it = wire_routes_.find(parsed.dst_port);
-    if (it != wire_routes_.end()) {
-      return it->second;
+  if (const auto client = routes_.Classify(packet)) {
+    for (auto& chan : channels_) {
+      if (chan->guest == *client) {
+        return chan.get();
+      }
     }
+    return nullptr;
   }
   return channels_.empty() ? nullptr : channels_.front().get();
+}
+
+void NetBack::ReleaseMappings() {
+  for (const uvmm::GrantCache::Mapping& m : tx_map_cache_.TakeMappings()) {
+    (void)hv_.HcGrantUnmap(backend_, m.granter, m.ref, m.va);
+  }
 }
 
 void NetBack::OnTxKick(NetChannel& chan) {

@@ -24,6 +24,7 @@
 #include "src/drivers/nic_driver.h"
 #include "src/hw/machine.h"
 #include "src/os/arch_if.h"
+#include "src/os/net_protocol.h"
 #include "src/stacks/port_mux.h"
 #include "src/stacks/watchdog.h"
 #include "src/stacks/xenbus.h"
@@ -70,17 +71,16 @@ struct NetChannel {
 class NetBack {
  public:
   // `mux` is the backend domain's upcall demultiplexer; NetBack registers
-  // its ports there. The stack must point the NIC driver's rx callback at
-  // OnPacketReceived.
+  // its ports there. `routes` is the stack-owned wire routing table (it
+  // outlives the backend): a packet routed to a guest without a live
+  // channel here is dropped, an unrouted one goes to the first channel.
+  // The stack must point the NIC driver's rx callback at OnPacketReceived.
   NetBack(hwsim::Machine& machine, uvmm::Hypervisor& hv, ukvm::DomainId backend,
-          udrv::NicDriver& driver, RxMode mode, PortMux& mux);
+          udrv::NicDriver& driver, RxMode mode, PortMux& mux, const minios::NetRoutes& routes);
 
   // Control plane ("xenstore"): sets up rings and backend event ports for
   // `guest`. The frontend completes the handshake via NetFront::Connect.
   NetChannel* Connect(ukvm::DomainId guest);
-
-  // Routes inbound wire packets addressed to `wire_port` to `guest`.
-  void RoutePort(uint16_t wire_port, ukvm::DomainId guest);
 
   // The NIC driver's rx callback (runs in the backend domain). With an rx
   // batch > 1 the packet is staged instead of delivered; FlushRx pushes a
@@ -100,6 +100,9 @@ class NetBack {
   // Frontends learn the setting at Connect.
   void SetPersistentGrants(bool on) { persistent_ = on; }
   bool persistent_grants() const { return persistent_; }
+  // Unmaps every persistent tx mapping. A backend replaced inside its
+  // surviving domain calls it before its successor maps at the same VAs.
+  void ReleaseMappings();
 
   // Circuit breaker: persistent transmit failures make the backend answer
   // tx requests with kRetryExhausted instead of wedging against the device.
@@ -133,8 +136,8 @@ class NetBack {
   udrv::NicDriver& driver_;
   RxMode mode_;
   PortMux& mux_;
+  const minios::NetRoutes& routes_;
   std::vector<std::unique_ptr<NetChannel>> channels_;
-  std::unordered_map<uint16_t, NetChannel*> wire_routes_;
   ServiceHealth health_;
   size_t rx_batch_ = 1;
   bool persistent_ = false;

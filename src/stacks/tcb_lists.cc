@@ -38,10 +38,15 @@ std::vector<TcbComponent> UkernelTcbComponents() {
   return {
       TcbComponent{"microkernel", TrustClass::kPrivileged, UkernelKernelFiles()},
       TcbComponent{"sigma0 (memory server)", TrustClass::kCriticalPath,
-                   {"src/stacks/ukservers.cc", "src/stacks/ukservers.h"}},
-      TcbComponent{"net driver server", TrustClass::kIsolated, DriverFiles()},
+                   {"src/stacks/sigma0.cc", "src/stacks/sigma0.h"}},
+      TcbComponent{"net driver server", TrustClass::kIsolated,
+                   {"src/stacks/uk_net_server.cc", "src/stacks/uk_net_server.h",
+                    "src/os/net_protocol.h", "src/drivers/nic_driver.cc",
+                    "src/drivers/nic_driver.h"}},
       TcbComponent{"block service", TrustClass::kIsolated,
-                   {"src/hw/disk.cc", "src/hw/disk.h", "src/os/blk_protocol.h"}},
+                   {"src/stacks/uk_block_server.cc", "src/stacks/uk_block_server.h",
+                    "src/os/blk_protocol.h", "src/drivers/disk_driver.cc",
+                    "src/drivers/disk_driver.h"}},
       TcbComponent{"MiniOS server (per guest)", TrustClass::kIsolated, MiniOsFiles()},
       TcbComponent{"syscall redirection port", TrustClass::kIsolated,
                    {"src/os/ports/ukernel_port.cc", "src/os/ports/ukernel_port.h",
@@ -57,7 +62,7 @@ std::vector<TcbComponent> VmmTcbComponents(bool parallax_storage) {
       TcbComponent{"Dom0 legacy OS", TrustClass::kCriticalPath, MiniOsFiles()},
       TcbComponent{"Dom0 drivers", TrustClass::kCriticalPath, DriverFiles()},
       TcbComponent{"netback", TrustClass::kCriticalPath,
-                   {"src/stacks/netsplit.cc", "src/stacks/netsplit.h"}},
+                   {"src/stacks/netsplit.cc", "src/stacks/netsplit.h", "src/os/net_protocol.h"}},
       TcbComponent{"MiniOS guest (per VM)", TrustClass::kIsolated, MiniOsFiles()},
       TcbComponent{"paravirtual port + frontends", TrustClass::kIsolated,
                    {"src/os/ports/vmm_port.cc", "src/os/ports/vmm_port.h",

@@ -60,7 +60,7 @@ void UkernelStack::ArmFaults(const hwsim::FaultPlan& plan) {
 }
 
 void UkernelStack::StartNetServer(const char* name) {
-  net_server_ = std::make_unique<UkNetServer>(machine_, *kernel_, *sigma0_, nic_);
+  net_server_ = std::make_unique<UkNetServer>(machine_, *kernel_, *sigma0_, nic_, net_routes_);
   machine_.tracer().RegisterDomain(net_server_->task(), name);
   net_server_->SetRetryPolicy(config_.nic_retry);
   net_server_->SetDegradePolicy(config_.degrade);
@@ -144,57 +144,58 @@ Err UkernelStack::RunAsApp(size_t i, const std::function<void()>& fn) {
 }
 
 void UkernelStack::RouteWirePort(uint16_t wire_port, size_t i) {
-  wire_routes_[wire_port] = i;
-  net_server_->RoutePort(wire_port, guest(i).net_rx_thread);
+  net_routes_.Route(wire_port, guest(i).os_task);
 }
 
 Err UkernelStack::KillBlockServer() {
-  const Err err = kernel_->DestroyTask(block_server_->task());
-  if (err == Err::kNone) {
-    // Quiesce at the kill edge, not just at restart: the dead server's DMA
-    // sources (its staging/window frames) were freed with its task, so an
-    // in-flight request completing now would move garbage. Cancelled ops
-    // stay journaled on the client and replay after the restart.
-    machine_.counters().AddNamed("recovery.disk.dma_cancelled", disk_.CancelPending());
-    // The kill edge: the detection segment in each guest's recovery clock
-    // starts here, not at the watchdog's (later) failed probe.
-    for (auto& g : guests_) {
-      g->xenbus.MarkFailure(machine_.Now());
-    }
+  UKVM_TRY(kernel_->DestroyTask(block_server_->task()));
+  // An in-flight request completing now would move garbage. Cancelled ops
+  // stay journaled on the client and replay after the restart.
+  machine_.counters().AddNamed("recovery.disk.dma_cancelled", disk_.CancelPending());
+  // The kill edge: the detection segment in each guest's recovery clock
+  // starts here, not at the watchdog's (later) failed probe.
+  for (auto& g : guests_) {
+    g->xenbus.MarkFailure(machine_.Now());
   }
-  return err;
+  return Err::kNone;
 }
 
-Err UkernelStack::KillNetServer() { return kernel_->DestroyTask(net_server_->task()); }
+Err UkernelStack::KillNetServer() {
+  UKVM_TRY(kernel_->DestroyTask(net_server_->task()));
+  // Otherwise arrivals would land in the dead server's pool and complete
+  // into its successor's driver, which never posted those buffers.
+  machine_.counters().AddNamed("recovery.nic.rx_forgotten", nic_.CancelPosted());
+  return Err::kNone;
+}
 
 Err UkernelStack::RestartBlockServer() {
+  (void)KillBlockServer();  // a no-op once the server is dead
   for (auto& g : guests_) {
-    g->xenbus.OnDetected();
+    if (GuestAlive(*g)) {
+      g->xenbus.OnDetected();
+    }
   }
-  // Quiesce: the dead server's in-flight DMA must not complete into
-  // frames the replacement server is about to reuse as staging.
-  machine_.counters().AddNamed("recovery.disk.dma_cancelled", disk_.CancelPending());
   StartBlockServer("block-server-2");
   for (auto& g : guests_) {
-    g->xenbus.OnReclaimed();
+    if (GuestAlive(*g)) {
+      g->xenbus.OnReclaimed();
+    }
   }
   for (auto& g : guests_) {
-    g->port->SetBlockServer(block_server_->thread());
-    g->xenbus.OnReconnected();
-    g->xenbus.OnReplayed(g->port->ReplayBlockJournal());
+    if (GuestAlive(*g)) {
+      g->port->SetBlockServer(block_server_->thread());
+      g->xenbus.OnReconnected();
+      g->xenbus.OnReplayed(g->port->ReplayBlockJournal());
+    }
   }
   return Err::kNone;
 }
 
 Err UkernelStack::RestartNetServer() {
+  (void)KillNetServer();  // a no-op once the server is dead
   StartNetServer("net-server-2");
-  for (const auto& [wire_port, guest_idx] : wire_routes_) {
-    if (guest_idx < guests_.size()) {
-      net_server_->RoutePort(wire_port, guest(guest_idx).net_rx_thread);
-    }
-  }
   for (auto& g : guests_) {
-    if (kernel_->ThreadAlive(g->net_rx_thread)) {
+    if (GuestAlive(*g)) {
       g->port->SetNetServer(net_server_->thread());
     }
   }

@@ -8,7 +8,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/check/auditor.h"
@@ -18,10 +17,14 @@
 #include "src/hw/machine.h"
 #include "src/hw/nic.h"
 #include "src/hw/platform.h"
+#include "src/os/blk_protocol.h"
 #include "src/os/kernel.h"
+#include "src/os/net_protocol.h"
 #include "src/os/ports/ukernel_port.h"
 #include "src/stacks/observers.h"
-#include "src/stacks/ukservers.h"
+#include "src/stacks/sigma0.h"
+#include "src/stacks/uk_block_server.h"
+#include "src/stacks/uk_net_server.h"
 #include "src/stacks/watchdog.h"
 #include "src/stacks/xenbus.h"
 #include "src/ukernel/kernel.h"
@@ -93,10 +96,18 @@ class UkernelStack {
   // Runs `fn` in the context of guest `i`'s application thread.
   ukvm::Err RunAsApp(size_t i, const std::function<void()>& fn);
 
-  // Routes inbound wire traffic for `wire_port` to guest `i`.
+  // Routes inbound wire traffic for `wire_port` to guest `i` through the
+  // stack-owned routing table, which survives net-server restarts. Packets
+  // for a dead guest's port are dropped.
   void RouteWirePort(uint16_t wire_port, size_t i);
 
   // --- Fault injection (experiment E5) ----------------------------------------
+  //
+  // Kill is the only death edge; every Restart* below starts with it. A
+  // server kill destroys the task and quiesces the device whose DMA
+  // targets (the server's staging, window and pool frames) die with it:
+  // the disk's in-flight requests, or the NIC's posted rx buffers.
+  // kBadHandle once the server is already dead.
 
   ukvm::Err KillBlockServer();
   ukvm::Err KillNetServer();
@@ -104,13 +115,14 @@ class UkernelStack {
 
   // --- Service recovery (multiserver restartability) --------------------------
 
-  // Replaces a dead (or live) server with a fresh instance and re-points
-  // every guest at it. Disk contents survive (the backing store is intact)
-  // and clients keep their slices (the stack-owned BlkStore holds them).
-  // RestartBlockServer also quiesces in-flight disk DMA before the
-  // replacement attaches and replays each port's write journal (same ids);
-  // the store makes the writes exactly-once and each guest's uk-blk xenbus
-  // connection records the recovery phases (E19).
+  // Kills the server (a no-op once it is dead), starts a fresh instance and
+  // re-points each live guest at it. Disk contents survive (the backing
+  // store is intact), clients keep their slices (the stack-owned BlkStore
+  // holds them) and the net server routes as before (the stack-owned
+  // NetRoutes holds the routes). RestartBlockServer replays each live
+  // port's write journal (same ids); the store makes the writes
+  // exactly-once and each guest's uk-blk xenbus connection records the
+  // recovery phases (E19).
   ukvm::Err RestartBlockServer();
   ukvm::Err RestartNetServer();
 
@@ -135,6 +147,7 @@ class UkernelStack {
   static constexpr uint32_t kDiskIrq = 6;
 
   std::unique_ptr<Guest> MakeGuest(const std::string& name);
+  bool GuestAlive(const Guest& g) const { return kernel_->TaskAlive(g.os_task); }
   // The one construction path for each server, shared by boot and the
   // Restart* paths: a fresh instance registered under `name`, hardened
   // with the config's retry and degrade policies.
@@ -149,12 +162,12 @@ class UkernelStack {
   std::unique_ptr<hwsim::FaultInjector> fault_injector_;
   std::unique_ptr<ukern::Kernel> kernel_;
   std::unique_ptr<Sigma0> sigma0_;
-  // Outlives every block server that uses it.
+  // Outlive every server that uses them.
   minios::BlkStore blk_store_{config_.slice_blocks, config_.disk.capacity_blocks};
+  minios::NetRoutes net_routes_;
   std::unique_ptr<UkNetServer> net_server_;
   std::unique_ptr<UkBlockServer> block_server_;
   std::vector<std::unique_ptr<Guest>> guests_;
-  std::unordered_map<uint16_t, size_t> wire_routes_;  // re-applied on restart
   ukvm::DomainId monitor_task_ = ukvm::DomainId::Invalid();
   ukvm::ThreadId monitor_thread_ = ukvm::ThreadId::Invalid();
   // Declared last: destroyed first, emptying the machine's observer slot

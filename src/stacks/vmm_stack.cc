@@ -78,7 +78,7 @@ Err VmmStack::StartNetBackend(const std::string& domain_name) {
       machine_, nic_, std::vector<hwsim::Frame>(p2m.begin(), p2m.begin() + 64));
   nic_driver_->SetRetryPolicy(config_.nic_retry);
   netback_ = std::make_unique<NetBack>(machine_, *hv_, net_dom_, *nic_driver_, config_.rx_mode,
-                                       net_mux);
+                                       net_mux, net_routes_);
   netback_->SetDegradePolicy(config_.degrade);
   nic_driver_->SetRxCallback(
       [this](hwsim::Frame frame, uint32_t len) { netback_->OnPacketReceived(frame, len); });
@@ -215,26 +215,21 @@ Err VmmStack::RunAsApp(size_t i, const std::function<void()>& fn) {
 }
 
 void VmmStack::RouteWirePort(uint16_t wire_port, size_t i) {
-  netback_->RoutePort(wire_port, guest(i).domain);
-  // Remember the route so a net-domain restart can replay it into the
-  // replacement netback (latest registration wins, as in the live table).
-  std::erase_if(wire_routes_, [wire_port](const auto& r) { return r.first == wire_port; });
-  wire_routes_.emplace_back(wire_port, i);
+  net_routes_.Route(wire_port, guest(i).domain);
 }
 
-Err VmmStack::KillStorage() { return hv_->DestroyDomain(storage_dom_); }
-
-Err VmmStack::CrashStorageService() {
+Err VmmStack::KillStorage() {
   if (config_.parallax_storage) {
-    return KillStorage();
+    return hv_->DestroyDomain(storage_dom_);
   }
-  if (!hv_->DomainAlive(dom0_)) {
+  // Inside Dom0 the storage service is only the blkback: it crashes and
+  // Dom0 lives on. Its disk DMA targets are guest pages, which outlive it,
+  // so the restart quiesces the disk. Detaching the frontends wakes their
+  // in-flight waits with kDead.
+  if (!hv_->DomainAlive(dom0_) || !blkback_->alive()) {
     return Err::kDead;
   }
-  // The blkback inside Dom0 stops answering; the old instance stays
-  // allocated until RestartStorage replaces it (mirroring a crashed driver
-  // process whose DMA the restart path must still quiesce). Detaching the
-  // frontends wakes their in-flight waits with kDead.
+  blkback_->Kill();
   for (auto& g : guests_) {
     if (hv_->DomainAlive(g->domain)) {
       g->blkfront->OnBackendDead(storage_dom_);
@@ -250,6 +245,7 @@ Err VmmStack::KillDom0() { return hv_->DestroyDomain(dom0_); }
 Err VmmStack::KillGuest(size_t i) { return hv_->DestroyDomain(guest(i).domain); }
 
 Err VmmStack::RestartStorage() {
+  (void)KillStorage();  // a no-op once the service is dead
   // The supervisor has decided the backend is gone: advance each live
   // frontend's xenbus machine and quiesce the disk's completion queue so
   // no in-flight DMA queued by the dead backend lands after teardown.
@@ -271,6 +267,13 @@ Err VmmStack::RestartStorage() {
 }
 
 Err VmmStack::RestartNetDomain() {
+  if (config_.net_driver_domain) {
+    (void)KillNetDomain();  // a no-op once the driver VM is dead
+  } else {
+    // A Dom0-hosted netback is replaced in place, and its successor maps
+    // at the same VAs.
+    netback_->ReleaseMappings();
+  }
   for (auto& g : guests_) {
     if (hv_->DomainAlive(g->domain)) {
       g->netfront->xenbus().OnDetected();
@@ -283,12 +286,6 @@ Err VmmStack::RestartNetDomain() {
   for (auto& g : guests_) {
     if (hv_->DomainAlive(g->domain)) {
       UKVM_TRY(g->netfront->Reconnect(*netback_));
-    }
-  }
-  // The routing table died with the old netback; replay the recorded routes.
-  for (const auto& [wire_port, idx] : wire_routes_) {
-    if (idx < guests_.size() && hv_->DomainAlive(guests_[idx]->domain)) {
-      netback_->RoutePort(wire_port, guests_[idx]->domain);
     }
   }
   return Err::kNone;

@@ -21,6 +21,7 @@
 #include "src/hw/nic.h"
 #include "src/hw/platform.h"
 #include "src/os/kernel.h"
+#include "src/os/net_protocol.h"
 #include "src/os/ports/vmm_port.h"
 #include "src/stacks/blksplit.h"
 #include "src/stacks/netsplit.h"
@@ -104,19 +105,22 @@ class VmmStack {
   // Runs `fn` as guest `i`'s application (guest-user context).
   ukvm::Err RunAsApp(size_t i, const std::function<void()>& fn);
 
-  // Routes inbound wire traffic for `wire_port` to guest `i`.
+  // Routes inbound wire traffic for `wire_port` to guest `i` through the
+  // stack-owned routing table, which survives netback restarts. Packets
+  // for a dead guest's port are dropped.
   void RouteWirePort(uint16_t wire_port, size_t i);
 
   // --- Fault injection (experiment E5) ----------------------------------------
+  //
+  // Kill is the only death edge; every Restart* below starts with it.
 
-  // Kills the storage service (the Parallax VM, or Dom0 if storage is there).
+  // Kills the storage service. With Parallax the service is a whole VM:
+  // domain death, with reclamation and kDomainDead upcalls. Inside Dom0 it
+  // is the blkback alone: the driver crashes, Dom0 survives, the backend
+  // unmaps its persistent grants and stops answering, and the frontends
+  // detach so in-flight requests wake with kDead. kBadHandle or kDead once
+  // the service is already dead.
   ukvm::Err KillStorage();
-  // Crashes the storage *service*. With Parallax the service is a whole VM,
-  // so this is KillStorage (domain death: reclamation + kDomainDead
-  // upcalls). Inside Dom0 it is a driver crash — the domain survives but
-  // the backend stops answering; frontends detach so in-flight requests
-  // wake with kDead and the watchdog's RestartStorage rebuilds the service.
-  ukvm::Err CrashStorageService();
   // Kills the network driver domain (Dom0 unless disaggregated).
   ukvm::Err KillNetDomain();
   ukvm::Err KillDom0();
@@ -128,20 +132,23 @@ class VmmStack {
   // upcalls the surviving guests (kDomainDead); frontends journal writes
   // and replay them (same ids) over a xenbus-style reconnect, and the
   // stack-owned BlkStore keeps every guest's slice and makes block writes
-  // exactly-once across backend restarts.
+  // exactly-once across backend restarts. A restart reconnects only live
+  // guests.
 
-  // Boots a replacement storage backend (a fresh Parallax VM when
-  // disaggregated; rebuilding inside Dom0 otherwise requires Dom0 alive)
-  // and reconnects every guest's blkfront. Disk contents survive. The path
-  // quiesces the disk's DMA queue first and drives each frontend's xenbus
-  // machine through reconnect + replay.
+  // KillStorage (a no-op once the service is dead), then boots a
+  // replacement storage backend (a fresh Parallax VM when disaggregated;
+  // rebuilding inside Dom0 otherwise requires Dom0 alive) and reconnects
+  // each live guest's blkfront. Disk contents survive. The path quiesces
+  // the disk's DMA queue first and drives each frontend's xenbus machine
+  // through reconnect + replay.
   ukvm::Err RestartStorage();
 
-  // Boots a replacement network backend (a fresh driver VM when
-  // disaggregated; rebuilding inside Dom0 otherwise), reconnects every
-  // guest's netfront, and replays the recorded wire routes. Posted rx
-  // buffers and in-flight NIC completions are cancelled before the old
-  // driver is torn down.
+  // Boots a replacement network backend and reconnects each live guest's
+  // netfront. A disaggregated driver VM is killed first (a no-op once it
+  // is dead); a Dom0-hosted netback is replaced in place and unmaps its
+  // persistent grants first. Posted rx buffers and in-flight NIC
+  // completions are cancelled before the old driver is torn down. The
+  // wire routes need no replay: the stack owns them.
   ukvm::Err RestartNetDomain();
 
   // The stack-owned slice table and exactly-once write log (survives
@@ -187,14 +194,12 @@ class VmmStack {
   std::unique_ptr<PortMux> net_mux_;
   std::unique_ptr<udrv::NicDriver> nic_driver_;
   std::unique_ptr<udrv::DiskDriver> disk_driver_;
-  // Outlives every blkback that uses it.
+  // Outlive every backend that uses them.
   minios::BlkStore blk_store_{config_.slice_blocks, config_.disk.capacity_blocks};
+  minios::NetRoutes net_routes_;
   std::unique_ptr<NetBack> netback_;
   std::unique_ptr<BlkBack> blkback_;
   std::vector<std::unique_ptr<Guest>> guests_;
-  // Wire routes as (wire port, guest index), replayed after a net restart
-  // (the routing table lives in the netback and dies with it).
-  std::vector<std::pair<uint16_t, size_t>> wire_routes_;
   // Declared last: destroyed first, emptying the machine's observer slot
   // while the hypervisor and machine are still alive.
   std::unique_ptr<ucheck::Auditor> auditor_;

@@ -332,8 +332,6 @@ std::optional<uint32_t> GrantCache::LookupGrant(uint64_t key) const {
 
 void GrantCache::InsertGrant(uint64_t key, uint32_t gref) { grants_[key] = gref; }
 
-void GrantCache::DropGrant(uint64_t key) { grants_.erase(key); }
-
 std::optional<hwsim::Vaddr> GrantCache::LookupMapping(DomainId granter, uint32_t ref) const {
   auto it = mappings_.find(MapKey(granter, ref));
   if (it == mappings_.end()) {
@@ -348,14 +346,18 @@ void GrantCache::InsertMapping(DomainId granter, uint32_t ref, hwsim::Vaddr va) 
   mappings_[MapKey(granter, ref)] = va;
 }
 
-void GrantCache::DropMappingsOf(DomainId granter) {
-  for (auto it = mappings_.begin(); it != mappings_.end();) {
-    if (DomainId{static_cast<uint32_t>(it->first >> 32)} == granter) {
-      it = mappings_.erase(it);
-    } else {
-      ++it;
-    }
+std::vector<GrantCache::Mapping> GrantCache::TakeMappings() {
+  std::vector<Mapping> out;
+  out.reserve(mappings_.size());
+  for (const auto& [key, va] : mappings_) {
+    out.push_back(Mapping{DomainId{static_cast<uint32_t>(key >> 32)},
+                          static_cast<uint32_t>(key), va});
   }
+  std::sort(out.begin(), out.end(), [](const Mapping& a, const Mapping& b) {
+    return MapKey(a.granter, a.ref) < MapKey(b.granter, b.ref);
+  });
+  mappings_.clear();
+  return out;
 }
 
 void GrantCache::Clear() {

@@ -171,12 +171,18 @@ class GrantCache {
   // (usually the pfn; blkfront packs the direction in too).
   std::optional<uint32_t> LookupGrant(uint64_t key) const;
   void InsertGrant(uint64_t key, uint32_t gref);
-  void DropGrant(uint64_t key);
 
   // Backend: a granted page we keep mapped.
+  struct Mapping {
+    ukvm::DomainId granter;
+    uint32_t ref = 0;
+    hwsim::Vaddr va = 0;
+  };
   std::optional<hwsim::Vaddr> LookupMapping(ukvm::DomainId granter, uint32_t ref) const;
   void InsertMapping(ukvm::DomainId granter, uint32_t ref, hwsim::Vaddr va);
-  void DropMappingsOf(ukvm::DomainId granter);
+  // Forgets every mapping and returns them in (granter, ref) order, for
+  // the backend to unmap.
+  std::vector<Mapping> TakeMappings();
 
   void Clear();
   uint64_t hits() const { return hits_; }

@@ -791,6 +791,9 @@ FuzzResult RunVmmRecoveryFuzz(uint64_t seed, uint32_t steps, bool parallax) {
   ustack::VmmStack::Config config;
   config.parallax_storage = parallax;
   config.race_detect = true;  // E20: crash/replay histories must stay race-free
+  // Even seeds keep grants mapped across requests, so every replaced
+  // backend must release its persistent mappings.
+  config.persistent_grants = seed % 2 == 0;
   ustack::VmmStack stack(config);
   auto& front = *stack.guest(0).blkfront;
   RecoveryTarget t;
@@ -801,7 +804,7 @@ FuzzResult RunVmmRecoveryFuzz(uint64_t seed, uint32_t steps, bool parallax) {
   t.read = [&](uint64_t lba, std::span<uint8_t> out) { return front.Read(lba, 1, out); };
   // Parallax: whole-VM death (reclamation + kDomainDead upcalls). Dom0
   // storage: a driver crash inside the surviving Dom0.
-  t.kill = [&] { parallax ? (void)stack.KillStorage() : (void)stack.CrashStorageService(); };
+  t.kill = [&] { (void)stack.KillStorage(); };
   t.restart = [&] { return stack.RestartStorage(); };
   t.journal = &front.journal();
   t.store = &stack.blk_store();

@@ -211,8 +211,7 @@ TEST(Recovery, VmmDom0StorageServiceCrashRecovers) {
   ASSERT_EQ(front.Write(1, 1, block), Err::kNone);
 
   std::vector<uint8_t> limbo(bs, 0x44);
-  stack.machine().ScheduleAfter(50 * hwsim::kCyclesPerUs,
-                                [&] { (void)stack.CrashStorageService(); });
+  stack.machine().ScheduleAfter(50 * hwsim::kCyclesPerUs, [&] { (void)stack.KillStorage(); });
   EXPECT_EQ(front.Write(2, 1, limbo), Err::kDead);
   EXPECT_EQ(front.journal().size(), 1u);
 
@@ -242,8 +241,7 @@ TEST(Recovery, ProbeOvertakingAnAppliedWriteStillSuppressesItsReplay) {
 
   front.StartLivenessProbe(/*interval_cycles=*/20 * hwsim::kCyclesPerUs,
                            /*timeout_cycles=*/1'000 * hwsim::kCyclesPerUs);
-  stack.machine().ScheduleAfter(50 * hwsim::kCyclesPerUs,
-                                [&] { (void)stack.CrashStorageService(); });
+  stack.machine().ScheduleAfter(50 * hwsim::kCyclesPerUs, [&] { (void)stack.KillStorage(); });
   EXPECT_EQ(front.Write(3, 1, block), Err::kDead);
   EXPECT_EQ(front.journal().size(), 1u);
   // The crashed driver's in-flight write still reaches the disk.
@@ -355,6 +353,37 @@ TEST(Recovery, UkernelServerKillReplaysJournaledWrites) {
     stack.auditor()->Checkpoint("after-recovery");
     EXPECT_EQ(stack.auditor()->violation_count(), 0u);
   }
+}
+
+TEST(Recovery, UkernelRestartLeavesADeadGuestsJournalAlone) {
+  // A guest killed during a block-server outage is no client any more: no
+  // restart may reconnect it or put its journaled write on the disk.
+  ustack::UkernelStack::Config config;
+  config.num_guests = 2;
+  ustack::UkernelStack stack(config);
+  auto& dead = stack.guest(0);
+  const uint32_t bs = dead.port->block()->block_size();
+  ASSERT_EQ(stack.KillBlockServer(), Err::kNone);
+  EXPECT_EQ(dead.port->block()->Write(3, 1, std::vector<uint8_t>(bs, 0xee)), Err::kDead);
+  ASSERT_EQ(dead.port->blk_journal().size(), 1u);
+  ASSERT_EQ(stack.KillGuest(0), Err::kNone);
+  const uint64_t applied_before = stack.blk_store().applied_total();
+
+  ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
+  ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);  // this one replaces a live server
+  EXPECT_EQ(dead.xenbus.reconnects(), 0u);
+  EXPECT_EQ(dead.xenbus.replayed_total(), 0u);
+  EXPECT_EQ(dead.port->blk_journal().size(), 1u);
+  EXPECT_EQ(stack.blk_store().applied_total(), applied_before);
+
+  // The survivor reconnected both times and keeps its storage.
+  auto& live = stack.guest(1);
+  EXPECT_EQ(live.xenbus.reconnects(), 2u);
+  std::vector<uint8_t> data(bs, 0x5e);
+  std::vector<uint8_t> back(bs);
+  ASSERT_EQ(live.port->block()->Write(3, 1, data), Err::kNone);
+  ASSERT_EQ(live.port->block()->Read(3, 1, back), Err::kNone);
+  EXPECT_EQ(back, data);
 }
 
 TEST(Recovery, UkernelDuplicateReplayIsSuppressed) {
@@ -475,7 +504,7 @@ TEST(Recovery, StorageRestartAfterGuestDeathKeepsEverySlice) {
   // hand each survivor the slice of the guest before it.
   constexpr uint8_t kFill[3] = {0x11, 0x22, 0x33};
   for (const bool parallax : {true, false}) {
-    SCOPED_TRACE(parallax ? "vmm + parallax, KillStorage" : "vmm dom0, CrashStorageService");
+    SCOPED_TRACE(parallax ? "vmm + parallax" : "vmm dom0 storage");
     ustack::VmmStack::Config config;
     config.parallax_storage = parallax;
     config.num_guests = 3;
@@ -487,7 +516,7 @@ TEST(Recovery, StorageRestartAfterGuestDeathKeepsEverySlice) {
                 Err::kNone);
     }
     ASSERT_EQ(stack.KillGuest(0), Err::kNone);
-    ASSERT_EQ(parallax ? stack.KillStorage() : stack.CrashStorageService(), Err::kNone);
+    ASSERT_EQ(stack.KillStorage(), Err::kNone);
     ASSERT_EQ(stack.RestartStorage(), Err::kNone);
     for (size_t i = 1; i < 3; ++i) {
       std::vector<uint8_t> back(bs);
@@ -524,6 +553,68 @@ TEST(Recovery, StorageRestartAfterGuestDeathKeepsEverySlice) {
   }
 }
 
+// --- A replaced backend releases its persistent mappings ------------------------
+//
+// With persistent grants a backend keeps guest pages mapped at fixed VAs in
+// its domain, and its successor maps at the same VAs. A backend replaced
+// inside a surviving Dom0 must unmap first, or each grant's mapping count
+// and the live PTEs disagree.
+
+TEST(Recovery, Dom0StorageRestartReleasesPersistentMappings) {
+  ustack::VmmStack::Config config;
+  config.persistent_grants = true;  // storage stays in Dom0
+  ustack::VmmStack stack(config);
+  ASSERT_NE(stack.auditor(), nullptr);
+  auto& front = *stack.guest(0).blkfront;
+  const uint32_t bs = front.block_size();
+  std::vector<uint8_t> back(bs);
+  for (const bool live : {true, false}) {
+    SCOPED_TRACE(live ? "restart of a live backend" : "restart after the kill");
+    const std::vector<uint8_t> block(bs, live ? 0x6b : 0x6c);
+    for (uint64_t lba = 0; lba < 4; ++lba) {
+      ASSERT_EQ(front.Write(lba, 1, block), Err::kNone);
+    }
+    if (!live) {
+      ASSERT_EQ(stack.KillStorage(), Err::kNone);
+    }
+    ASSERT_EQ(stack.RestartStorage(), Err::kNone);
+    for (uint64_t lba = 0; lba < 4; ++lba) {
+      ASSERT_EQ(front.Read(lba, 1, back), Err::kNone);
+      EXPECT_EQ(back, block);
+      ASSERT_EQ(front.Write(lba + 8, 1, block), Err::kNone);
+    }
+    stack.auditor()->Checkpoint("after-storage-restart");
+    EXPECT_EQ(CountRule(*stack.auditor(), Invariant::kGrantRefcountMismatch), 0u);
+    EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+  }
+}
+
+TEST(Recovery, Dom0NetRestartReleasesPersistentMappings) {
+  ustack::VmmStack::Config config;
+  config.persistent_grants = true;  // the netback stays in Dom0
+  ustack::VmmStack stack(config);
+  ASSERT_NE(stack.auditor(), nullptr);
+  uwork::WireHost wire(stack.machine(), stack.nic());
+  const auto send4 = [&] {
+    stack.RunAsApp(0, [&] {
+      auto& os = stack.guest_os(0);
+      auto pid = os.Spawn("tx");
+      for (uint8_t i = 0; i < 4; ++i) {
+        std::vector<uint8_t> p = {i, 1, 2};
+        EXPECT_EQ(os.NetSend(*pid, 80, 7, p), 3);
+      }
+    });
+    stack.machine().RunUntilIdle();
+  };
+  send4();
+  ASSERT_EQ(stack.RestartNetDomain(), Err::kNone);
+  send4();
+  EXPECT_EQ(wire.packets_received(), 8u);
+  stack.auditor()->Checkpoint("after-net-restart");
+  EXPECT_EQ(CountRule(*stack.auditor(), Invariant::kGrantRefcountMismatch), 0u);
+  EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+}
+
 // --- A kill inside a restart's own replay ----------------------------------------
 //
 // A restart replays the journal through each client's ordinary submit path.
@@ -539,9 +630,7 @@ TEST(Recovery, VmmKillInsideReplayKeepsTheTailJournaled) {
     ustack::VmmStack stack(config);
     auto& front = *stack.guest(0).blkfront;
     const uint32_t bs = front.block_size();
-    const auto kill = [&] {
-      parallax ? (void)stack.KillStorage() : (void)stack.CrashStorageService();
-    };
+    const auto kill = [&] { (void)stack.KillStorage(); };
 
     // The backend dies with one write on the ring: it journals.
     std::vector<uint8_t> limbo(bs, 0xc3);

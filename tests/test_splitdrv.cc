@@ -10,6 +10,7 @@
 #include "src/hw/disk.h"
 #include "src/hw/machine.h"
 #include "src/hw/nic.h"
+#include "src/os/net_protocol.h"
 #include "src/os/netstack.h"
 #include "src/stacks/blksplit.h"
 #include "src/stacks/netsplit.h"
@@ -103,13 +104,14 @@ class SplitDrvTest : public ::testing::Test {
   uvmm::Hypervisor hv_;
   DomainId dom0_, guest_;
   ustack::PortMux dom0_mux_, guest_mux_;
+  minios::NetRoutes routes_;  // none: every packet goes to the first channel
   std::unique_ptr<udrv::NicDriver> nic_driver_;
   std::unique_ptr<udrv::DiskDriver> disk_driver_;
 };
 
 TEST_F(SplitDrvTest, NetTxGoesOutZeroCopy) {
   ustack::NetBack back(machine_, hv_, dom0_, *nic_driver_, ustack::RxMode::kPageFlip,
-                       dom0_mux_);
+                       dom0_mux_, routes_);
   nic_driver_->SetRxCallback(
       [&back](hwsim::Frame f, uint32_t len) { back.OnPacketReceived(f, len); });
   ustack::NetFront front(machine_, hv_, guest_, GuestPfns(100, 164), guest_mux_);
@@ -132,7 +134,7 @@ TEST_F(SplitDrvTest, NetTxGoesOutZeroCopy) {
 
 TEST_F(SplitDrvTest, NetRxFlipDeliversIntactPayload) {
   ustack::NetBack back(machine_, hv_, dom0_, *nic_driver_, ustack::RxMode::kPageFlip,
-                       dom0_mux_);
+                       dom0_mux_, routes_);
   nic_driver_->SetRxCallback(
       [&back](hwsim::Frame f, uint32_t len) { back.OnPacketReceived(f, len); });
   ustack::NetFront front(machine_, hv_, guest_, GuestPfns(100, 164), guest_mux_);
@@ -159,7 +161,7 @@ TEST_F(SplitDrvTest, NetRxFlipDeliversIntactPayload) {
 TEST_F(SplitDrvTest, NetRxSurvivesManyPackets) {
   // Slot replenishment must keep up across many flips.
   ustack::NetBack back(machine_, hv_, dom0_, *nic_driver_, ustack::RxMode::kPageFlip,
-                       dom0_mux_);
+                       dom0_mux_, routes_);
   nic_driver_->SetRxCallback(
       [&back](hwsim::Frame f, uint32_t len) { back.OnPacketReceived(f, len); });
   ustack::NetFront front(machine_, hv_, guest_, GuestPfns(100, 164), guest_mux_);
@@ -176,7 +178,7 @@ TEST_F(SplitDrvTest, NetRxSurvivesManyPackets) {
 
 TEST_F(SplitDrvTest, NetRxDroppedWithoutSlots) {
   ustack::NetBack back(machine_, hv_, dom0_, *nic_driver_, ustack::RxMode::kPageFlip,
-                       dom0_mux_);
+                       dom0_mux_, routes_);
   nic_driver_->SetRxCallback(
       [&back](hwsim::Frame f, uint32_t len) { back.OnPacketReceived(f, len); });
   // A frontend with a tiny pool: 2 pfns -> 1 rx slot.
@@ -194,7 +196,7 @@ TEST_F(SplitDrvTest, NetRxDroppedWithoutSlots) {
 
 TEST_F(SplitDrvTest, NetRxToDeadGuestDropped) {
   ustack::NetBack back(machine_, hv_, dom0_, *nic_driver_, ustack::RxMode::kPageFlip,
-                       dom0_mux_);
+                       dom0_mux_, routes_);
   nic_driver_->SetRxCallback(
       [&back](hwsim::Frame f, uint32_t len) { back.OnPacketReceived(f, len); });
   ustack::NetFront front(machine_, hv_, guest_, GuestPfns(100, 164), guest_mux_);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/os/netstack.h"
 #include "src/stacks/ukernel_stack.h"
 #include "src/stacks/vmm_stack.h"
 #include "src/workloads/netio.h"
@@ -387,15 +388,38 @@ TEST(UkernelStack, BlockServerRestartRestoresServiceAndData) {
 TEST(UkernelStack, NetServerRestartRestoresTraffic) {
   ustack::UkernelStack stack;
   uwork::WireHost wire(stack.machine(), stack.nic());
+  stack.RouteWirePort(40, 0);
   ASSERT_EQ(stack.KillNetServer(), Err::kNone);
   ASSERT_EQ(stack.RestartNetServer(), Err::kNone);
   stack.RunAsApp(0, [&] {
-    auto pid = stack.guest_os(0).Spawn("tx");
+    auto& os = stack.guest_os(0);
+    auto pid = os.Spawn("tx");
     std::vector<uint8_t> p = {1, 2};
-    EXPECT_EQ(stack.guest_os(0).NetSend(*pid, 80, 7, p), 2);
+    EXPECT_EQ(os.NetSend(*pid, 80, 7, p), 2);
+    // Inbound traffic too: the kill edge forgot the dead server's rx
+    // buffers, and the stack-owned route still names the guest.
+    ASSERT_EQ(os.NetBind(*pid, 40), 0);
+    wire.StartStream(40, 200, 50 * hwsim::kCyclesPerUs, 8);
+    const uwork::WorkloadResult recv = uwork::RunUdpReceive(
+        stack.machine(), os, *pid, 40, 8, /*timeout=*/1'000'000'000ull);
+    EXPECT_EQ(recv.ops_succeeded, 8u);
   });
   stack.machine().RunUntilIdle();
   EXPECT_EQ(wire.packets_received(), 1u);
+}
+
+TEST(UkernelStack, RestartingALiveServerLeavesNoOldInstance) {
+  ustack::UkernelStack stack;
+  const ukvm::DomainId old_blk = stack.block_server().task();
+  const ukvm::DomainId old_net = stack.net_server().task();
+  ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
+  ASSERT_EQ(stack.RestartNetServer(), Err::kNone);
+  EXPECT_FALSE(stack.kernel().TaskAlive(old_blk));
+  EXPECT_FALSE(stack.kernel().TaskAlive(old_net));
+  EXPECT_TRUE(stack.kernel().TaskAlive(stack.block_server().task()));
+  EXPECT_TRUE(stack.kernel().TaskAlive(stack.net_server().task()));
+  EXPECT_EQ(stack.ProbeBlockService(), Err::kNone);
+  EXPECT_EQ(stack.ProbeNetService(), Err::kNone);
 }
 
 TEST(VmmStack, ParallaxRestartRestoresServiceAndData) {
@@ -428,6 +452,22 @@ TEST(VmmStack, ParallaxRestartRestoresServiceAndData) {
   });
 }
 
+TEST(VmmStack, RestartingLiveParallaxLeavesNoOldInstance) {
+  ustack::VmmStack::Config config;
+  config.parallax_storage = true;
+  ustack::VmmStack stack(config);
+  const uint64_t free_before = stack.machine().memory().free_frames();
+  for (int i = 0; i < 2; ++i) {
+    const ukvm::DomainId old = stack.storage_domain();
+    ASSERT_EQ(stack.RestartStorage(), Err::kNone);
+    EXPECT_FALSE(stack.hv().DomainAlive(old));
+    EXPECT_NE(stack.storage_domain(), old);
+    // The old VM's frames came back before the new VM took its own.
+    EXPECT_EQ(stack.machine().memory().free_frames(), free_before) << "restart " << i;
+  }
+  EXPECT_EQ(stack.ProbeStorageService(), Err::kNone);
+}
+
 TEST(VmmStack, Dom0HostedStorageCannotRestartAfterDom0Dies) {
   ustack::VmmStack stack;  // storage inside Dom0
   ASSERT_EQ(stack.KillDom0(), Err::kNone);
@@ -458,6 +498,40 @@ TEST(CrossStack, SameWorkloadSucceedsEverywhere) {
   EXPECT_DOUBLE_EQ(uk_result.SuccessRate(), 1.0);
   EXPECT_DOUBLE_EQ(vmm_result.SuccessRate(), 1.0);
   EXPECT_EQ(uk_result.ops_attempted, vmm_result.ops_attempted);
+}
+
+TEST(CrossStack, WireRoutingIsTheSameOnBothStacks) {
+  // One routing table on both stacks: a packet routed to a dead guest is
+  // dropped, and an unrouted one goes to the first attached guest. The
+  // unrouted packet here is malformed (its length field overruns the
+  // frame) but starts with the dead guest's port.
+  const std::vector<uint8_t> routed = minios::BuildPacket(40, 9, std::vector<uint8_t>(16));
+  std::vector<uint8_t> malformed = routed;
+  malformed[4] = 0xff;
+  {
+    ustack::UkernelStack::Config config;
+    config.num_guests = 2;
+    ustack::UkernelStack stack(config);
+    stack.RouteWirePort(40, 1);
+    ASSERT_EQ(stack.KillGuest(1), Err::kNone);
+    stack.nic().InjectPacket(routed);
+    stack.nic().InjectPacket(malformed);
+    stack.machine().RunUntilIdle();
+    EXPECT_EQ(stack.net_server().rx_dropped(), 1u);
+    EXPECT_EQ(stack.net_server().rx_forwarded(), 1u);
+  }
+  {
+    ustack::VmmStack::Config config;
+    config.num_guests = 2;
+    ustack::VmmStack stack(config);
+    stack.RouteWirePort(40, 1);
+    ASSERT_EQ(stack.KillGuest(1), Err::kNone);
+    stack.nic().InjectPacket(routed);
+    stack.nic().InjectPacket(malformed);
+    stack.machine().RunUntilIdle();
+    EXPECT_EQ(stack.netback().rx_dropped(), 1u);
+    EXPECT_EQ(stack.netback().rx_delivered(), 1u);
+  }
 }
 
 TEST(CrossStack, BothStacksCrossDomainsHeavily) {
