@@ -118,7 +118,7 @@ int main() {
     c.net_driver_domain = true;
     ustack::VmmStack stack(c);
     Scenario(table, "vmm fully disaggregated", "kill net driver VM", stack,
-             [](ustack::VmmStack& s) { (void)s.KillNetDomain(); });
+             [](ustack::VmmStack& s) { (void)s.KillNetService(); });
   }
 
   // The super-VM single point of failure (§2.2): Dom0 hosts drivers AND

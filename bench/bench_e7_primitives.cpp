@@ -8,10 +8,13 @@
 // implementing each subsystem.
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "src/core/tcb.h"
 #include "src/experiments/table.h"
 #include "src/hw/machine.h"
+#include "src/stacks/tcb_lists.h"
 #include "src/ukernel/kernel.h"
 #include "src/vmm/hypervisor.h"
 
@@ -20,12 +23,9 @@ namespace {
 using ukvm::DomainId;
 using ukvm::ThreadId;
 
-uint64_t Lines(std::initializer_list<const char*> files) {
-  uint64_t total = 0;
-  for (const char* f : files) {
-    total += ukvm::CountSourceLines(f);
-  }
-  return total;
+// The privileged lines of one configuration, from E8's component lists.
+uint64_t PrivilegedLines(const std::vector<ukvm::TcbComponent>& components) {
+  return ukvm::BuildTcbReport("", components).privileged_lines;
 }
 
 }  // namespace
@@ -99,10 +99,8 @@ int main() {
                     (void)kernel.AssociateIrq(ukvm::IrqLine(3), server);
                   }))});
     table.AddRow({"(kernel total)",
-                  "privileged LoC: " + uharness::FmtInt(Lines(
-                      {"src/ukernel/kernel.cc", "src/ukernel/kernel.h", "src/ukernel/ipc.h",
-                       "src/ukernel/mapdb.cc", "src/ukernel/mapdb.h", 
-                       "src/ukernel/sched.h", "src/ukernel/task.h", "src/ukernel/thread.h"})),
+                  "privileged LoC: " +
+                      uharness::FmtInt(PrivilegedLines(ustack::UkernelTcbComponents())),
                   ""});
     table.Print();
   }
@@ -122,7 +120,8 @@ int main() {
       return machine.Now() - t0;
     };
 
-    uharness::Table table("VMM: 12 hypercalls, one mechanism per concern (paper §2.2 list)",
+    uharness::Table table("VMM: 12 of the " + std::to_string(uvmm::kHypercallCount) +
+                              " hypercalls measured, one mechanism per concern (paper §2.2 list)",
                           {"hypercall", "paper §2.2 primitive", "cycles (one op)"});
     table.AddRow({"set_trap_table", "#1/#2/#7 exception virtualisation",
                   uharness::FmtInt(Measure([&] {
@@ -177,12 +176,8 @@ int main() {
                     (void)hv.DestroyDomain(*d);
                   }))});
     table.AddRow({"(hypervisor total)",
-                  "privileged LoC: " + uharness::FmtInt(Lines(
-                      {"src/vmm/hypervisor.cc", "src/vmm/hypervisor.h", "src/vmm/domain.h",
-                       "src/vmm/event_channel.cc", "src/vmm/event_channel.h",
-                       "src/vmm/grant_table.cc", "src/vmm/grant_table.h", "src/vmm/pt_virt.cc",
-                       "src/vmm/pt_virt.h", "src/vmm/exception_virt.cc",
-                       "src/vmm/exception_virt.h", "src/vmm/sched.cc", "src/vmm/sched.h"})),
+                  "privileged LoC: " + uharness::FmtInt(PrivilegedLines(ustack::VmmTcbComponents(
+                                           /*parallax_storage=*/false))),
                   ""});
     table.Print();
   }

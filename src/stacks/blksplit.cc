@@ -27,7 +27,8 @@ BlkBack::BlkBack(hwsim::Machine& machine, uvmm::Hypervisor& hv, DomainId backend
       driver_(driver),
       mux_(mux),
       health_(machine, "vmm.blk"),
-      store_(store) {
+      store_(store),
+      mappings_(hv, backend, kBlkMapBase, kBlkMapSlots) {
   req_dev_name_ = machine_.reqtrace().InternName("disk.io");
 }
 
@@ -58,14 +59,16 @@ BlkChannel* BlkBack::Connect(DomainId guest) {
 
 void BlkBack::Kill() {
   alive_ = false;
-  for (const uvmm::GrantCache::Mapping& m : map_cache_.TakeMappings()) {
-    (void)hv_.HcGrantUnmap(backend_, m.granter, m.ref, m.va);
+  mappings_.UnmapAll();
+  for (const auto& chan : channels_) {
+    mux_.Unroute(chan->back_port);
+    (void)hv_.HcEvtchnClose(backend_, chan->back_port);
   }
 }
 
 void BlkBack::OnKick(BlkChannel& chan) {
-  if (wedged_) {
-    return;  // alive but unresponsive; requests rot in the ring
+  if (wedged_ || !alive_) {
+    return;  // wedged: alive but unresponsive; requests rot in the ring
   }
   while (auto req = chan.ring->PopRequest()) {
     // Adopt the guest's request so the grant work and the response stash
@@ -74,6 +77,10 @@ void BlkBack::OnKick(BlkChannel& chan) {
                                           ? ukvm::ReqTraceRef{}
                                           : chan.ring->popped_traces()[0];
     ukvm::ReqAdoptScope req_scope(machine_.reqtrace(), req_ref);
+    const auto answer = [&](Err status) {
+      chan.ring->PushResponse(BlkResp{req->id, status});
+      (void)hv_.HcEvtchnSend(backend_, chan.back_port);
+    };
     Err err = Err::kNone;
     if (req->count == 0 || req->count > driver_.blocks_per_page() ||
         req->lba + req->count > chan.slice_blocks) {
@@ -81,8 +88,7 @@ void BlkBack::OnKick(BlkChannel& chan) {
     } else if (req->is_write && store_.AlreadyApplied(chan.guest, req->id, req->low_water)) {
       // Journal replay of a write that landed before the crash: answer
       // success from the store without touching the disk (exactly-once).
-      chan.ring->PushResponse(BlkResp{req->id, Err::kNone});
-      (void)hv_.HcEvtchnSend(backend_, chan.back_port);
+      answer(Err::kNone);
       continue;
     } else if (health_.ShouldFastFail()) {
       err = Err::kRetryExhausted;
@@ -90,22 +96,10 @@ void BlkBack::OnKick(BlkChannel& chan) {
     hwsim::Vaddr map_va = 0;
     hwsim::Frame frame = 0;
     if (err == Err::kNone) {
-      if (persistent_) {
-        if (auto va = map_cache_.LookupMapping(chan.guest, req->gref)) {
-          map_va = *va;
-        } else {
-          map_va = kBlkMapBase + (kBlkMapSlots + next_persistent_slot_++) *
-                                     machine_.memory().page_size();
-          err = hv_.HcGrantMap(backend_, chan.guest, req->gref, map_va, !req->is_write);
-          if (err == Err::kNone) {
-            map_cache_.InsertMapping(chan.guest, req->gref, map_va);
-          }
-        }
-      } else {
-        map_va = kBlkMapBase + (map_counter_++ % kBlkMapSlots) * machine_.memory().page_size();
-        err = hv_.HcGrantMap(backend_, chan.guest, req->gref, map_va, !req->is_write);
-      }
+      auto va = mappings_.Map(chan.guest, req->gref, !req->is_write);
+      err = ukvm::GetErr(va);
       if (err == Err::kNone) {
+        map_va = *va;
         uvmm::Domain* back_dom = hv_.FindDomain(backend_);
         const hwsim::Pte* pte = back_dom->space.Walk(map_va);
         assert(pte != nullptr && pte->present);
@@ -117,18 +111,21 @@ void BlkBack::OnKick(BlkChannel& chan) {
       }
     }
     if (err != Err::kNone) {
-      chan.ring->PushResponse(BlkResp{req->id, err});
-      (void)hv_.HcEvtchnSend(backend_, chan.back_port);
+      answer(err);
       continue;
     }
     const uint64_t abs_lba = chan.slice_base + req->lba;
     const uint64_t id = req->id;
-    const uint32_t gref = req->gref;
     const bool is_write = req->is_write;
     BlkChannel* chan_ptr = &chan;
     const uint64_t submit_t0 = machine_.Now();
-    auto done = [this, chan_ptr, id, gref, map_va, is_write, frame, req_ref,
-                 submit_t0](Err status) {
+    auto done = [this, chan_ptr, id, map_va, is_write, frame, req_ref, submit_t0](Err status) {
+      if (status == Err::kNone && is_write) {
+        store_.MarkApplied(chan_ptr->guest, id);  // the disk has it
+      }
+      if (!alive_) {
+        return;  // orphaned by Kill: the mapping and the channel are gone
+      }
       // Device completion runs in event context with no ambient request;
       // re-adopt so the disk leaf and the response stash stay causal.
       ukvm::ReqAdoptScope dev_scope(machine_.reqtrace(), req_ref);
@@ -136,9 +133,6 @@ void BlkBack::OnKick(BlkChannel& chan) {
                                   backend_, submit_t0, machine_.Now());
       if (status == Err::kNone) {
         health_.RecordSuccess();
-        if (is_write) {
-          store_.MarkApplied(chan_ptr->guest, id);
-        }
         if (!is_write) {
           // The disk DMA filled the guest's page; this completion runs in
           // device-event context, so the backend id is named explicitly.
@@ -147,9 +141,7 @@ void BlkBack::OnKick(BlkChannel& chan) {
       } else {
         health_.RecordFailure();
       }
-      if (!persistent_) {
-        (void)hv_.HcGrantUnmap(backend_, chan_ptr->guest, gref, map_va);
-      }
+      mappings_.Done(map_va);
       chan_ptr->ring->PushResponse(BlkResp{id, status});
       ++served_;
       (void)hv_.HcEvtchnSend(backend_, chan_ptr->back_port);
@@ -157,11 +149,8 @@ void BlkBack::OnKick(BlkChannel& chan) {
     const Err submit = req->is_write ? driver_.Write(abs_lba, req->count, frame, done)
                                      : driver_.Read(abs_lba, req->count, frame, done);
     if (submit != Err::kNone) {
-      if (!persistent_) {
-        (void)hv_.HcGrantUnmap(backend_, chan.guest, gref, map_va);
-      }
-      chan.ring->PushResponse(BlkResp{id, submit});
-      (void)hv_.HcEvtchnSend(backend_, chan.back_port);
+      mappings_.Done(map_va);
+      answer(submit);
     }
   }
 }
@@ -171,7 +160,7 @@ void BlkBack::OnKick(BlkChannel& chan) {
 BlkFront::BlkFront(hwsim::Machine& machine, uvmm::Hypervisor& hv, DomainId guest,
                    std::vector<uvmm::Pfn> pool, PortMux& mux)
     : machine_(machine), hv_(hv), guest_(guest), mux_(mux),
-      free_pfns_(pool.begin(), pool.end()), xenbus_(machine, "blk", guest) {
+      free_pfns_(pool.begin(), pool.end()), grants_(hv, guest), xenbus_(machine, "blk", guest) {
   hist_blk_e2e_ = machine_.tracer().InternHistogram("blk.e2e");
   auto& rt = machine_.reqtrace();
   req_write_name_ = rt.InternName("blk.write");
@@ -191,18 +180,9 @@ Err BlkFront::ProbeBackend(uint64_t timeout_cycles) {
   }
   const uint64_t id = journal_.NextId();
   const uint64_t t0 = machine_.Now();
-  // Zero-block read: the backend's bounds check rejects it (kOutOfRange)
-  // straight from the kick handler, before any grant work. The status is
-  // irrelevant — any answer proves the backend is pumping its ring.
-  if (!chan_->ring->PushRequest(BlkReq{id, /*is_write=*/false, 0, 0, 0})) {
-    return Err::kBusy;
-  }
-  Err err = hv_.HcEvtchnSend(guest_, chan_->front_port);
-  if (err != Err::kNone) {
-    return err;
-  }
-  err = machine_.WaitUntil([&] { return completed_.contains(id) || chan_ == nullptr; },
-                           timeout_cycles);
+  UKVM_TRY(SendProbe(id));
+  const Err err = machine_.WaitUntil(
+      [&] { return completed_.contains(id) || chan_ == nullptr; }, timeout_cycles);
   if (completed_.contains(id)) {
     completed_.erase(id);
     return Err::kNone;
@@ -221,6 +201,16 @@ Err BlkFront::ProbeBackend(uint64_t timeout_cycles) {
     return Err::kTimedOut;
   }
   return err;
+}
+
+Err BlkFront::SendProbe(uint64_t id) {
+  // Zero-block read: the backend's bounds check rejects it (kOutOfRange)
+  // straight from the kick handler, before any grant work. The status is
+  // irrelevant — any answer proves the backend is pumping its ring.
+  if (!chan_->ring->PushRequest(BlkReq{id, /*is_write=*/false, 0, 0, 0})) {
+    return Err::kBusy;
+  }
+  return hv_.HcEvtchnSend(guest_, chan_->front_port);
 }
 
 void BlkFront::StartLivenessProbe(uint64_t interval_cycles, uint64_t timeout_cycles) {
@@ -265,8 +255,7 @@ void BlkFront::ProbeTick() {
   // Issue the next one while the connection believes itself healthy.
   if (!probe_inflight_ && chan_ != nullptr && xenbus_.connected()) {
     const uint64_t id = journal_.NextId();
-    if (chan_->ring->PushRequest(BlkReq{id, /*is_write=*/false, 0, 0, 0}) &&
-        hv_.HcEvtchnSend(guest_, chan_->front_port) == Err::kNone) {
+    if (SendProbe(id) == Err::kNone) {
       probe_inflight_ = true;
       probe_id_ = id;
       probe_sent_at_ = machine_.Now();
@@ -282,11 +271,8 @@ Err BlkFront::Connect(BlkBack& back) {
   if (chan_ == nullptr) {
     return Err::kNoMemory;
   }
-  // Cached grants name the previous backend; a reconnect (e.g. storage
-  // restart) must re-grant against the new one.
-  gref_cache_.Clear();
-  persistent_ = back.persistent_grants();
   backend_ = back.backend();
+  grants_.Attach(backend_, back.persistent_grants());
   chan_->ring->BindRaceEndpoints(guest_, backend_);
   block_size_ = back.block_size();
   capacity_ = chan_->slice_blocks;
@@ -296,24 +282,9 @@ Err BlkFront::Connect(BlkBack& back) {
   }
   chan_->front_port = *port;
   mux_.Route(chan_->front_port, [this] { OnResponse(); });
-  xenbus_.OnConnected();  // first connect only; reconnects go via Reconnect
-  return Err::kNone;
-}
-
-void BlkFront::OnBackendDead(DomainId dead) {
-  if (dead != backend_) {
-    return;
-  }
-  xenbus_.MarkFailure(machine_.Now());
-  // Dropping the channel wakes any in-flight DoRequest wait with kDead; the
-  // channel object itself dies with the backend. Journaled writes stay.
-  chan_ = nullptr;
-}
-
-Err BlkFront::Reconnect(BlkBack& back) {
-  Err err = Connect(back);
-  if (err != Err::kNone) {
-    return err;
+  if (xenbus_.state() == XenbusState::kInit) {
+    xenbus_.OnConnected();
+    return Err::kNone;
   }
   xenbus_.OnReconnected();
   // Attach the recovery phases to every journaled request's DAG: the outage
@@ -341,6 +312,22 @@ Err BlkFront::Reconnect(BlkBack& back) {
   return Err::kNone;
 }
 
+void BlkFront::OnBackendDead(DomainId dead) {
+  if (dead != backend_ || chan_ == nullptr) {
+    return;
+  }
+  xenbus_.MarkFailure(machine_.Now());
+  const bool backend_alive = hv_.DomainAlive(backend_);
+  grants_.EndCached(backend_alive);
+  mux_.Unroute(chan_->front_port);
+  if (backend_alive) {
+    (void)hv_.HcEvtchnClose(guest_, chan_->front_port);
+  }
+  // Dropping the channel wakes any in-flight DoRequest wait with kDead; the
+  // channel object itself dies with the backend. Journaled writes stay.
+  chan_ = nullptr;
+}
+
 void BlkFront::OnResponse() {
   if (chan_ == nullptr) {
     // Late upcall from a backend that died after OnBackendDead dropped the
@@ -366,7 +353,7 @@ Err BlkFront::DoRequest(bool is_write, uint64_t lba, uint32_t count, std::span<u
   if (chan_ == nullptr) {
     // A never-connected frontend would block; once connected, a null
     // channel means OnBackendDead dropped it, so report the death (the
-    // channel comes back via Reconnect). Nothing is journaled: the request
+    // channel comes back via Connect). Nothing is journaled: the request
     // never reached a ring.
     return backend_.valid() ? Err::kDead : Err::kWouldBlock;
   }
@@ -433,33 +420,16 @@ Err BlkFront::SubmitChunk(uint64_t replay_id, bool is_write, uint64_t lba, uint3
     machine_.ChargeCopy(in.size());
     RaceFrameAccess(machine_, guest_, *mfn, /*write=*/true, "blk.payload");
   }
-  // Persistent mode caches one grant per (pfn, direction); the backend's
-  // mapping stays live, so the grant is never ended (EndGrant would see
-  // kBusy anyway while the backend holds it mapped).
-  const bool writable = !is_write;
-  const uint64_t cache_key = uint64_t{pfn} * 2 + (writable ? 1 : 0);
-  uint32_t gref = 0;
-  bool cached_grant = false;
-  if (persistent_) {
-    if (auto hit = gref_cache_.LookupGrant(cache_key)) {
-      gref = *hit;
-      cached_grant = true;
+  // The backend writes the page on a read.
+  auto grant = grants_.Grant(pfn, /*writable=*/!is_write);
+  if (!grant.ok()) {
+    free_pfns_.push_back(pfn);
+    if (!replay) {
+      rt.AbandonRequest(trace);
     }
+    return grant.error();
   }
-  if (!cached_grant) {
-    auto fresh = hv_.HcGrantAccess(guest_, backend_, pfn, writable);
-    if (!fresh.ok()) {
-      free_pfns_.push_back(pfn);
-      if (!replay) {
-        rt.AbandonRequest(trace);
-      }
-      return fresh.error();
-    }
-    gref = *fresh;
-    if (persistent_) {
-      gref_cache_.InsertGrant(cache_key, gref);
-    }
-  }
+  const uint32_t gref = *grant;
   uint64_t id = replay_id;
   if (!replay) {
     id = is_write ? journal_.Add(lba, count, in, trace) : journal_.NextId();
@@ -484,7 +454,7 @@ Err BlkFront::SubmitChunk(uint64_t replay_id, bool is_write, uint64_t lba, uint3
     }
   }
   // An answered write's fate is known, so it leaves the journal. An
-  // unanswered one (death or timeout) stays: Reconnect replays it and the
+  // unanswered one (death or timeout) stays: Connect replays it and the
   // store keeps the disk exactly-once.
   if (is_write && answered) {
     journal_.Resolve(id, err == Err::kNone);
@@ -494,9 +464,9 @@ Err BlkFront::SubmitChunk(uint64_t replay_id, bool is_write, uint64_t lba, uint3
                  machine_.Now());
     rt.EndRequest(trace);
   }
-  if (!persistent_) {
-    (void)hv_.HcGrantEnd(guest_, gref);
-  }
+  // The request ends its own grant, also after its backend's domain died
+  // (the hypervisor then answers that the grant is gone).
+  grants_.Release(gref);
   if (err == Err::kNone && !is_write) {
     RaceFrameAccess(machine_, guest_, *mfn, /*write=*/false, "blk.payload");
     machine_.memory().Read(machine_.memory().FrameBase(*mfn), out);
@@ -507,7 +477,7 @@ Err BlkFront::SubmitChunk(uint64_t replay_id, bool is_write, uint64_t lba, uint3
       rt.EndRequest(trace);
       machine_.tracer().RecordLatency(hist_blk_e2e_, machine_.Now() - t0);
     } else if (!is_write || answered) {
-      // Journaled-unanswered writes stay live: Reconnect's replay resolves
+      // Journaled-unanswered writes stay live: Connect's replay resolves
       // them and their DAG gains the recovery-phase leaves.
       rt.AbandonRequest(trace);
     }

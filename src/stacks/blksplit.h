@@ -21,10 +21,10 @@
 #include "src/os/arch_if.h"
 #include "src/os/blk_protocol.h"
 #include "src/stacks/port_mux.h"
+#include "src/stacks/split_grants.h"
 #include "src/stacks/watchdog.h"
 #include "src/stacks/xenbus.h"
 #include "src/stacks/xenring.h"
-#include "src/vmm/grant_table.h"
 #include "src/vmm/hypervisor.h"
 
 namespace ustack {
@@ -63,11 +63,11 @@ class BlkBack {
 
   BlkChannel* Connect(ukvm::DomainId guest);
 
-  // Persistent-grant mode: each guest I/O page stays mapped across requests
-  // ((guest, gref) -> va cache, no unmap on completion). Frontends learn the
-  // setting at Connect.
-  void SetPersistentGrants(bool on) { persistent_ = on; }
-  bool persistent_grants() const { return persistent_; }
+  // Persistent-grant mode: each guest I/O page stays mapped across
+  // requests (no unmap on completion). Frontends learn the setting at
+  // Connect.
+  void SetPersistentGrants(bool on) { mappings_.SetPersistent(on); }
+  bool persistent_grants() const { return mappings_.persistent(); }
 
   // Circuit breaker: persistent disk failures make the backend answer ring
   // requests with kRetryExhausted instead of burning retries per request.
@@ -80,18 +80,18 @@ class BlkBack {
   // exists to detect exactly this.
   void SetWedged(bool wedged) { wedged_ = wedged; }
 
-  // The backend crashes inside its surviving domain (a storage driver
-  // crash in Dom0; the stack detaches its frontends). It unmaps every
-  // persistent mapping, since its successor maps at the same VAs.
-  // Requests already on the disk still complete into the guests' pages;
-  // the restart quiesces the disk before the successor attaches.
+  // The backend dies inside its surviving domain (a storage driver crash
+  // in Dom0): it unmaps every mapping it holds, persistent or in flight
+  // (its successor maps at the same VAs), closes its channels' ports and
+  // serves nothing more. A write already on the disk still lands, and its
+  // completion only records it in the store.
   void Kill();
   bool alive() const { return alive_; }
 
   ukvm::DomainId backend() const { return backend_; }
   uint32_t block_size() const;
   uint64_t requests_served() const { return served_; }
-  const uvmm::GrantCache& map_cache() const { return map_cache_; }
+  const BackMappings& mappings() const { return mappings_; }
 
  private:
   void OnKick(BlkChannel& chan);
@@ -106,10 +106,7 @@ class BlkBack {
   minios::BlkStore& store_;
   bool wedged_ = false;
   bool alive_ = true;
-  bool persistent_ = false;
-  uvmm::GrantCache map_cache_;  // (guest, gref) -> backend map va
-  uint32_t next_persistent_slot_ = 0;
-  uint64_t map_counter_ = 0;
+  BackMappings mappings_;  // guest I/O pages in the backend's map window
   uint64_t served_ = 0;
   uint32_t req_dev_name_ = 0;  // E22 "disk.io" device leaf
 };
@@ -121,7 +118,9 @@ class BlkFront : public minios::BlockDevice {
            std::vector<uvmm::Pfn> pool, PortMux& mux);
   ~BlkFront() override;  // cancels any armed liveness-probe event
 
-  // Completes the handshake and adopts the backend's grant mode.
+  // Completes the handshake and adopts the backend's grant mode. Against a
+  // restarted backend it then replays every journaled write under its
+  // original id; the store suppresses the ones that landed before the crash.
   ukvm::Err Connect(BlkBack& back);
 
   // --- minios::BlockDevice ------------------------------------------------------
@@ -131,25 +130,19 @@ class BlkFront : public minios::BlockDevice {
   ukvm::Err Read(uint64_t lba, uint32_t count, std::span<uint8_t> out) override;
   ukvm::Err Write(uint64_t lba, uint32_t count, std::span<const uint8_t> in) override;
 
-  // Persistent-grant mode (taken from the backend at Connect): an I/O
-  // page's access grant is cached per (pfn, direction) and never ended, so
-  // steady state issues no grant hypercalls on the request path.
-  const uvmm::GrantCache& gref_cache() const { return gref_cache_; }
+  const FrontGrants& grants() const { return grants_; }
 
   // --- Crash recovery (E19) -------------------------------------------------
   //
-  // Writes are journaled until answered and replayed (same ids) after a
-  // reconnect.
+  // Writes are journaled until answered and replayed (same ids) when
+  // Connect rebuilds the connection.
 
-  // The backend domain died (domain-dead upcall or supervisor decision):
-  // drop the stale channel so in-flight waits wake with kDead. Journaled
-  // writes are retained for replay.
+  // The one teardown, whichever way the backend died. While its domain
+  // lives, ends the cached grants and closes this end's port (a dead
+  // domain's were reclaimed by the hypervisor). Dropping the channel wakes
+  // a request blocked on the ring with kDead; it ends its own grant, and a
+  // journaled write stays for replay.
   void OnBackendDead(ukvm::DomainId dead);
-
-  // Rebuilds the connection against a restarted backend, then replays every
-  // journaled (unanswered) write with its original id through the ordinary
-  // submit path; the store suppresses the ones that landed before the crash.
-  ukvm::Err Reconnect(BlkBack& back);
 
   // --- Frontend-driven liveness probing (E19 follow-up) ---------------------
   //
@@ -186,6 +179,7 @@ class BlkFront : public minios::BlockDevice {
   ukvm::Err SubmitChunk(uint64_t replay_id, bool is_write, uint64_t lba, uint32_t count,
                         std::span<uint8_t> out, std::span<const uint8_t> in);
   void OnResponse();
+  ukvm::Err SendProbe(uint64_t id);
   void ProbeTick();
 
   hwsim::Machine& machine_;
@@ -195,8 +189,7 @@ class BlkFront : public minios::BlockDevice {
   PortMux& mux_;
   BlkChannel* chan_ = nullptr;
   std::deque<uvmm::Pfn> free_pfns_;
-  bool persistent_ = false;
-  uvmm::GrantCache gref_cache_;  // pfn*2+writable -> gref
+  FrontGrants grants_;
   uint32_t block_size_ = 0;
   uint64_t capacity_ = 0;
   uint32_t hist_blk_e2e_ = 0;  // "blk.e2e": request submit -> completion cycles

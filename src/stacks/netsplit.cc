@@ -29,7 +29,8 @@ NetBack::NetBack(hwsim::Machine& machine, uvmm::Hypervisor& hv, DomainId backend
                  udrv::NicDriver& driver, RxMode mode, PortMux& mux,
                  const minios::NetRoutes& routes)
     : machine_(machine), hv_(hv), backend_(backend), driver_(driver), mode_(mode), mux_(mux),
-      routes_(routes), health_(machine, "vmm.net") {
+      routes_(routes), health_(machine, "vmm.net"),
+      tx_maps_(hv, backend, kBackendMapBase, kBackendMapSlots) {
   hist_rx_backlog_ = machine_.tracer().InternHistogram("net.rx.backlog");
   req_rx_name_ = machine_.reqtrace().InternName("net.rx");
   req_flush_name_ = machine_.reqtrace().InternName("net.rx.flush");
@@ -56,6 +57,9 @@ NetChannel* NetBack::Connect(DomainId guest) {
 }
 
 NetChannel* NetBack::ChannelFor(std::span<const uint8_t> packet) {
+  if (!alive_) {
+    return nullptr;  // a killed netback delivers nothing
+  }
   if (const auto client = routes_.Classify(packet)) {
     for (auto& chan : channels_) {
       if (chan->guest == *client) {
@@ -67,13 +71,21 @@ NetChannel* NetBack::ChannelFor(std::span<const uint8_t> packet) {
   return channels_.empty() ? nullptr : channels_.front().get();
 }
 
-void NetBack::ReleaseMappings() {
-  for (const uvmm::GrantCache::Mapping& m : tx_map_cache_.TakeMappings()) {
-    (void)hv_.HcGrantUnmap(backend_, m.granter, m.ref, m.va);
+void NetBack::Kill() {
+  alive_ = false;
+  tx_maps_.UnmapAll();
+  for (const auto& chan : channels_) {
+    for (const uint32_t port : {chan->back_tx_port, chan->back_rx_port}) {
+      mux_.Unroute(port);
+      (void)hv_.HcEvtchnClose(backend_, port);
+    }
   }
 }
 
 void NetBack::OnTxKick(NetChannel& chan) {
+  if (!alive_) {
+    return;
+  }
   bool any = false;
   while (auto req = chan.tx_ring->PopRequest()) {
     // Adopt the guest's tx request for the duration of this service step so
@@ -89,28 +101,12 @@ void NetBack::OnTxKick(NetChannel& chan) {
     }
     // Map the guest's granted page and transmit straight out of it
     // (zero-copy TX). Transient mode unmaps after the send; persistent mode
-    // keeps the mapping and hits the cache on every reuse of the gref.
-    Err err = Err::kNone;
-    hwsim::Vaddr map_va = 0;
-    if (persistent_) {
-      if (auto va = tx_map_cache_.LookupMapping(chan.guest, req->gref)) {
-        map_va = *va;
-      } else {
-        map_va = kBackendMapBase + (kBackendMapSlots + next_persistent_slot_++) *
-                                       machine_.memory().page_size();
-        err = hv_.HcGrantMap(backend_, chan.guest, req->gref, map_va, /*write=*/false);
-        if (err == Err::kNone) {
-          tx_map_cache_.InsertMapping(chan.guest, req->gref, map_va);
-        }
-      }
-    } else {
-      map_va =
-          kBackendMapBase + (tx_packets_ % kBackendMapSlots) * machine_.memory().page_size();
-      err = hv_.HcGrantMap(backend_, chan.guest, req->gref, map_va, /*write=*/false);
-    }
+    // keeps the mapping for every reuse of the gref.
+    auto map_va = tx_maps_.Map(chan.guest, req->gref, /*write=*/false);
+    Err err = ukvm::GetErr(map_va);
     if (err == Err::kNone) {
       uvmm::Domain* back_dom = hv_.FindDomain(backend_);
-      const hwsim::Pte* pte = back_dom->space.Walk(map_va);
+      const hwsim::Pte* pte = back_dom->space.Walk(*map_va);
       assert(pte != nullptr && pte->present);
       RaceFrameAccess(machine_, backend_, pte->frame, /*write=*/false, "net.tx.payload");
       const uint64_t dev_t0 = machine_.Now();
@@ -122,9 +118,7 @@ void NetBack::OnTxKick(NetChannel& chan) {
       } else {
         health_.RecordFailure();  // the NIC refused the frame
       }
-      if (!persistent_) {
-        (void)hv_.HcGrantUnmap(backend_, chan.guest, req->gref, map_va);
-      }
+      tx_maps_.Done(*map_va);
     }
     if (err == Err::kNone) {
       ++tx_packets_;
@@ -323,89 +317,70 @@ void NetBack::DeliverOne(hwsim::Frame frame, uint32_t len) {
 NetFront::NetFront(hwsim::Machine& machine, uvmm::Hypervisor& hv, DomainId guest,
                    std::vector<uvmm::Pfn> pool, PortMux& mux)
     : machine_(machine), hv_(hv), guest_(guest), mux_(mux),
-      free_pfns_(pool.begin(), pool.end()), pool_(std::move(pool)),
+      free_pfns_(pool.begin(), pool.end()), pool_(std::move(pool)), grants_(hv, guest),
       xenbus_(machine, "net", guest) {
   hist_tx_e2e_ = machine_.tracer().InternHistogram("net.tx.e2e");
   req_tx_name_ = machine_.reqtrace().InternName("net.tx");
 }
 
 void NetFront::OnBackendDead(DomainId dead) {
-  if (dead != backend_) {
+  if (dead != backend_ || chan_ == nullptr) {
     return;
   }
   xenbus_.MarkFailure(machine_.Now());
+  const bool backend_alive = hv_.DomainAlive(backend_);
   // Exactly-once rx read-back: responses already published in the ring
   // carry payloads that landed in guest-visible memory before the backend
   // died (the flip or copy had happened), so draining them now loses
   // nothing — this is the receive-side mirror of the blk journal's
   // "applied but unacknowledged" interleaving. Only responses whose
   // payload cannot be reached count as dropped.
-  if (chan_ != nullptr) {
-    uvmm::Domain* dom = hv_.FindDomain(guest_);
-    while (auto resp = chan_->rx_ring->PopResponse()) {
-      const ukvm::ReqTraceRef req_ref = chan_->rx_ring->popped_traces().empty()
-                                            ? ukvm::ReqTraceRef{}
-                                            : chan_->rx_ring->popped_traces()[0];
-      ukvm::ReqAdoptScope req_scope(machine_.reqtrace(), req_ref);
-      ForgetOutstandingRxSlot(resp->pfn);
-      if (DeliverRxPayload(dom, resp->pfn, resp->len, resp->status)) {
-        ++rx_recovered_on_crash_;
-        // The notification upcall died with the backend; the read-back IS
-        // the delivery, so the dangling evtchn handoff is forgiven.
-        machine_.reqtrace().ForgiveHandoffs(req_ref);
-        machine_.reqtrace().EndRequest(req_ref);
-      } else {
-        if (resp->status == Err::kNone) {
-          ++rx_dropped_on_crash_;
-        }
-        machine_.reqtrace().AbandonRequest(req_ref);
+  uvmm::Domain* dom = hv_.FindDomain(guest_);
+  while (auto resp = chan_->rx_ring->PopResponse()) {
+    const ukvm::ReqTraceRef req_ref = chan_->rx_ring->popped_traces().empty()
+                                          ? ukvm::ReqTraceRef{}
+                                          : chan_->rx_ring->popped_traces()[0];
+    ukvm::ReqAdoptScope req_scope(machine_.reqtrace(), req_ref);
+    ForgetPostedRxSlot(resp->pfn);
+    if (backend_alive && (mode_ == RxMode::kGrantCopy || resp->status != Err::kNone)) {
+      (void)hv_.HcGrantEnd(guest_, resp->ref);  // only a flip consumes the slot's grant
+    }
+    if (DeliverRxPayload(dom, resp->pfn, resp->len, resp->status)) {
+      ++rx_recovered_on_crash_;
+      // The notification upcall died with the backend; the read-back IS
+      // the delivery, so the dangling evtchn handoff is forgiven.
+      machine_.reqtrace().ForgiveHandoffs(req_ref);
+      machine_.reqtrace().EndRequest(req_ref);
+    } else {
+      if (resp->status == Err::kNone) {
+        ++rx_dropped_on_crash_;
       }
+      machine_.reqtrace().AbandonRequest(req_ref);
     }
   }
+  // In-flight tx packets die with the backend (the NIC contract: upper
+  // layers retransmit), counted so the bench can report them.
+  tx_dropped_on_crash_ += tx_in_flight_.size();
+  for (const auto& [gref, tx] : tx_in_flight_) {
+    machine_.reqtrace().AbandonRequest(tx.trace);
+    if (backend_alive) {
+      grants_.Release(gref);
+    }
+  }
+  grants_.EndCached(backend_alive);
+  mux_.Unroute(chan_->front_tx_port);
+  mux_.Unroute(chan_->front_rx_port);
+  if (backend_alive) {
+    for (const NetRxReq& slot : rx_posted_) {
+      (void)hv_.HcGrantEnd(guest_, slot.ref);
+    }
+    (void)hv_.HcEvtchnClose(guest_, chan_->front_tx_port);
+    (void)hv_.HcEvtchnClose(guest_, chan_->front_rx_port);
+  }
+  tx_in_flight_.clear();
+  rx_posted_.clear();
   chan_ = nullptr;
-  // Every pfn that was staged for tx or advertised as an rx slot was parked
-  // with the dead backend; the hypervisor already revoked the grants. In-
-  // flight tx packets die with the backend (the NIC contract: upper layers
-  // retransmit), counted so the bench can report them.
-  tx_dropped_on_crash_ += tx_grants_.size();
-  for (const auto& [gref, grant] : tx_grants_) {
-    machine_.reqtrace().AbandonRequest(grant.trace);
-  }
-  tx_grants_.clear();
-  tx_gref_cache_.Clear();
-  // Advertised-but-unconsumed slots are journaled for exactly-once replay
-  // at Reconnect (the rx mirror of the blk write journal); the rest of the
-  // pool comes home to the free list.
-  rx_slot_journal_.assign(rx_outstanding_.begin(), rx_outstanding_.end());
-  rx_outstanding_.clear();
-  free_pfns_.clear();
-  for (uvmm::Pfn pfn : pool_) {
-    if (std::find(rx_slot_journal_.begin(), rx_slot_journal_.end(), pfn) ==
-        rx_slot_journal_.end()) {
-      free_pfns_.push_back(pfn);
-    }
-  }
-}
-
-Err NetFront::Reconnect(NetBack& back) {
-  Err err = Connect(back);
-  if (err != Err::kNone) {
-    return err;
-  }
-  // Replay the journaled rx slots exactly once: every slot the dead
-  // backend still owed a packet for is re-advertised to its replacement,
-  // so the guest's receive window survives the crash at full width.
-  const size_t replayed = rx_slot_journal_.size();
-  for (uvmm::Pfn pfn : rx_slot_journal_) {
-    PostRxSlot(pfn, /*kick=*/false);
-  }
-  rx_slot_journal_.clear();
-  rx_slots_replayed_ += replayed;
-  xenbus_.OnReconnected();
-  if (replayed > 0) {
-    xenbus_.OnReplayed(replayed);
-  }
-  return Err::kNone;
+  free_pfns_.assign(pool_.begin(), pool_.end());
 }
 
 uint32_t NetFront::front_rx_port() const {
@@ -433,17 +408,15 @@ bool NetFront::DeliverRxPayload(uvmm::Domain* dom, uint32_t pfn, uint32_t len, E
   return true;
 }
 
-void NetFront::ForgetOutstandingRxSlot(uvmm::Pfn pfn) {
-  auto it = std::find(rx_outstanding_.begin(), rx_outstanding_.end(), pfn);
-  if (it != rx_outstanding_.end()) {
-    rx_outstanding_.erase(it);
+void NetFront::ForgetPostedRxSlot(uvmm::Pfn pfn) {
+  auto it = std::find_if(rx_posted_.begin(), rx_posted_.end(),
+                         [pfn](const NetRxReq& slot) { return slot.pfn == pfn; });
+  if (it != rx_posted_.end()) {
+    rx_posted_.erase(it);
   }
 }
 
 Err NetFront::Connect(NetBack& back) {
-  // A fresh channel owes nothing: slots a previous backend still owed were
-  // journaled at its death (OnBackendDead) and are replayed by Reconnect.
-  rx_outstanding_.clear();
   chan_ = back.Connect(guest_);
   if (chan_ == nullptr) {
     return Err::kNoMemory;
@@ -453,6 +426,7 @@ Err NetFront::Connect(NetBack& back) {
   persistent_ = back.persistent_grants();
   // The handshake carries the backend id out of band (as xenstore would).
   backend_ = back.backend();
+  grants_.Attach(backend_, persistent_);
   chan_->tx_ring->BindRaceEndpoints(guest_, backend_);
   chan_->rx_ring->BindRaceEndpoints(guest_, backend_);
 
@@ -466,14 +440,16 @@ Err NetFront::Connect(NetBack& back) {
   mux_.Route(chan_->front_tx_port, [this] { OnTxResponse(); });
   mux_.Route(chan_->front_rx_port, [this] { OnRxResponse(); });
 
-  // Post half the pool as receive slots; keep the rest for tx staging.
-  const size_t rx_slots = free_pfns_.size() / 2;
-  for (size_t i = 0; i < rx_slots; ++i) {
+  for (size_t i = 0; i < rx_window(); ++i) {
     const uvmm::Pfn pfn = free_pfns_.front();
     free_pfns_.pop_front();
     PostRxSlot(pfn, /*kick=*/false);
   }
-  xenbus_.OnConnected();  // first connect only; reconnects go via Reconnect
+  if (xenbus_.state() == XenbusState::kInit) {
+    xenbus_.OnConnected();
+  } else {
+    xenbus_.OnReconnected();
+  }
   return Err::kNone;
 }
 
@@ -487,7 +463,7 @@ void NetFront::PostRxSlot(uvmm::Pfn pfn, bool kick) {
     return;
   }
   chan_->rx_ring->PushRequest(NetRxReq{*ref, pfn});
-  rx_outstanding_.push_back(pfn);
+  rx_posted_.push_back(NetRxReq{*ref, pfn});
   if (kick) {
     (void)hv_.HcEvtchnSend(guest_, chan_->front_rx_port);
   }
@@ -496,7 +472,7 @@ void NetFront::PostRxSlot(uvmm::Pfn pfn, bool kick) {
 Err NetFront::Send(std::span<const uint8_t> packet) {
   if (chan_ == nullptr) {
     // Never connected: would block. Connected once: OnBackendDead dropped
-    // the channel, so report the death (Reconnect brings it back).
+    // the channel, so report the death (Connect brings it back).
     return backend_.valid() ? Err::kDead : Err::kWouldBlock;
   }
   if (packet.size() > machine_.memory().page_size() || packet.size() > mtu()) {
@@ -524,30 +500,14 @@ Err NetFront::Send(std::span<const uint8_t> packet) {
 
   // Persistent mode recycles the staging page's access grant: after the
   // first send of a given pfn, steady state issues no grant hypercalls here.
-  uint32_t gref = 0;
-  if (persistent_) {
-    if (auto cached = tx_gref_cache_.LookupGrant(pfn)) {
-      gref = *cached;
-    } else {
-      auto fresh = hv_.HcGrantAccess(guest_, backend_, pfn, /*writable=*/false);
-      if (!fresh.ok()) {
-        free_pfns_.push_back(pfn);
-        machine_.reqtrace().AbandonRequest(req_scope.ref());
-        return fresh.error();
-      }
-      gref = *fresh;
-      tx_gref_cache_.InsertGrant(pfn, gref);
-    }
-  } else {
-    auto fresh = hv_.HcGrantAccess(guest_, backend_, pfn, /*writable=*/false);
-    if (!fresh.ok()) {
-      free_pfns_.push_back(pfn);
-      machine_.reqtrace().AbandonRequest(req_scope.ref());
-      return fresh.error();
-    }
-    gref = *fresh;
+  auto grant = grants_.Grant(pfn, /*writable=*/false);
+  if (!grant.ok()) {
+    free_pfns_.push_back(pfn);
+    machine_.reqtrace().AbandonRequest(req_scope.ref());
+    return grant.error();
   }
-  tx_grants_[gref] = TxGrant{pfn, machine_.Now(), req_scope.ref()};
+  const uint32_t gref = *grant;
+  tx_in_flight_[gref] = TxGrant{pfn, machine_.Now(), req_scope.ref()};
   chan_->tx_ring->PushRequest(NetTxReq{gref, static_cast<uint32_t>(packet.size())});
   const Err err = hv_.HcEvtchnSend(guest_, chan_->front_tx_port);
   if (err == Err::kNone) {
@@ -561,16 +521,13 @@ void NetFront::OnTxResponse() {
     return;  // late upcall after OnBackendDead dropped the channel
   }
   while (auto resp = chan_->tx_ring->PopResponse()) {
-    if (!persistent_) {
-      // Persistent grants stay live for the next send of the same page.
-      (void)hv_.HcGrantEnd(guest_, resp->gref);
-    }
-    auto it = tx_grants_.find(resp->gref);
-    if (it != tx_grants_.end()) {
+    grants_.Release(resp->gref);
+    auto it = tx_in_flight_.find(resp->gref);
+    if (it != tx_in_flight_.end()) {
       machine_.tracer().RecordLatency(hist_tx_e2e_, machine_.Now() - it->second.t0);
       free_pfns_.push_back(it->second.pfn);
       machine_.reqtrace().EndRequest(it->second.trace);
-      tx_grants_.erase(it);
+      tx_in_flight_.erase(it);
     }
   }
 }
@@ -586,7 +543,7 @@ void NetFront::OnRxResponse() {
                                             ? ukvm::ReqTraceRef{}
                                             : chan_->rx_ring->popped_traces()[0];
       ukvm::ReqAdoptScope req_scope(machine_.reqtrace(), req_ref);
-      ForgetOutstandingRxSlot(resp->pfn);
+      ForgetPostedRxSlot(resp->pfn);
       if (DeliverRxPayload(dom, resp->pfn, resp->len, resp->status)) {
         machine_.reqtrace().EndRequest(req_ref);
       } else {
@@ -596,7 +553,7 @@ void NetFront::OnRxResponse() {
         if (persistent_) {
           // The writable slot grant survives the backend's copy; reuse it.
           chan_->rx_ring->PushRequest(NetRxReq{resp->ref, resp->pfn});
-          rx_outstanding_.push_back(resp->pfn);
+          rx_posted_.push_back(NetRxReq{resp->ref, resp->pfn});
           continue;
         }
         (void)hv_.HcGrantEnd(guest_, resp->ref);
@@ -618,7 +575,7 @@ void NetFront::OnRxResponse() {
     const NetRxResp& resp = resps[i];
     const ukvm::ReqTraceRef req_ref = i < popped.size() ? popped[i] : ukvm::ReqTraceRef{};
     ukvm::ReqAdoptScope req_scope(machine_.reqtrace(), req_ref);
-    ForgetOutstandingRxSlot(resp.pfn);
+    ForgetPostedRxSlot(resp.pfn);
     if (DeliverRxPayload(dom, resp.pfn, resp.len, resp.status)) {
       machine_.reqtrace().EndRequest(req_ref);
     } else {
@@ -660,9 +617,7 @@ void NetFront::OnRxResponse() {
   }
   if (!reqs.empty()) {
     chan_->rx_ring->PushRequests(std::span<const NetRxReq>(reqs));
-    for (const NetRxReq& req : reqs) {
-      rx_outstanding_.push_back(req.pfn);
-    }
+    rx_posted_.insert(rx_posted_.end(), reqs.begin(), reqs.end());
   }
 }
 

@@ -16,8 +16,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/core/error.h"
@@ -26,10 +26,10 @@
 #include "src/os/arch_if.h"
 #include "src/os/net_protocol.h"
 #include "src/stacks/port_mux.h"
+#include "src/stacks/split_grants.h"
 #include "src/stacks/watchdog.h"
 #include "src/stacks/xenbus.h"
 #include "src/stacks/xenring.h"
-#include "src/vmm/grant_table.h"
 #include "src/vmm/hypervisor.h"
 
 namespace ustack {
@@ -96,13 +96,16 @@ class NetBack {
   size_t rx_batch() const { return rx_batch_; }
 
   // Persistent-grant mode (a real Xen protocol extension): granted tx pages
-  // stay mapped in the backend across packets, keyed by (guest, gref).
-  // Frontends learn the setting at Connect.
-  void SetPersistentGrants(bool on) { persistent_ = on; }
-  bool persistent_grants() const { return persistent_; }
-  // Unmaps every persistent tx mapping. A backend replaced inside its
-  // surviving domain calls it before its successor maps at the same VAs.
-  void ReleaseMappings();
+  // stay mapped in the backend across packets. Frontends learn the setting
+  // at Connect.
+  void SetPersistentGrants(bool on) { tx_maps_.SetPersistent(on); }
+  bool persistent_grants() const { return tx_maps_.persistent(); }
+
+  // The backend dies inside its surviving domain (a netback crash in
+  // Dom0): it unmaps every tx mapping (its successor maps at the same VAs),
+  // closes its channels' ports and serves nothing more.
+  void Kill();
+  bool alive() const { return alive_; }
 
   // Circuit breaker: persistent transmit failures make the backend answer
   // tx requests with kRetryExhausted instead of wedging against the device.
@@ -116,7 +119,6 @@ class NetBack {
   uint64_t rx_dropped() const { return rx_dropped_; }
   uint64_t rx_flushes() const { return rx_flushes_; }
   size_t rx_staged() const { return rx_staged_.size(); }
-  const uvmm::GrantCache& tx_map_cache() const { return tx_map_cache_; }
 
  private:
   struct StagedRx {
@@ -140,10 +142,9 @@ class NetBack {
   std::vector<std::unique_ptr<NetChannel>> channels_;
   ServiceHealth health_;
   size_t rx_batch_ = 1;
-  bool persistent_ = false;
+  bool alive_ = true;
   std::vector<StagedRx> rx_staged_;
-  uvmm::GrantCache tx_map_cache_;   // (guest, gref) -> backend map va
-  uint32_t next_persistent_slot_ = 0;
+  BackMappings tx_maps_;  // granted tx pages in the backend's map window
   uint64_t tx_packets_ = 0;
   uint64_t rx_delivered_ = 0;
   uint64_t rx_dropped_ = 0;
@@ -163,7 +164,9 @@ class NetFront : public minios::NetDevice {
            std::vector<uvmm::Pfn> pool, PortMux& mux);
 
   // Completes the split-driver handshake, adopts the backend's rx mode, rx
-  // batch and grant mode, and posts initial rx slots.
+  // batch and grant mode, and posts the rx window (half the pool; the rest
+  // stages tx). A restarted backend gets the same window: a slot carries
+  // no data, so nothing needs replaying.
   ukvm::Err Connect(NetBack& back);
 
   // --- minios::NetDevice ------------------------------------------------------
@@ -178,13 +181,13 @@ class NetFront : public minios::NetDevice {
   // are *counted*, never replayed — upper layers own retransmission, as on
   // a real NIC.
 
-  // The backend domain died: reclaim every pfn parked in tx grants or
-  // advertised rx slots back into the free pool and drop the stale channel.
+  // The one teardown, whichever way the backend died. Responses already in
+  // the rx ring are delivered (the exactly-once read-back). While the
+  // backend's domain lives, every grant toward it (cached and in-flight tx
+  // grants, posted rx slots) is ended and this end's ports are closed; a
+  // dead domain's were reclaimed by the hypervisor. Every pool page comes
+  // home.
   void OnBackendDead(ukvm::DomainId dead);
-
-  // Rebuilds rings, event channels, grants, and rx slots against a
-  // restarted backend.
-  ukvm::Err Reconnect(NetBack& back);
 
   XenbusConn& xenbus() { return xenbus_; }
   uint64_t tx_dropped_on_crash() const { return tx_dropped_on_crash_; }
@@ -196,11 +199,9 @@ class NetFront : public minios::NetDevice {
   // still count as dropped.
   uint64_t rx_recovered_on_crash() const { return rx_recovered_on_crash_; }
   uint64_t rx_dropped_on_crash() const { return rx_dropped_on_crash_; }
-  // Advertised-but-unconsumed rx slots journaled at backend death and
-  // re-advertised exactly once at Reconnect (the rx mirror of the blk
-  // write journal).
-  uint64_t rx_slots_replayed() const { return rx_slots_replayed_; }
-  size_t rx_slot_journal_depth() const { return rx_slot_journal_.size(); }
+  // Rx slots currently advertised, and the window Connect posts.
+  size_t rx_slots_posted() const { return rx_posted_.size(); }
+  size_t rx_window() const { return pool_.size() / 2; }
 
   // The guest-side event-channel port rx upcalls arrive on (tests use this
   // to pin crash interleavings by intercepting the upcall).
@@ -208,7 +209,6 @@ class NetFront : public minios::NetDevice {
 
   uint64_t tx_sent() const { return tx_sent_; }
   uint64_t rx_received() const { return rx_received_; }
-  const uvmm::GrantCache& tx_gref_cache() const { return tx_gref_cache_; }
 
  private:
   void PostRxSlot(uvmm::Pfn pfn, bool kick);
@@ -217,7 +217,7 @@ class NetFront : public minios::NetDevice {
   // Delivers one rx response's payload to the guest network stack; returns
   // false when the payload cannot be reached (error status, bad pfn).
   bool DeliverRxPayload(uvmm::Domain* dom, uint32_t pfn, uint32_t len, ukvm::Err status);
-  void ForgetOutstandingRxSlot(uvmm::Pfn pfn);
+  void ForgetPostedRxSlot(uvmm::Pfn pfn);
 
   hwsim::Machine& machine_;
   uvmm::Hypervisor& hv_;
@@ -234,25 +234,20 @@ class NetFront : public minios::NetDevice {
 
   std::deque<uvmm::Pfn> free_pfns_;
   std::vector<uvmm::Pfn> pool_;  // the full I/O pool, for reclamation on crash
-  std::unordered_map<uint32_t, TxGrant> tx_grants_;  // gref -> staging pfn + t0
+  FrontGrants grants_;           // tx staging pages' grants
+  std::map<uint32_t, TxGrant> tx_in_flight_;  // gref -> staging pfn + t0
   RecvHandler handler_;
   XenbusConn xenbus_;
   uint64_t tx_dropped_on_crash_ = 0;  // in-flight tx packets lost with a backend
-  // Rx-slot replay state (E21 satellite of the E19 exactly-once work).
-  std::deque<uvmm::Pfn> rx_outstanding_;    // slots currently advertised
-  std::vector<uvmm::Pfn> rx_slot_journal_;  // captured at death, replayed once
+  std::deque<NetRxReq> rx_posted_;    // slots currently advertised
   uint64_t rx_recovered_on_crash_ = 0;
   uint64_t rx_dropped_on_crash_ = 0;
-  uint64_t rx_slots_replayed_ = 0;
   // An io batch > 1 makes OnRxResponse drain the whole ring per upcall and
   // re-advertise all consumed slots under one multicall.
   size_t io_batch_ = 1;
-  // Persistent-grant mode: tx staging pages keep their access grant across
-  // sends (pfn -> gref cache, no HcGrantEnd); in grant-copy rx the writable
-  // slot grant is simply reused, so steady state posts slots with zero
-  // hypercalls.
+  // Persistent-grant mode of the grant-copy rx slots (grants_ keeps the tx
+  // pages'): a consumed slot's writable grant is simply reused.
   bool persistent_ = false;
-  uvmm::GrantCache tx_gref_cache_;  // staging pfn -> gref
   uint64_t tx_sent_ = 0;
   uint64_t rx_received_ = 0;
   uint32_t hist_tx_e2e_ = 0;  // "net.tx.e2e": Send -> tx response cycles

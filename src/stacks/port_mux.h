@@ -15,6 +15,7 @@ class PortMux {
   void Route(uint32_t port, std::function<void()> handler) {
     routes_[port] = std::move(handler);
   }
+  void Unroute(uint32_t port) { routes_.erase(port); }
 
   void Dispatch(uint32_t port) {
     auto it = routes_.find(port);

@@ -23,7 +23,7 @@ Sigma0::Sigma0(hwsim::Machine& machine, ukern::Kernel& kernel)
   thread_ = *thread;
 }
 
-Result<hwsim::Vaddr> Sigma0::ProvisionPage() {
+Result<hwsim::Vaddr> Sigma0::ProvisionPage(ukvm::DomainId task) {
   auto frame = machine_.memory().AllocFrame(task_);
   if (!frame.ok()) {
     return frame.error();
@@ -36,7 +36,24 @@ Result<hwsim::Vaddr> Sigma0::ProvisionPage() {
     return err;
   }
   machine_.Charge(machine_.costs().kernel_op);  // allocator bookkeeping
+  frames_of_[task].push_back(*frame);
   return va;
+}
+
+void Sigma0::Reclaim(ukvm::DomainId task) {
+  auto it = frames_of_.find(task);
+  if (it == frames_of_.end()) {
+    return;
+  }
+  std::vector<hwsim::Vaddr> vas;
+  for (const hwsim::Frame frame : it->second) {
+    vas.push_back(machine_.memory().FrameBase(frame));
+  }
+  (void)kernel_.RootUnmapPhys(task_, vas);
+  for (const hwsim::Frame frame : it->second) {
+    (void)machine_.memory().FreeFrame(frame);
+  }
+  frames_of_.erase(it);
 }
 
 IpcMessage Sigma0::Handle(ThreadId sender, IpcMessage msg) {
@@ -44,13 +61,14 @@ IpcMessage Sigma0::Handle(ThreadId sender, IpcMessage msg) {
     const hwsim::Vaddr va = msg.regs[1];
     const auto pages = static_cast<uint32_t>(msg.regs[2]);
     const bool writable = msg.regs[3] != 0;
-    if (pages == 0 || pages > 1024) {
+    auto task = kernel_.TaskOf(sender);
+    if (pages == 0 || pages > 1024 || !task.ok()) {
       return IpcMessage::Error(Err::kInvalidArgument);
     }
     IpcMessage reply;
     reply.reg_count = 1;
     for (uint32_t i = 0; i < pages; ++i) {
-      auto src = ProvisionPage();
+      auto src = ProvisionPage(*task);
       if (!src.ok()) {
         return IpcMessage::Error(src.error());
       }
@@ -67,7 +85,7 @@ IpcMessage Sigma0::Handle(ThreadId sender, IpcMessage msg) {
     if (!task.ok()) {
       return IpcMessage::Error(Err::kBadHandle);
     }
-    auto src = ProvisionPage();
+    auto src = ProvisionPage(*task);
     if (!src.ok()) {
       return IpcMessage::Error(src.error());
     }

@@ -8,6 +8,8 @@
 #define UKVM_SRC_STACKS_SIGMA0_H_
 
 #include <cstdint>
+#include <unordered_map>
+#include <vector>
 
 #include "src/core/error.h"
 #include "src/hw/machine.h"
@@ -35,17 +37,22 @@ class Sigma0 {
 
   uint64_t pages_granted() const { return pages_granted_; }
 
+  // Takes back every frame provisioned for `task`, which the kernel has
+  // destroyed: drops sigma0's own mapping of each and frees it.
+  void Reclaim(ukvm::DomainId task);
+
  private:
   ukern::IpcMessage Handle(ukvm::ThreadId sender, ukern::IpcMessage msg);
-  // Allocates a frame and maps it idempotently into sigma0's own space;
-  // returns the sigma0-side VA usable as a map-item source.
-  ukvm::Result<hwsim::Vaddr> ProvisionPage();
+  // Allocates a frame for `task` and maps it idempotently into sigma0's
+  // own space; returns the sigma0-side VA usable as a map-item source.
+  ukvm::Result<hwsim::Vaddr> ProvisionPage(ukvm::DomainId task);
 
   hwsim::Machine& machine_;
   ukern::Kernel& kernel_;
   ukvm::DomainId task_;
   ukvm::ThreadId thread_;
   uint64_t pages_granted_ = 0;
+  std::unordered_map<ukvm::DomainId, std::vector<hwsim::Frame>> frames_of_;
 };
 
 }  // namespace ustack

@@ -62,16 +62,22 @@ std::vector<TcbComponent> VmmTcbComponents(bool parallax_storage) {
       TcbComponent{"Dom0 legacy OS", TrustClass::kCriticalPath, MiniOsFiles()},
       TcbComponent{"Dom0 drivers", TrustClass::kCriticalPath, DriverFiles()},
       TcbComponent{"netback", TrustClass::kCriticalPath,
-                   {"src/stacks/netsplit.cc", "src/stacks/netsplit.h", "src/os/net_protocol.h"}},
+                   {"src/stacks/netsplit.cc", "src/stacks/netsplit.h", "src/stacks/split_grants.h",
+                    "src/os/net_protocol.h"}},
       TcbComponent{"MiniOS guest (per VM)", TrustClass::kIsolated, MiniOsFiles()},
       TcbComponent{"paravirtual port + frontends", TrustClass::kIsolated,
                    {"src/os/ports/vmm_port.cc", "src/os/ports/vmm_port.h",
                     "src/os/blk_protocol.h"}},
   };
+  // Inside Dom0 the blkback shares the grant owners the netback already counts.
+  std::vector<std::string> blkback = {"src/stacks/blksplit.cc", "src/stacks/blksplit.h",
+                                      "src/os/blk_protocol.h"};
+  if (parallax_storage) {
+    blkback.push_back("src/stacks/split_grants.h");
+  }
   components.push_back(TcbComponent{
       parallax_storage ? "Parallax storage VM" : "Dom0 blkback",
-      parallax_storage ? TrustClass::kIsolated : TrustClass::kCriticalPath,
-      {"src/stacks/blksplit.cc", "src/stacks/blksplit.h", "src/os/blk_protocol.h"}});
+      parallax_storage ? TrustClass::kIsolated : TrustClass::kCriticalPath, blkback});
   return components;
 }
 

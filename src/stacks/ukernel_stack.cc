@@ -149,6 +149,7 @@ void UkernelStack::RouteWirePort(uint16_t wire_port, size_t i) {
 
 Err UkernelStack::KillBlockServer() {
   UKVM_TRY(kernel_->DestroyTask(block_server_->task()));
+  sigma0_->Reclaim(block_server_->task());
   // An in-flight request completing now would move garbage. Cancelled ops
   // stay journaled on the client and replay after the restart.
   machine_.counters().AddNamed("recovery.disk.dma_cancelled", disk_.CancelPending());
@@ -162,6 +163,7 @@ Err UkernelStack::KillBlockServer() {
 
 Err UkernelStack::KillNetServer() {
   UKVM_TRY(kernel_->DestroyTask(net_server_->task()));
+  sigma0_->Reclaim(net_server_->task());
   // Otherwise arrivals would land in the dead server's pool and complete
   // into its successor's driver, which never posted those buffers.
   machine_.counters().AddNamed("recovery.nic.rx_forgotten", nic_.CancelPosted());
@@ -258,8 +260,11 @@ Err UkernelStack::ProbeNetService() {
 
 Err UkernelStack::KillGuest(size_t i) {
   Guest& g = guest(i);
-  UKVM_TRY(kernel_->DestroyTask(g.app_task));
-  return kernel_->DestroyTask(g.os_task);
+  for (const ukvm::DomainId task : {g.app_task, g.os_task}) {
+    UKVM_TRY(kernel_->DestroyTask(task));
+    sigma0_->Reclaim(task);
+  }
+  return Err::kNone;
 }
 
 }  // namespace ustack

@@ -102,14 +102,11 @@ Err VmmStack::StartNetBackend(const std::string& domain_name) {
   if (!nic_port.ok()) {
     return nic_port.error();
   }
-  net_mux.Route(*nic_port, [this] { nic_driver_->OnInterrupt(); });
-  UKVM_TRY(hv_->HcBindIrq(net_dom_, nic_.line(), *nic_port));
+  nic_irq_port_ = *nic_port;
+  net_mux.Route(nic_irq_port_, [this] { nic_driver_->OnInterrupt(); });
+  UKVM_TRY(hv_->HcBindIrq(net_dom_, nic_.line(), nic_irq_port_));
   // A restart's frontends may now rebuild (no guest exists yet at boot).
-  for (auto& g : guests_) {
-    if (hv_->DomainAlive(g->domain)) {
-      g->netfront->xenbus().OnReclaimed();
-    }
-  }
+  ForEachLiveGuest([](Guest& g) { g.netfront->xenbus().OnReclaimed(); });
   return Err::kNone;
 }
 
@@ -138,17 +135,14 @@ Err VmmStack::StartStorageBackend(const std::string& domain_name) {
     blkback_->SetPersistentGrants(true);
   }
   // A restart's frontends may now rebuild (no guest exists yet at boot).
-  for (auto& g : guests_) {
-    if (hv_->DomainAlive(g->domain)) {
-      g->blkfront->xenbus().OnReclaimed();
-    }
-  }
+  ForEachLiveGuest([](Guest& g) { g.blkfront->xenbus().OnReclaimed(); });
   auto disk_port = hv_->HcEvtchnAllocUnbound(storage_dom_, storage_dom_);
   if (!disk_port.ok()) {
     return disk_port.error();
   }
-  storage_mux.Route(*disk_port, [this] { disk_driver_->OnInterrupt(); });
-  return hv_->HcBindIrq(storage_dom_, disk_.line(), *disk_port);
+  disk_irq_port_ = *disk_port;
+  storage_mux.Route(disk_irq_port_, [this] { disk_driver_->OnInterrupt(); });
+  return hv_->HcBindIrq(storage_dom_, disk_.line(), disk_irq_port_);
 }
 
 void VmmStack::ArmFaults(const hwsim::FaultPlan& plan) {
@@ -218,27 +212,40 @@ void VmmStack::RouteWirePort(uint16_t wire_port, size_t i) {
   net_routes_.Route(wire_port, guest(i).domain);
 }
 
+void VmmStack::ForEachLiveGuest(const std::function<void(Guest&)>& fn) {
+  for (auto& g : guests_) {
+    if (hv_->DomainAlive(g->domain)) {
+      fn(*g);
+    }
+  }
+}
+
 Err VmmStack::KillStorage() {
   if (config_.parallax_storage) {
     return hv_->DestroyDomain(storage_dom_);
   }
-  // Inside Dom0 the storage service is only the blkback: it crashes and
-  // Dom0 lives on. Its disk DMA targets are guest pages, which outlive it,
-  // so the restart quiesces the disk. Detaching the frontends wakes their
-  // in-flight waits with kDead.
+  // Inside Dom0 the storage service is only the blkback: it dies and Dom0
+  // lives on. Its disk DMA targets are guest pages, which outlive it, so
+  // the restart quiesces the disk.
   if (!hv_->DomainAlive(dom0_) || !blkback_->alive()) {
     return Err::kDead;
   }
   blkback_->Kill();
-  for (auto& g : guests_) {
-    if (hv_->DomainAlive(g->domain)) {
-      g->blkfront->OnBackendDead(storage_dom_);
-    }
-  }
+  ForEachLiveGuest([this](Guest& g) { g.blkfront->OnBackendDead(storage_dom_); });
   return Err::kNone;
 }
 
-Err VmmStack::KillNetDomain() { return hv_->DestroyDomain(net_dom_); }
+Err VmmStack::KillNetService() {
+  if (config_.net_driver_domain) {
+    return hv_->DestroyDomain(net_dom_);
+  }
+  if (!hv_->DomainAlive(dom0_) || !netback_->alive()) {
+    return Err::kDead;
+  }
+  netback_->Kill();
+  ForEachLiveGuest([this](Guest& g) { g.netfront->OnBackendDead(net_dom_); });
+  return Err::kNone;
+}
 
 Err VmmStack::KillDom0() { return hv_->DestroyDomain(dom0_); }
 
@@ -246,46 +253,35 @@ Err VmmStack::KillGuest(size_t i) { return hv_->DestroyDomain(guest(i).domain); 
 
 Err VmmStack::RestartStorage() {
   (void)KillStorage();  // a no-op once the service is dead
-  // The supervisor has decided the backend is gone: advance each live
-  // frontend's xenbus machine and quiesce the disk's completion queue so
-  // no in-flight DMA queued by the dead backend lands after teardown.
-  for (auto& g : guests_) {
-    if (hv_->DomainAlive(g->domain)) {
-      g->blkfront->xenbus().OnDetected();
-    }
-  }
+  ForEachLiveGuest([](Guest& g) { g.blkfront->xenbus().OnDetected(); });
+  // Quiesce the disk's completion queue so no in-flight DMA queued by the
+  // dead backend lands after teardown, then close the disk's IRQ port
+  // (refused uncharged once its domain is dead).
   machine_.counters().AddNamed("recovery.disk.dma_cancelled", disk_.CancelPending());
+  (void)hv_->HcEvtchnClose(storage_dom_, disk_irq_port_);
   // The store outlives the backend: the replacement hands every guest its
   // old slice and suppresses replayed writes that already landed.
   UKVM_TRY(StartStorageBackend("ParallaxVM-2"));
   for (auto& g : guests_) {
     if (hv_->DomainAlive(g->domain)) {
-      UKVM_TRY(g->blkfront->Reconnect(*blkback_));
+      UKVM_TRY(g->blkfront->Connect(*blkback_));
     }
   }
   return Err::kNone;
 }
 
-Err VmmStack::RestartNetDomain() {
-  if (config_.net_driver_domain) {
-    (void)KillNetDomain();  // a no-op once the driver VM is dead
-  } else {
-    // A Dom0-hosted netback is replaced in place, and its successor maps
-    // at the same VAs.
-    netback_->ReleaseMappings();
-  }
-  for (auto& g : guests_) {
-    if (hv_->DomainAlive(g->domain)) {
-      g->netfront->xenbus().OnDetected();
-    }
-  }
+Err VmmStack::RestartNetService() {
+  (void)KillNetService();  // a no-op once the service is dead
+  ForEachLiveGuest([](Guest& g) { g.netfront->xenbus().OnDetected(); });
   // Quiesce: forget posted rx buffers (a late arrival must not DMA into
-  // pages the dead driver posted) and orphan in-flight completions.
+  // pages the dead driver posted) and orphan in-flight completions; then
+  // close the NIC's IRQ port the same way.
   machine_.counters().AddNamed("recovery.nic.rx_forgotten", nic_.CancelPosted());
+  (void)hv_->HcEvtchnClose(net_dom_, nic_irq_port_);
   UKVM_TRY(StartNetBackend("NetDriverVM-2"));
   for (auto& g : guests_) {
     if (hv_->DomainAlive(g->domain)) {
-      UKVM_TRY(g->netfront->Reconnect(*netback_));
+      UKVM_TRY(g->netfront->Connect(*netback_));
     }
   }
   return Err::kNone;

@@ -112,17 +112,16 @@ class VmmStack {
 
   // --- Fault injection (experiment E5) ----------------------------------------
   //
-  // Kill is the only death edge; every Restart* below starts with it.
+  // Kill is the only death edge; every Restart* below starts with it. A
+  // service VM dies with its domain (the hypervisor reclaims its grants,
+  // mappings and ports and upcalls the guests); a backend inside Dom0 dies
+  // in place (its Kill releases the same by hand, then each live frontend
+  // runs OnBackendDead). kBadHandle or kDead once the service is dead.
 
-  // Kills the storage service. With Parallax the service is a whole VM:
-  // domain death, with reclamation and kDomainDead upcalls. Inside Dom0 it
-  // is the blkback alone: the driver crashes, Dom0 survives, the backend
-  // unmaps its persistent grants and stops answering, and the frontends
-  // detach so in-flight requests wake with kDead. kBadHandle or kDead once
-  // the service is already dead.
+  // The Parallax VM, or the blkback alone. In-flight requests wake kDead.
   ukvm::Err KillStorage();
-  // Kills the network driver domain (Dom0 unless disaggregated).
-  ukvm::Err KillNetDomain();
+  // The net driver VM, or the netback alone.
+  ukvm::Err KillNetService();
   ukvm::Err KillDom0();
   ukvm::Err KillGuest(size_t i);
 
@@ -135,21 +134,16 @@ class VmmStack {
   // exactly-once across backend restarts. A restart reconnects only live
   // guests.
 
-  // KillStorage (a no-op once the service is dead), then boots a
-  // replacement storage backend (a fresh Parallax VM when disaggregated;
-  // rebuilding inside Dom0 otherwise requires Dom0 alive) and reconnects
-  // each live guest's blkfront. Disk contents survive. The path quiesces
-  // the disk's DMA queue first and drives each frontend's xenbus machine
-  // through reconnect + replay.
+  // Both restarts share one shape: Kill (a no-op once the service is
+  // dead), quiesce the device whose DMA targets died with the instance and
+  // close its IRQ port, boot a replacement backend (a fresh VM when
+  // disaggregated; inside Dom0 only while Dom0 lives), and Connect each
+  // live guest's frontend again. Storage cancels the disk's in-flight
+  // requests and each blkfront replays its journal (disk contents
+  // survive); net forgets the NIC's posted rx buffers and each netfront
+  // posts its rx window again (the stack-owned wire routes need no replay).
   ukvm::Err RestartStorage();
-
-  // Boots a replacement network backend and reconnects each live guest's
-  // netfront. A disaggregated driver VM is killed first (a no-op once it
-  // is dead); a Dom0-hosted netback is replaced in place and unmaps its
-  // persistent grants first. Posted rx buffers and in-flight NIC
-  // completions are cancelled before the old driver is torn down. The
-  // wire routes need no replay: the stack owns them.
-  ukvm::Err RestartNetDomain();
+  ukvm::Err RestartNetService();
 
   // The stack-owned slice table and exactly-once write log (survives
   // backend restarts).
@@ -171,6 +165,7 @@ class VmmStack {
   static constexpr uint32_t kDiskIrq = 6;
 
   std::unique_ptr<Guest> MakeGuest(const std::string& name);
+  void ForEachLiveGuest(const std::function<void(Guest&)>& fn);
   // The one construction path for each backend, shared by boot and the
   // Restart* paths: the hosting domain (a fresh VM named `domain_name` when
   // disaggregated, else the live Dom0), its driver and backend, the device
@@ -194,6 +189,8 @@ class VmmStack {
   std::unique_ptr<PortMux> net_mux_;
   std::unique_ptr<udrv::NicDriver> nic_driver_;
   std::unique_ptr<udrv::DiskDriver> disk_driver_;
+  uint32_t nic_irq_port_ = 0;  // in net_dom_
+  uint32_t disk_irq_port_ = 0;  // in storage_dom_
   // Outlive every backend that uses them.
   minios::BlkStore blk_store_{config_.slice_blocks, config_.disk.capacity_blocks};
   minios::NetRoutes net_routes_;

@@ -449,9 +449,9 @@ Kernel::FastpathVerdict Kernel::ClassifyFastpath(ThreadId caller, ThreadId dest,
                                                  const IpcMessage& msg) {
   Tcb* c = FindThread(caller);
   Tcb* d = FindThread(dest);
-  // Error paths (bad handle, dead partner) keep the slow path's exact
-  // charge-and-reply discipline.
-  if (c == nullptr || d == nullptr || d->state == ThreadState::kDead || !TaskAlive(d->task)) {
+  // Error paths (bad handle, dead caller or partner) keep the slow path's
+  // exact charge-and-reply discipline.
+  if (c == nullptr || d == nullptr || ThreadDead(*c) || ThreadDead(*d)) {
     return FastpathVerdict::kNotReady;
   }
   if (d->state != ThreadState::kWaiting || !d->handler) {
@@ -683,9 +683,11 @@ IpcMessage Kernel::Call(ThreadId caller, ThreadId dest, IpcMessage msg) {
   ++ipc_calls_;
   machine_.Charge(machine_.costs().kernel_op);
 
+  // A dead caller gets its answer without the kernel ever switching back
+  // into its address space.
   auto fail = [&](Err err) {
     IpcMessage reply = IpcMessage::Error(err);
-    if (c != nullptr) {
+    if (c != nullptr && !ThreadDead(*c)) {
       LeaveKernelTo(caller);
     }
     return reply;
@@ -694,7 +696,7 @@ IpcMessage Kernel::Call(ThreadId caller, ThreadId dest, IpcMessage msg) {
   if (c == nullptr || d == nullptr) {
     return fail(Err::kBadHandle);
   }
-  if (d->state == ThreadState::kDead || !TaskAlive(d->task)) {
+  if (ThreadDead(*c) || ThreadDead(*d)) {
     return fail(Err::kDead);
   }
 
@@ -726,14 +728,15 @@ IpcMessage Kernel::Call(ThreadId caller, ThreadId dest, IpcMessage msg) {
 
   IpcMessage reply = InvokeHandler(*d, caller, std::move(delivered));
 
-  // The destination can be destroyed while handling the call (a supervisor
-  // killing a server task mid-request). Whatever the doomed handler
-  // returned is void: the caller observes the death, exactly as if the
-  // call had never been answered, and the stale Tcb is never dereferenced.
-  // The kernel synthesizes the error reply on the dead server's behalf, so
-  // the crossing ledger still sees a balanced call/reply pair.
+  // Either end can be destroyed while the call is handled (a supervisor
+  // killing a server task mid-request, or the caller's guest). Whatever the
+  // handler returned is void: the caller observes the death, exactly as if
+  // the call had never been answered, and the stale Tcb is never
+  // dereferenced. The kernel synthesizes the error reply on the dead
+  // server's behalf, so the crossing ledger still sees a balanced
+  // call/reply pair.
   d = FindThread(dest);
-  if (d == nullptr || d->state == ThreadState::kDead || !TaskAlive(d->task)) {
+  if (d == nullptr || ThreadDead(*d) || ThreadDead(*c)) {
     machine_.ledger().Record(mech_.ipc_reply, dest_task, c->task, 0, 0);
     return fail(Err::kDead);
   }
@@ -816,8 +819,10 @@ Err Kernel::Send(ThreadId caller, ThreadId dest, IpcMessage msg) {
     LeaveKernelTo(caller);
     return Err::kBadHandle;
   }
-  if (d->state == ThreadState::kDead || !TaskAlive(d->task)) {
-    LeaveKernelTo(caller);
+  if (ThreadDead(*c) || ThreadDead(*d)) {
+    if (!ThreadDead(*c)) {
+      LeaveKernelTo(caller);
+    }
     return Err::kDead;
   }
   ChargeRegTransfer(msg);
@@ -919,6 +924,24 @@ Err Kernel::RootMapPhys(DomainId task, hwsim::Vaddr va, hwsim::Frame frame, bool
   machine_.ChargeTo(kKernelDomain, machine_.costs().pte_write);
   t->space.Map(va, frame, hwsim::PtePerms{writable, /*user=*/true});
   mapdb_.AddRoot(task, vpn, frame);
+  return Err::kNone;
+}
+
+Err Kernel::RootUnmapPhys(DomainId task, std::span<const hwsim::Vaddr> vas) {
+  if (task != root_task_) {
+    return Err::kPermissionDenied;
+  }
+  Task* t = FindTask(task);
+  if (t == nullptr || !t->alive) {
+    return Err::kBadHandle;
+  }
+  for (const hwsim::Vaddr va : vas) {
+    if (MapNode* node = mapdb_.Find(task, t->space.VpnOf(va))) {
+      mapdb_.RemoveSubtree(node, /*include_self=*/true,
+                           [this](DomainId owner, hwsim::Vaddr vpn) { RevokePte(owner, vpn); });
+    }
+  }
+  FlushShootdowns();
   return Err::kNone;
 }
 

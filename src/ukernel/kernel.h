@@ -164,6 +164,9 @@ class Kernel : public hwsim::TrapHandler {
   // Root-task-only: installs an initial physical mapping (sigma0 building
   // its idempotent view of memory at boot).
   ukvm::Err RootMapPhys(ukvm::DomainId task, hwsim::Vaddr va, hwsim::Frame frame, bool writable);
+  // Root-task-only: removes initial mappings at `vas`, with any mapping
+  // derived from them (sigma0 taking back the frames of a dead task).
+  ukvm::Err RootUnmapPhys(ukvm::DomainId task, std::span<const hwsim::Vaddr> vas);
 
   // Revokes `pages` pages at `va` in `task`'s space: derived mappings always;
   // the task's own mapping too when `include_self`.
@@ -247,6 +250,12 @@ class Kernel : public hwsim::TrapHandler {
     uint32_t pf_name = 0;
     uint32_t pf_frame = 0;
   };
+
+  // A dead thread, or a thread of a destroyed task: IPC to or from it
+  // fails with kDead.
+  bool ThreadDead(const Tcb& tcb) const {
+    return tcb.state == ThreadState::kDead || !TaskAlive(tcb.task);
+  }
 
   // Charges syscall entry (user -> kernel trap) and sets kernel context.
   void EnterKernel();

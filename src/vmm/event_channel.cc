@@ -149,11 +149,12 @@ void EventChannelTable::CloseAllOf(DomainId domain) {
     }
     ports_.erase(domain);
   }
-  // Disconnect any surviving peers pointing at the dead domain.
+  // Free the surviving peers' ends too: a channel to a dead domain can
+  // never carry another event, so its other end is reclaimed with it.
   for (auto& [dom, vec] : ports_) {
     for (Port& p : vec) {
-      if (p.allocated && p.connected && p.remote_dom == domain) {
-        p.connected = false;
+      if (p.allocated && p.remote_dom == domain) {
+        p = Port{};
       }
     }
   }

@@ -61,8 +61,8 @@ class EventChannelTable {
   // returns whether it was pending.
   ukvm::Result<bool> ConsumePending(ukvm::DomainId owner, uint32_t port);
 
-  // Drops all channels touching `domain` (domain destruction). Peers see
-  // their ports become dangling (Send returns kDead).
+  // Drops all channels touching `domain` (domain destruction), both ends:
+  // a surviving peer's port is freed with it.
   void CloseAllOf(ukvm::DomainId domain);
 
   // The distinct domains `domain` has a connected channel to, in port order

@@ -314,57 +314,6 @@ GrantTable::ReclaimStats GrantTable::ReclaimDeadDomain(DomainId dead) {
   return stats;
 }
 
-// --- GrantCache -------------------------------------------------------------------
-
-uint64_t GrantCache::MapKey(DomainId granter, uint32_t ref) {
-  return (uint64_t{granter.value()} << 32) | ref;
-}
-
-std::optional<uint32_t> GrantCache::LookupGrant(uint64_t key) const {
-  auto it = grants_.find(key);
-  if (it == grants_.end()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
-  return it->second;
-}
-
-void GrantCache::InsertGrant(uint64_t key, uint32_t gref) { grants_[key] = gref; }
-
-std::optional<hwsim::Vaddr> GrantCache::LookupMapping(DomainId granter, uint32_t ref) const {
-  auto it = mappings_.find(MapKey(granter, ref));
-  if (it == mappings_.end()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
-  return it->second;
-}
-
-void GrantCache::InsertMapping(DomainId granter, uint32_t ref, hwsim::Vaddr va) {
-  mappings_[MapKey(granter, ref)] = va;
-}
-
-std::vector<GrantCache::Mapping> GrantCache::TakeMappings() {
-  std::vector<Mapping> out;
-  out.reserve(mappings_.size());
-  for (const auto& [key, va] : mappings_) {
-    out.push_back(Mapping{DomainId{static_cast<uint32_t>(key >> 32)},
-                          static_cast<uint32_t>(key), va});
-  }
-  std::sort(out.begin(), out.end(), [](const Mapping& a, const Mapping& b) {
-    return MapKey(a.granter, a.ref) < MapKey(b.granter, b.ref);
-  });
-  mappings_.clear();
-  return out;
-}
-
-void GrantCache::Clear() {
-  grants_.clear();
-  mappings_.clear();
-}
-
 void GrantTable::ForEachActive(const std::function<void(const GrantView&)>& fn) const {
   for (const auto& [granter, table] : tables_) {
     for (uint32_t ref = 0; ref < table.size(); ++ref) {

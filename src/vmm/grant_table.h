@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -157,46 +156,6 @@ class GrantTable {
   uint32_t batch_depth_ = 0;
   bool batch_shootdown_pending_ = false;
   uint64_t deferred_shootdowns_ = 0;
-};
-
-// Persistent-grant recycling cache (Xen's "persistent grants" protocol
-// extension): both ends of a split driver keep steady-state grants alive
-// across I/Os instead of paying grant/map/unmap/end hypercalls per packet.
-// The frontend side remembers pfn -> gref (grant once, reuse forever); the
-// backend side remembers (granter, gref) -> mapped va (map once, never
-// unmap). Pure bookkeeping — the hypercalls it elides are the saving.
-class GrantCache {
- public:
-  // Frontend: a live grant of one of our pages. `key` is caller-chosen
-  // (usually the pfn; blkfront packs the direction in too).
-  std::optional<uint32_t> LookupGrant(uint64_t key) const;
-  void InsertGrant(uint64_t key, uint32_t gref);
-
-  // Backend: a granted page we keep mapped.
-  struct Mapping {
-    ukvm::DomainId granter;
-    uint32_t ref = 0;
-    hwsim::Vaddr va = 0;
-  };
-  std::optional<hwsim::Vaddr> LookupMapping(ukvm::DomainId granter, uint32_t ref) const;
-  void InsertMapping(ukvm::DomainId granter, uint32_t ref, hwsim::Vaddr va);
-  // Forgets every mapping and returns them in (granter, ref) order, for
-  // the backend to unmap.
-  std::vector<Mapping> TakeMappings();
-
-  void Clear();
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
-  size_t mappings() const { return mappings_.size(); }
-  size_t grants() const { return grants_.size(); }
-
- private:
-  static uint64_t MapKey(ukvm::DomainId granter, uint32_t ref);
-
-  std::unordered_map<uint64_t, uint32_t> grants_;       // key -> gref
-  std::unordered_map<uint64_t, hwsim::Vaddr> mappings_; // (granter,ref) -> va
-  mutable uint64_t hits_ = 0;
-  mutable uint64_t misses_ = 0;
 };
 
 }  // namespace uvmm

@@ -249,8 +249,8 @@ TEST(PersistentGrants, BlkFrontReusesGrantsOnceThePoolWraps) {
   for (int i = 0; i < 24; ++i) {
     ASSERT_EQ(front.Read(0, 1, buf), Err::kNone);
   }
-  EXPECT_GT(front.gref_cache().hits(), 0u);
-  EXPECT_GT(stack.blkback().map_cache().hits(), 0u);
+  EXPECT_GT(front.grants().hits(), 0u);
+  EXPECT_GT(stack.blkback().mappings().hits(), 0u);
 }
 
 TEST(PersistentGrants, DisabledByDefault) {
@@ -260,8 +260,8 @@ TEST(PersistentGrants, DisabledByDefault) {
   for (int i = 0; i < 24; ++i) {
     ASSERT_EQ(front.Read(0, 1, buf), Err::kNone);
   }
-  EXPECT_EQ(front.gref_cache().hits(), 0u);
-  EXPECT_EQ(stack.blkback().map_cache().hits(), 0u);
+  EXPECT_EQ(front.grants().hits(), 0u);
+  EXPECT_EQ(stack.blkback().mappings().hits(), 0u);
 }
 
 // --- The auditor stays clean under the batched datapath ----------------------

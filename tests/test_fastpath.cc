@@ -19,6 +19,7 @@
 #include "src/check/ledger_lint.h"
 #include "src/hw/machine.h"
 #include "src/hw/platform.h"
+#include "src/os/ports/protocols.h"
 #include "src/stacks/ukernel_stack.h"
 #include "src/ukernel/ipc.h"
 #include "src/ukernel/kernel.h"
@@ -462,6 +463,44 @@ TEST(Fastpath, ServerDeathBetweenReplyAndReceiveSynthesizesReply) {
     }
     auditor.Checkpoint("after-death");
     EXPECT_EQ(auditor.violation_count(), 0u);
+  }
+}
+
+TEST(Fastpath, DeadCallerGetsDeadOnFastAndSlowPaths) {
+  // After its guest is killed, the guest OS thread's register-only Call to
+  // the block server and Send to the net server, and a Call expecting a
+  // string reply, all fail with kDead on both paths: no handler runs and
+  // the kernel never switches back into the dead address space.
+  for (bool fastpath : {false, true}) {
+    SCOPED_TRACE(fastpath ? "fast path" : "slow path");
+    ustack::UkernelStack::Config config;
+    config.ipc_fastpath = fastpath;
+    ustack::UkernelStack stack(config);
+    ukern::Kernel& k = stack.kernel();
+    const auto& g = stack.guest(0);
+    ASSERT_EQ(stack.KillGuest(0), Err::kNone);
+    const uint64_t served = stack.block_server().requests_served();
+    const auto stats = k.fastpath_stats();
+
+    EXPECT_EQ(k.Call(g.os_thread, stack.block_server().thread(),
+                     ukern::IpcMessage::Short(minios::kBlkInfoLabel))
+                  .status,
+              Err::kDead);
+    EXPECT_NE(stack.machine().cpu().current_domain(), g.os_task);
+    EXPECT_EQ(k.Send(g.os_thread, stack.net_server().thread(),
+                     ukern::IpcMessage::Short(minios::kNetAttachLabel, g.net_rx_thread.value())),
+              Err::kDead);
+    EXPECT_NE(stack.machine().cpu().current_domain(), g.os_task);
+    EXPECT_EQ(k.Call(g.os_thread, stack.block_server().thread(),
+                     ukern::IpcMessage::Short(minios::kBlkReadLabel, 0, 1))
+                  .status,
+              Err::kDead);
+    EXPECT_EQ(stack.block_server().requests_served(), served);
+    EXPECT_EQ(k.fastpath_stats().taken, stats.taken);
+    EXPECT_EQ(k.fastpath_stats().send_fast, stats.send_fast);
+    ASSERT_NE(stack.auditor(), nullptr);
+    stack.auditor()->Checkpoint("after-dead-caller");
+    EXPECT_EQ(stack.auditor()->violation_count(), 0u);
   }
 }
 

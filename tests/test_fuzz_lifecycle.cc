@@ -623,9 +623,10 @@ TEST(FuzzLifecycle, VmmSeedBankCleanAndDeterministic) { RunSeedBank(RunVmmFuzz, 
 // --- E19 crash-recovery fuzz ------------------------------------------------------
 //
 // Seeded sequences of block writes, read-verifies, backend kills (including
-// scheduled mid-flight kills that land inside a request's completion wait),
-// and reconnects, against all three crash-recoverable storage stacks. Per
-// seed:
+// scheduled mid-flight kills that land inside a request's completion wait,
+// some followed by a restart at once, before the orphaned completion can
+// run), and reconnects, against all three crash-recoverable storage
+// stacks. Per seed:
 //  1. zero-loss / zero-dup: a per-lba model tracks every write that was
 //     acknowledged OR journaled; after the final reconnect the disk must
 //     match the model exactly, every journal must be empty, and the
@@ -634,7 +635,11 @@ TEST(FuzzLifecycle, VmmSeedBankCleanAndDeterministic) { RunSeedBank(RunVmmFuzz, 
 //     breaks the equality);
 //  2. auditor-clean: no isolation invariant — including the E19
 //     dead-domain-reference rules — fires at any checkpoint;
-//  3. byte-identical determinism: two runs of a seed digest identically.
+//  3. byte-identical determinism: two runs of a seed digest identically;
+//  4. leak-free: the event-channel ports (and on the microkernel the free
+//     frames) end where they were after boot, and the client's in-use
+//     grants exceed their post-boot count by at most the persistent
+//     cache's capacity.
 
 // One crash-recoverable storage stack under fuzz: the three variants differ
 // only in how the backend dies and comes back.
@@ -649,7 +654,24 @@ struct RecoveryTarget {
   const minios::BlkStore* store = nullptr;      // the stack's exactly-once log
   std::function<uint64_t()> reconnects;
   uint32_t block_size = 0;
+  // Leak probes, read after boot and at the seed's end: counts that must
+  // come back exactly (VMM: the guest's and Dom0's ports; microkernel: the
+  // free frames), and the client's in-use grants (VMM only).
+  std::function<std::vector<uint64_t>()> exact_counts;
+  std::function<uint64_t()> client_grants;
 };
+
+// The blkfront's persistent cache holds one grant per pool page and
+// direction: 8 pages x 2.
+constexpr uint64_t kPersistentCacheCapacity = 16;
+
+uint64_t GrantsMadeBy(uvmm::Hypervisor& hv, DomainId granter) {
+  uint64_t n = 0;
+  hv.gnttab().ForEachActive([&](const uvmm::GrantTable::GrantView& g) {
+    n += g.granter == granter ? 1 : 0;
+  });
+  return n;
+}
 
 FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
   SplitMix64 rng(seed * 2 + 1);
@@ -659,16 +681,24 @@ FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
   bool alive = true;
   std::vector<uint8_t> block(t.block_size);
   std::vector<uint8_t> back(t.block_size);
+  const std::vector<uint64_t> boot_counts = t.exact_counts();
+  const uint64_t boot_grants = t.client_grants ? t.client_grants() : 0;
 
-  auto do_write = [&](uint64_t lba, bool mid_flight_kill) {
+  enum class Kill { kNone, kThenDrain, kThenRestart };
+  auto do_write = [&](uint64_t lba, Kill kill) {
     const uint8_t fill = static_cast<uint8_t>(rng.Next() & 0xff);
     std::fill(block.begin(), block.end(), fill);
-    if (mid_flight_kill) {
+    bool killed = false;
+    hwsim::Machine::EventId kill_event = 0;
+    if (kill != Kill::kNone) {
       // Land inside the request's completion wait (disk fixed latency is
       // 100us) or just after it — both interleavings must preserve the
       // exactly-once invariant.
       const uint64_t delay = (10 + rng.Below(120)) * hwsim::kCyclesPerUs;
-      t.machine->ScheduleAfter(delay, [&] { t.kill(); });
+      kill_event = t.machine->ScheduleAfter(delay, [&] {
+        killed = true;
+        t.kill();
+      });
     }
     const size_t depth_before = t.journal->size();
     const Err err = t.write(lba, block);
@@ -678,12 +708,21 @@ FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
     if (err == Err::kNone || t.journal->size() > depth_before) {
       model[lba] = fill;
     }
-    if (mid_flight_kill) {
+    if (kill == Kill::kThenDrain) {
       // Drain the kill event (if the write returned first) and any orphaned
       // completion the dead backend still had in flight — the
       // applied-but-unacknowledged interleaving.
       t.machine->RunUntilIdle();
       alive = false;
+    } else if (kill == Kill::kThenRestart) {
+      // Restart at once: the orphaned completion never runs, so whatever
+      // the kill left in flight must be released by the kill itself.
+      if (!killed) {
+        t.machine->CancelEvent(kill_event);
+        t.kill();
+      }
+      EXPECT_EQ(t.restart(), Err::kNone) << "seed " << seed;
+      EXPECT_EQ(t.journal->size(), 0u) << "seed " << seed;
     }
   };
 
@@ -691,15 +730,17 @@ FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
     const uint64_t op = rng.Below(100);
     const uint64_t lba = rng.Below(kLbas);
     if (op < 40) {  // plain write
-      do_write(lba, /*mid_flight_kill=*/false);
+      do_write(lba, Kill::kNone);
     } else if (op < 55 && alive) {  // read-verify against the model
       const auto it = model.find(lba);
       if (it != model.end() && t.read(lba, back) == Err::kNone) {
         EXPECT_EQ(back[0], it->second) << "seed " << seed << " lba " << lba;
         EXPECT_EQ(back[t.block_size - 1], it->second) << "seed " << seed;
       }
-    } else if (op < 65 && alive) {  // mid-flight kill under a write
-      do_write(lba, /*mid_flight_kill=*/true);
+    } else if (op < 60 && alive) {  // mid-flight kill under a write
+      do_write(lba, Kill::kThenDrain);
+    } else if (op < 65 && alive) {  // mid-flight kill, restart at once
+      do_write(lba, Kill::kThenRestart);
     } else if (op < 75 && alive) {  // quiescent kill
       t.kill();
       alive = false;
@@ -736,6 +777,13 @@ FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
   d.Mix(t.reconnects());
   d.Mix(t.journal->size());
 
+  EXPECT_EQ(t.exact_counts(), boot_counts) << "seed " << seed;
+  if (t.client_grants) {
+    const uint64_t grants = t.client_grants();
+    EXPECT_GE(grants, boot_grants) << "seed " << seed;
+    EXPECT_LE(grants, boot_grants + kPersistentCacheCapacity) << "seed " << seed;
+  }
+
   FuzzResult out;
   out.digest = d.value;
   if (t.auditor != nullptr) {
@@ -765,6 +813,9 @@ FuzzResult RunUkernelRecoveryFuzzImpl(uint64_t seed, uint32_t steps, bool ipc_fa
   t.journal = &stack.guest(0).port->blk_journal();
   t.store = &stack.blk_store();
   t.reconnects = [&] { return stack.guest(0).xenbus.reconnects(); };
+  t.exact_counts = [&] {
+    return std::vector<uint64_t>{stack.machine().memory().free_frames()};
+  };
   FuzzResult out = RunRecoveryFuzzOn(t, seed, steps);
   out.fastpath_taken = stack.kernel().fastpath_stats().taken;
   out.fastpath_replywait = stack.kernel().fastpath_stats().replywait_coalesced;
@@ -809,6 +860,12 @@ FuzzResult RunVmmRecoveryFuzz(uint64_t seed, uint32_t steps, bool parallax) {
   t.journal = &front.journal();
   t.store = &stack.blk_store();
   t.reconnects = [&] { return front.xenbus().reconnects(); };
+  const DomainId guest = stack.guest(0).domain;
+  t.exact_counts = [&] {
+    return std::vector<uint64_t>{stack.hv().evtchn().ports_of(guest),
+                                 stack.hv().evtchn().ports_of(stack.dom0())};
+  };
+  t.client_grants = [&] { return GrantsMadeBy(stack.hv(), guest); };
   return RunRecoveryFuzzOn(t, seed, steps);
 }
 

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "src/check/auditor.h"
@@ -276,10 +278,10 @@ TEST(Recovery, VmmNetDriverDomainReconnectRestoresTraffic) {
   stack.machine().RunUntilIdle();
   EXPECT_EQ(wire.packets_received(), 1u);
 
-  ASSERT_EQ(stack.KillNetDomain(), Err::kNone);
+  ASSERT_EQ(stack.KillNetService(), Err::kNone);
   auto& front = *stack.guest(0).netfront;
   EXPECT_EQ(front.xenbus().state(), XenbusState::kConnected);  // failure marked, not detected
-  ASSERT_EQ(stack.RestartNetDomain(), Err::kNone);
+  ASSERT_EQ(stack.RestartNetService(), Err::kNone);
   EXPECT_TRUE(front.xenbus().connected());
   EXPECT_EQ(front.xenbus().reconnects(), 1u);
 
@@ -432,15 +434,15 @@ TEST(Recovery, UkernelDuplicateReplayIsSuppressed) {
   EXPECT_EQ(stack.blk_store().applied_total(), UkAckedWrites(stack));
 }
 
-// --- E21 satellite: rx-slot replay across backend death ---------------------------
+// --- E21 satellite: rx read-back across backend death ----------------------------
 
 TEST(Recovery, NetRxInFlightAtCrashDeliveredExactlyOnceAndSlotsReplayed) {
   // Pins the nastiest interleaving: the backend flips a packet into the
   // guest and pushes the rx response, but the guest's upcall has not run
   // when the backend dies. The response must be read back exactly once at
-  // death (the payload already landed in guest memory), and every
-  // advertised-but-unconsumed rx slot must be journaled and re-advertised
-  // exactly once at reconnect — the rx mirror of the blk write journal.
+  // death (the payload already landed in guest memory). An advertised slot
+  // carries no data, so the reconnect posts exactly the boot-time rx
+  // window again: no slot is lost, and none is posted twice.
   ustack::VmmStack::Config config;
   config.net_driver_domain = true;
   ustack::VmmStack stack(config);
@@ -464,17 +466,14 @@ TEST(Recovery, NetRxInFlightAtCrashDeliveredExactlyOnceAndSlotsReplayed) {
   ASSERT_EQ(front.rx_received(), 0u) << "upcall should have been swallowed";
 
   // Backend death: the drain recovers the parked response (exactly-once
-  // read-back) and journals the outstanding slots.
-  ASSERT_EQ(stack.KillNetDomain(), Err::kNone);
+  // read-back).
+  ASSERT_EQ(stack.KillNetService(), Err::kNone);
   EXPECT_EQ(front.rx_recovered_on_crash(), 1u);
   EXPECT_EQ(front.rx_dropped_on_crash(), 0u);
   EXPECT_EQ(front.rx_received(), 1u);
-  EXPECT_GT(front.rx_slot_journal_depth(), 0u);
-  const size_t journaled = front.rx_slot_journal_depth();
 
-  ASSERT_EQ(stack.RestartNetDomain(), Err::kNone);
-  EXPECT_EQ(front.rx_slot_journal_depth(), 0u);
-  EXPECT_EQ(front.rx_slots_replayed(), journaled);
+  ASSERT_EQ(stack.RestartNetService(), Err::kNone);
+  EXPECT_EQ(front.rx_slots_posted(), front.rx_window());
 
   stack.RunAsApp(0, [&] {
     auto& os = stack.guest_os(0);
@@ -482,7 +481,7 @@ TEST(Recovery, NetRxInFlightAtCrashDeliveredExactlyOnceAndSlotsReplayed) {
     std::vector<uint8_t> buf(256);
     EXPECT_EQ(os.NetRecv(pid, 40, buf), 64);
     EXPECT_LT(os.NetRecv(pid, 40, buf), 0) << "recovered packet must not be duplicated";
-    // The replayed slots accept fresh traffic from the replacement backend.
+    // The reposted slots accept fresh traffic from the replacement backend.
     wire.StartStream(40, 64, 50 * hwsim::kCyclesPerUs, 1);
     stack.machine().RunFor(1000 * hwsim::kCyclesPerUs);
     EXPECT_EQ(os.NetRecv(pid, 40, buf), 64);
@@ -607,7 +606,7 @@ TEST(Recovery, Dom0NetRestartReleasesPersistentMappings) {
     stack.machine().RunUntilIdle();
   };
   send4();
-  ASSERT_EQ(stack.RestartNetDomain(), Err::kNone);
+  ASSERT_EQ(stack.RestartNetService(), Err::kNone);
   send4();
   EXPECT_EQ(wire.packets_received(), 8u);
   stack.auditor()->Checkpoint("after-net-restart");
@@ -706,6 +705,180 @@ TEST(Recovery, UkernelKillInsideReplayKeepsTheTailJournaled) {
     stack.auditor()->Checkpoint("after-replay-kill");
     EXPECT_EQ(stack.auditor()->violation_count(), 0u);
   }
+}
+
+// --- Restarts leak nothing -------------------------------------------------------
+//
+// Every kill-and-restart must reach the same steady state, whichever way the
+// backend died (its domain destroyed, or the driver killed inside a Dom0
+// that lives on) and whichever grant mode it ran. After one warm-up
+// restart, further cycles with I/O between them may not move the client's
+// in-use grants, the guest's or Dom0's event-channel ports, or the
+// machine's free frames.
+
+struct Footprint {
+  size_t guest_grants = 0;
+  size_t guest_ports = 0;
+  size_t dom0_ports = 0;
+  uint64_t free_frames = 0;
+  bool operator==(const Footprint&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Footprint& f) {
+  return os << "{grants " << f.guest_grants << ", guest ports " << f.guest_ports
+            << ", dom0 ports " << f.dom0_ports << ", free frames " << f.free_frames << "}";
+}
+
+size_t GrantsMadeBy(uvmm::Hypervisor& hv, ukvm::DomainId granter) {
+  size_t n = 0;
+  hv.gnttab().ForEachActive([&](const uvmm::GrantTable::GrantView& g) {
+    n += g.granter == granter ? 1 : 0;
+  });
+  return n;
+}
+
+Footprint VmmFootprint(ustack::VmmStack& stack) {
+  const ukvm::DomainId guest = stack.guest(0).domain;
+  return Footprint{GrantsMadeBy(stack.hv(), guest), stack.hv().evtchn().ports_of(guest),
+                   stack.hv().evtchn().ports_of(stack.dom0()),
+                   stack.machine().memory().free_frames()};
+}
+
+TEST(Recovery, RestartsLeakNoGrantsPortsOrFrames) {
+  struct Service {
+    const char* name;
+    bool storage;  // else the net service
+    bool own_domain;
+  };
+  const Service services[] = {{"dom0 storage", true, false},
+                              {"parallax", true, true},
+                              {"dom0 netback", false, false},
+                              {"net driver vm", false, true}};
+  for (const Service& service : services) {
+    for (const bool persistent : {false, true}) {
+      SCOPED_TRACE(std::string(service.name) + (persistent ? ", persistent grants" : ""));
+      ustack::VmmStack::Config config;
+      config.parallax_storage = service.storage && service.own_domain;
+      config.net_driver_domain = !service.storage && service.own_domain;
+      config.persistent_grants = persistent;
+      ustack::VmmStack stack(config);
+      uwork::WireHost wire(stack.machine(), stack.nic());
+      stack.RouteWirePort(40, 0);
+      auto& front = *stack.guest(0).blkfront;
+      std::vector<uint8_t> block(front.block_size(), 0x3c);
+      std::vector<uint8_t> back(front.block_size());
+      ukvm::ProcessId pid{};
+      stack.RunAsApp(0, [&] {
+        pid = *stack.guest_os(0).Spawn("io");
+        ASSERT_EQ(stack.guest_os(0).NetBind(pid, 40), 0);
+      });
+      const auto io = [&] {
+        if (service.storage) {
+          // Two laps of the 8-page pool each way fill every cached grant.
+          for (uint64_t lba = 0; lba < 16; ++lba) {
+            ASSERT_EQ(front.Write(lba, 1, block), Err::kNone);
+            ASSERT_EQ(front.Read(lba, 1, back), Err::kNone);
+          }
+          return;
+        }
+        stack.RunAsApp(0, [&] {
+          auto& os = stack.guest_os(0);
+          for (uint8_t i = 0; i < 8; ++i) {
+            std::vector<uint8_t> p = {i, 1, 2};
+            EXPECT_EQ(os.NetSend(pid, 80, 7, p), 3);
+          }
+          wire.StartStream(40, 64, 20 * hwsim::kCyclesPerUs, 4);
+          stack.machine().RunUntilIdle();
+          std::vector<uint8_t> buf(256);
+          for (int i = 0; i < 4; ++i) {
+            EXPECT_EQ(os.NetRecv(pid, 40, buf), 64);
+          }
+        });
+      };
+      const auto cycle = [&] {
+        ASSERT_EQ(service.storage ? stack.KillStorage() : stack.KillNetService(), Err::kNone);
+        ASSERT_EQ(service.storage ? stack.RestartStorage() : stack.RestartNetService(),
+                  Err::kNone);
+        io();
+      };
+      io();
+      cycle();  // warm-up: the first restart may settle lazily built state
+      const Footprint steady = VmmFootprint(stack);
+      for (int round = 1; round <= 3; ++round) {
+        cycle();
+        EXPECT_EQ(VmmFootprint(stack), steady) << "after restart " << round;
+      }
+      ASSERT_NE(stack.auditor(), nullptr);
+      stack.auditor()->Checkpoint("after-restarts");
+      EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+    }
+  }
+
+  for (const bool storage : {true, false}) {
+    SCOPED_TRACE(storage ? "ukernel block server" : "ukernel net server");
+    ustack::UkernelStack stack;
+    auto* block = stack.guest(0).port->block();
+    std::vector<uint8_t> data(block->block_size(), 0x5d);
+    const auto io = [&] {
+      if (storage) {
+        for (uint64_t lba = 0; lba < 16; ++lba) {
+          ASSERT_EQ(block->Write(lba, 1, data), Err::kNone);
+          ASSERT_EQ(block->Read(lba, 1, data), Err::kNone);
+        }
+        return;
+      }
+      stack.RunAsApp(0, [&] {
+        auto& os = stack.guest_os(0);
+        const auto pid = os.Spawn("io");
+        for (uint8_t i = 0; i < 8; ++i) {
+          std::vector<uint8_t> p = {i, 1, 2};
+          EXPECT_EQ(os.NetSend(*pid, 80, 7, p), 3);
+        }
+        EXPECT_EQ(os.Exit(*pid, 0), 0);
+      });
+    };
+    const auto cycle = [&] {
+      ASSERT_EQ(storage ? stack.KillBlockServer() : stack.KillNetServer(), Err::kNone);
+      ASSERT_EQ(storage ? stack.RestartBlockServer() : stack.RestartNetServer(), Err::kNone);
+      io();
+    };
+    io();
+    cycle();
+    const uint64_t steady = stack.machine().memory().free_frames();
+    for (int round = 1; round <= 3; ++round) {
+      cycle();
+      EXPECT_EQ(stack.machine().memory().free_frames(), steady) << "after restart " << round;
+    }
+    ASSERT_NE(stack.auditor(), nullptr);
+    stack.auditor()->Checkpoint("after-restarts");
+    EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+  }
+}
+
+// A blkback killed inside Dom0 with a write on the disk: the kill unmaps
+// the write's transient mapping, so the successor can map at the same VA
+// and the frontend's grant ends, even when the restart follows at once and
+// the disk's completion never runs.
+TEST(Recovery, Dom0KillInsideAWriteThenImmediateRestartLeaksNothing) {
+  ustack::VmmStack stack;  // storage in Dom0, transient grants
+  ASSERT_NE(stack.auditor(), nullptr);
+  auto& front = *stack.guest(0).blkfront;
+  const ukvm::DomainId guest = stack.guest(0).domain;
+  const size_t grants_before = GrantsMadeBy(stack.hv(), guest);
+  std::vector<uint8_t> limbo(front.block_size(), 0x6e);
+  stack.machine().ScheduleAfter(50 * hwsim::kCyclesPerUs, [&] { (void)stack.KillStorage(); });
+  EXPECT_EQ(front.Write(5, 1, limbo), Err::kDead);
+  ASSERT_EQ(stack.RestartStorage(), Err::kNone);
+  std::vector<uint8_t> back(front.block_size());
+  for (uint64_t i = 0; i < 140; ++i) {
+    ASSERT_EQ(front.Read(i % 40, 1, back), Err::kNone);
+  }
+  ASSERT_EQ(front.Read(5, 1, back), Err::kNone);
+  EXPECT_EQ(back, limbo);
+  stack.auditor()->Checkpoint("after-immediate-restart");
+  EXPECT_EQ(CountRule(*stack.auditor(), Invariant::kGrantRefcountMismatch), 0u);
+  EXPECT_EQ(stack.auditor()->violation_count(), 0u);
+  EXPECT_EQ(GrantsMadeBy(stack.hv(), guest), grants_before);
 }
 
 }  // namespace

@@ -265,7 +265,7 @@ TEST(VmmStack, FullyDisaggregatedSurvivesDriverDeathsIndependently) {
   ASSERT_TRUE(stack.guest(0).booted);
 
   // Kill only the network driver VM.
-  ASSERT_EQ(stack.KillNetDomain(), Err::kNone);
+  ASSERT_EQ(stack.KillNetService(), Err::kNone);
   stack.RunAsApp(0, [&] {
     auto& os = stack.guest_os(0);
     auto pid = os.Spawn("probe");
