@@ -17,15 +17,12 @@ namespace {
 
 using minios::SyscallRet;
 
-struct Recovery {
-  bool data_survived = false;
-  uint64_t restart_cycles = 0;
-  uint64_t restart_crossings = 0;
-};
-
-template <typename StackT, typename KillFn, typename RestartFn>
-Recovery MeasureRecovery(StackT& stack, KillFn kill, RestartFn restart) {
-  Recovery r;
+// Crashes and restarts the storage service of a fresh `StackT`, then adds
+// the recovery cost and whether a file written before the crash survived.
+template <typename StackT>
+void MeasureRecovery(uharness::Table& table, const char* arch, const char* unit,
+                     const typename StackT::Config& config) {
+  StackT stack(config);
   ukvm::ProcessId pid;
   stack.RunAsApp(0, [&] {
     auto& os = stack.guest_os(0);
@@ -36,23 +33,23 @@ Recovery MeasureRecovery(StackT& stack, KillFn kill, RestartFn restart) {
     (void)os.Close(pid, fd);
   });
 
-  kill(stack);
+  (void)stack.KillStorage();
   const uint64_t t0 = stack.machine().Now();
   const uint64_t x0 = stack.machine().ledger().total_count();
-  restart(stack);
+  (void)stack.RestartStorage();
   // Recovery is complete when a client can use the service again.
+  bool data_survived = false;
   stack.RunAsApp(0, [&] {
     auto& os = stack.guest_os(0);
     const SyscallRet fd = os.Open(pid, "precious");
     if (fd >= 0) {
       std::vector<uint8_t> back(4);
-      r.data_survived = os.Read(pid, fd, back) == 4 &&
-                        back == std::vector<uint8_t>({1, 2, 3, 4});
+      data_survived = os.Read(pid, fd, back) == 4 && back == std::vector<uint8_t>({1, 2, 3, 4});
     }
   });
-  r.restart_cycles = stack.machine().Now() - t0;
-  r.restart_crossings = stack.machine().ledger().total_count() - x0;
-  return r;
+  table.AddRow({arch, unit, uharness::FmtInt(stack.machine().Now() - t0),
+                uharness::FmtInt(stack.machine().ledger().total_count() - x0),
+                data_survived ? "yes" : "NO"});
 }
 
 }  // namespace
@@ -64,24 +61,10 @@ int main() {
                         {"architecture", "replacement unit", "recovery cycles",
                          "crossings during recovery", "data survived"});
 
-  {
-    ustack::UkernelStack stack;
-    Recovery r = MeasureRecovery(
-        stack, [](ustack::UkernelStack& s) { (void)s.KillBlockServer(); },
-        [](ustack::UkernelStack& s) { (void)s.RestartBlockServer(); });
-    table.AddRow({"ukernel", "user-level server task", uharness::FmtInt(r.restart_cycles),
-                  uharness::FmtInt(r.restart_crossings), r.data_survived ? "yes" : "NO"});
-  }
-  {
-    ustack::VmmStack::Config config;
-    config.parallax_storage = true;
-    ustack::VmmStack stack(config);
-    Recovery r = MeasureRecovery(
-        stack, [](ustack::VmmStack& s) { (void)s.KillStorage(); },
-        [](ustack::VmmStack& s) { (void)s.RestartStorage(); });
-    table.AddRow({"vmm + parallax", "whole storage VM", uharness::FmtInt(r.restart_cycles),
-                  uharness::FmtInt(r.restart_crossings), r.data_survived ? "yes" : "NO"});
-  }
+  MeasureRecovery<ustack::UkernelStack>(table, "ukernel", "user-level server task", {});
+  ustack::VmmStack::Config parallax;
+  parallax.parallax_storage = true;
+  MeasureRecovery<ustack::VmmStack>(table, "vmm + parallax", "whole storage VM", parallax);
   table.Print();
 
   std::printf(

@@ -110,13 +110,26 @@ struct SoakResult {
   }
 };
 
-// Arms the chaos plan after a clean boot (steady state first, then the
-// storm), soaks with the mixed workload, and lets the watchdog poll
-// between rounds. Identical for every stack type.
+// Boots a stack hardened against the plan, puts its storage service (and,
+// with `watch_net`, its net service) under a watchdog, arms the chaos plan
+// after a clean boot (steady state first, then the storm), soaks with the
+// mixed workload, and lets the watchdog poll between rounds. Identical for
+// every stack type.
 template <typename StackT>
-SoakResult Soak(StackT& stack, ustack::Watchdog& wd) {
-  SoakResult r;
+SoakResult Soak(typename StackT::Config config, bool watch_net) {
+  config.disk_retry = DiskRetry();
+  config.nic_retry = NicRetry();
+  config.degrade = Degrade();
+  StackT stack(config);
   hwsim::Machine& machine = stack.machine();
+  ustack::Watchdog wd(machine, WatchdogPolicy());
+  wd.Watch("storage", [&] { return stack.ProbeStorageService(); },
+           [&] { (void)stack.RestartStorage(); });
+  if (watch_net) {
+    wd.Watch("net", [&] { return stack.ProbeNetService(); },
+             [&] { (void)stack.RestartNetService(); });
+  }
+  SoakResult r;
 
   ukvm::ProcessId pid{};
   stack.RunAsApp(0, [&] { pid = *stack.guest_os(0).Spawn("chaos"); });
@@ -186,51 +199,16 @@ int main() {
   uharness::Table faults("injected faults by class",
                          {"fault class", "ukernel", "vmm + parallax", "vmm dom0 storage"});
 
-  SoakResult uk;
-  {
-    ustack::UkernelStack::Config config;
-    config.disk_retry = DiskRetry();
-    config.nic_retry = NicRetry();
-    config.degrade = Degrade();
-    ustack::UkernelStack stack(config);
-    ustack::Watchdog wd(stack.machine(), WatchdogPolicy());
-    wd.Watch("blk", [&] { return stack.ProbeBlockService(); },
-             [&] { (void)stack.RestartBlockServer(); });
-    wd.Watch("net", [&] { return stack.ProbeNetService(); },
-             [&] { (void)stack.RestartNetServer(); });
-    uk = Soak(stack, wd);
-    table.AddRow(Row("ukernel", uk));
-  }
-
-  SoakResult vp;
-  {
-    ustack::VmmStack::Config config;
-    config.parallax_storage = true;
-    config.disk_retry = DiskRetry();
-    config.nic_retry = NicRetry();
-    config.degrade = Degrade();
-    ustack::VmmStack stack(config);
-    ustack::Watchdog wd(stack.machine(), WatchdogPolicy());
-    wd.Watch("storage", [&] { return stack.ProbeStorageService(); },
-             [&] { (void)stack.RestartStorage(); });
-    vp = Soak(stack, wd);
-    table.AddRow(Row("vmm + parallax", vp));
-  }
-
-  SoakResult vd;
-  {
-    ustack::VmmStack::Config config;
-    config.parallax_storage = false;  // blkback consolidated into Dom0
-    config.disk_retry = DiskRetry();
-    config.nic_retry = NicRetry();
-    config.degrade = Degrade();
-    ustack::VmmStack stack(config);
-    ustack::Watchdog wd(stack.machine(), WatchdogPolicy());
-    wd.Watch("storage", [&] { return stack.ProbeStorageService(); },
-             [&] { (void)stack.RestartStorage(); });
-    vd = Soak(stack, wd);
-    table.AddRow(Row("vmm dom0 storage", vd));
-  }
+  // The VMM rows watch only storage; the ukernel row also watches its net
+  // server.
+  const SoakResult uk = Soak<ustack::UkernelStack>({}, /*watch_net=*/true);
+  table.AddRow(Row("ukernel", uk));
+  ustack::VmmStack::Config parallax;
+  parallax.parallax_storage = true;
+  const SoakResult vp = Soak<ustack::VmmStack>(parallax, /*watch_net=*/false);
+  table.AddRow(Row("vmm + parallax", vp));
+  const SoakResult vd = Soak<ustack::VmmStack>({}, /*watch_net=*/false);  // blkback in Dom0
+  table.AddRow(Row("vmm dom0 storage", vd));
   table.Print();
 
   for (size_t i = 0; i < uk.fault_counts.size(); ++i) {

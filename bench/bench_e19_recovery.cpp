@@ -29,9 +29,7 @@
 // same table on every run.
 
 #include <cstdio>
-#include <functional>
 #include <map>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -68,22 +66,6 @@ hwsim::FaultPlan StormPlan() {
   return plan;
 }
 
-// One crash-recoverable storage stack under the bench: the three
-// architectures differ only in how the backend dies and comes back.
-struct Target {
-  hwsim::Machine* machine = nullptr;
-  ucheck::Auditor* auditor = nullptr;
-  std::function<Err(uint64_t lba, std::span<const uint8_t>)> write;
-  std::function<Err(uint64_t lba, std::span<uint8_t>)> read;
-  std::function<void()> kill;
-  std::function<Err()> restart;
-  const minios::BlkJournal* journal = nullptr;  // the client's write journal
-  const minios::BlkStore* store = nullptr;      // the stack's exactly-once log
-  std::function<uint64_t()> reconnects;
-  std::function<uint64_t()> replayed_total;
-  uint32_t block_size = 0;
-};
-
 struct PhaseStats {
   uint64_t count = 0;
   uint64_t p50 = 0;
@@ -111,11 +93,21 @@ struct RunResult {
   }
 };
 
-RunResult RunBurstsWithKills(Target& t) {
+// The three architectures differ only in how the storage service dies and
+// comes back (a task, a whole VM, or a driver inside the surviving Dom0):
+// one body drives each through the stacks' shared service interface.
+template <typename StackT>
+RunResult RunBurstsWithKills(typename StackT::Config config) {
+  config.trace.enabled = true;
+  StackT stack(config);
+  stack.ArmFaults(StormPlan());
+  minios::BlockDevice& block = stack.guest_block(0);
+  const minios::BlkJournal& journal = stack.guest_journal(0);
+  const uint32_t block_size = block.block_size();
   RunResult r;
-  hwsim::Machine& machine = *t.machine;
-  std::vector<uint8_t> block(t.block_size);
-  std::vector<uint8_t> back(t.block_size);
+  hwsim::Machine& machine = stack.machine();
+  std::vector<uint8_t> data(block_size);
+  std::vector<uint8_t> back(block_size);
   // lba -> fill byte of the last acknowledged-or-journaled write: the
   // durable-eventually set. Journaled writes replay in id order before any
   // post-restart write, so last-writer-wins matches issue order.
@@ -127,7 +119,7 @@ RunResult RunBurstsWithKills(Target& t) {
     for (int i = 0; i < kWritesPerCycle; ++i) {
       const uint64_t lba = static_cast<uint64_t>(i) % kLbas;
       ++fill;
-      std::fill(block.begin(), block.end(), fill);
+      std::fill(data.begin(), data.end(), fill);
       if (alive && i == kKillAtWrite) {
         // Land inside the request's completion wait (disk fixed latency is
         // ~100us): the backend dies with this write on the ring. The delay
@@ -135,15 +127,15 @@ RunResult RunBurstsWithKills(Target& t) {
         // including the applied-but-unacknowledged one the recovery log
         // exists for.
         const uint64_t delay = (30 + 17 * static_cast<uint64_t>(cycle)) * hwsim::kCyclesPerUs;
-        machine.ScheduleAfter(delay, [&t] { t.kill(); });
+        machine.ScheduleAfter(delay, [&stack] { (void)stack.KillStorage(); });
       }
-      const size_t depth_before = t.journal->size();
-      const Err err = t.write(lba, block);
+      const size_t depth_before = journal.size();
+      const Err err = block.Write(lba, 1, data);
       ++r.writes_attempted;
       if (err == Err::kNone) {
         ++r.writes_acked;
         model[lba] = fill;
-      } else if (t.journal->size() > depth_before) {
+      } else if (journal.size() > depth_before) {
         ++r.writes_journaled;
         model[lba] = fill;
       }
@@ -152,7 +144,7 @@ RunResult RunBurstsWithKills(Target& t) {
         alive = false;
       }
     }
-    const Err restarted = t.restart();
+    const Err restarted = stack.RestartStorage();
     if (restarted != Err::kNone) {
       std::printf("FAIL: restart returned %s\n", ukvm::ErrName(restarted));
       r.data_intact = false;
@@ -163,20 +155,20 @@ RunResult RunBurstsWithKills(Target& t) {
 
   // Full read-back of the durable-eventually set.
   for (const auto& [lba, expect] : model) {
-    if (t.read(lba, back) != Err::kNone || back[0] != expect ||
-        back[t.block_size - 1] != expect) {
+    if (block.Read(lba, 1, back) != Err::kNone || back[0] != expect ||
+        back[block_size - 1] != expect) {
       r.data_intact = false;
       std::printf("FAIL: lba %llu read back %02x, expected %02x\n",
                   static_cast<unsigned long long>(lba), back[0], expect);
     }
   }
 
-  r.reconnects = t.reconnects();
-  r.replayed = t.replayed_total();
-  r.suppressed = t.store->suppressed_total();
-  r.applied = t.store->applied_total();
-  r.acked_ledger = t.journal->acked_ok();
-  r.journal_residue = t.journal->size();
+  r.reconnects = stack.guest_blk_conn(0).reconnects();
+  r.replayed = stack.guest_blk_conn(0).replayed_total();
+  r.suppressed = stack.blk_store().suppressed_total();
+  r.applied = stack.blk_store().applied_total();
+  r.acked_ledger = journal.acked_ok();
+  r.journal_residue = journal.size();
   r.dma_cancelled = machine.counters().Get("recovery.disk.dma_cancelled");
   r.faults_injected = machine.counters().Get("fault.nic.tx_drop") +
                       machine.counters().Get("fault.nic.corrupt") +
@@ -188,59 +180,20 @@ RunResult RunBurstsWithKills(Target& t) {
       r.phases[name] = PhaseStats{s.count, s.p50, s.max};
     }
   });
-  if (t.auditor != nullptr) {
-    t.auditor->Checkpoint("e19-final");
-    r.violations = t.auditor->violation_count();
-    for (const std::string& report : t.auditor->ViolationReports()) {
+  if (ucheck::Auditor* auditor = stack.auditor(); auditor != nullptr) {
+    auditor->Checkpoint("e19-final");
+    r.violations = auditor->violation_count();
+    for (const std::string& report : auditor->ViolationReports()) {
       std::printf("FAIL: %s\n", report.c_str());
     }
   }
   return r;
 }
 
-RunResult RunUkernel() {
-  ustack::UkernelStack::Config config;
-  config.trace.enabled = true;
-  ustack::UkernelStack stack(config);
-  stack.ArmFaults(StormPlan());
-  auto* block = stack.guest(0).port->block();
-  Target t;
-  t.machine = &stack.machine();
-  t.auditor = stack.auditor();
-  t.block_size = block->block_size();
-  t.write = [&](uint64_t lba, std::span<const uint8_t> in) { return block->Write(lba, 1, in); };
-  t.read = [&](uint64_t lba, std::span<uint8_t> out) { return block->Read(lba, 1, out); };
-  t.kill = [&] { (void)stack.KillBlockServer(); };
-  t.restart = [&] { return stack.RestartBlockServer(); };
-  t.journal = &stack.guest(0).port->blk_journal();
-  t.store = &stack.blk_store();
-  t.reconnects = [&] { return stack.guest(0).xenbus.reconnects(); };
-  t.replayed_total = [&] { return stack.guest(0).xenbus.replayed_total(); };
-  return RunBurstsWithKills(t);
-}
-
-RunResult RunVmm(bool parallax) {
+ustack::VmmStack::Config VmmConfig(bool parallax) {
   ustack::VmmStack::Config config;
   config.parallax_storage = parallax;
-  config.trace.enabled = true;
-  ustack::VmmStack stack(config);
-  stack.ArmFaults(StormPlan());
-  auto& front = *stack.guest(0).blkfront;
-  Target t;
-  t.machine = &stack.machine();
-  t.auditor = stack.auditor();
-  t.block_size = front.block_size();
-  t.write = [&](uint64_t lba, std::span<const uint8_t> in) { return front.Write(lba, 1, in); };
-  t.read = [&](uint64_t lba, std::span<uint8_t> out) { return front.Read(lba, 1, out); };
-  // Parallax: whole-VM death (grant reclamation + kDomainDead upcalls).
-  // Dom0-hosted: the driver crashes inside the surviving Dom0.
-  t.kill = [&] { (void)stack.KillStorage(); };
-  t.restart = [&] { return stack.RestartStorage(); };
-  t.journal = &front.journal();
-  t.store = &stack.blk_store();
-  t.reconnects = [&] { return front.xenbus().reconnects(); };
-  t.replayed_total = [&] { return front.xenbus().replayed_total(); };
-  return RunBurstsWithKills(t);
+  return config;
 }
 
 std::string Phase(const RunResult& r, const std::string& name) {
@@ -263,9 +216,12 @@ int main() {
     RunResult r;
   };
   std::vector<Arch> archs;
-  archs.push_back({"ukernel", "user-level server task", RunUkernel()});
-  archs.push_back({"vmm + parallax", "whole storage VM", RunVmm(/*parallax=*/true)});
-  archs.push_back({"vmm dom0 storage", "driver inside Dom0", RunVmm(/*parallax=*/false)});
+  archs.push_back({"ukernel", "user-level server task",
+                   RunBurstsWithKills<ustack::UkernelStack>({})});
+  archs.push_back({"vmm + parallax", "whole storage VM",
+                   RunBurstsWithKills<ustack::VmmStack>(VmmConfig(/*parallax=*/true))});
+  archs.push_back({"vmm dom0 storage", "driver inside Dom0",
+                   RunBurstsWithKills<ustack::VmmStack>(VmmConfig(/*parallax=*/false))});
 
   uharness::Table phases("recovery latency by phase (p50 over the kill cycles)",
                          {"architecture", "replacement unit", "kills", "detect", "reclaim",

@@ -48,14 +48,24 @@ Probe ProbeGuest(StackT& stack, size_t guest) {
 
 const char* Mark(bool ok) { return ok ? "OK" : "DEAD"; }
 
+// Boots a two-guest `StackT`, applies `kill` and adds what still works.
 template <typename StackT, typename KillFn>
-void Scenario(uharness::Table& table, const char* arch, const char* scenario, StackT& stack,
-              KillFn kill) {
+void Scenario(uharness::Table& table, const char* arch, const char* scenario,
+              typename StackT::Config config, KillFn kill) {
+  config.num_guests = 2;
+  StackT stack(config);
   kill(stack);
   const Probe g0 = ProbeGuest(stack, 0);
   const Probe g1 = ProbeGuest(stack, 1);
   table.AddRow({arch, scenario, Mark(g0.syscalls), Mark(g0.network), Mark(g0.storage),
                 Mark(g1.syscalls && g1.network && g1.storage)});
+}
+
+ustack::VmmStack::Config VmmConfig(bool parallax, bool net_driver_domain = false) {
+  ustack::VmmStack::Config config;
+  config.parallax_storage = parallax;
+  config.net_driver_domain = net_driver_domain;
+  return config;
 }
 
 }  // namespace
@@ -67,85 +77,38 @@ int main() {
                         {"architecture", "scenario", "g0 syscalls", "g0 network", "g0 storage",
                          "g1 all"});
 
-  // Baselines: nothing killed.
-  {
-    ustack::UkernelStack::Config c;
-    c.num_guests = 2;
-    ustack::UkernelStack stack(c);
-    Scenario(table, "ukernel", "baseline (nothing killed)", stack, [](auto&) {});
-  }
-  {
-    ustack::VmmStack::Config c;
-    c.num_guests = 2;
-    c.parallax_storage = true;
-    ustack::VmmStack stack(c);
-    Scenario(table, "vmm+parallax", "baseline (nothing killed)", stack, [](auto&) {});
-  }
+  using ustack::UkernelStack;
+  using ustack::VmmStack;
+  const auto nothing = [](auto&) {};
+  const auto kill_storage = [](auto& s) { (void)s.KillStorage(); };
+  const auto kill_net = [](auto& s) { (void)s.KillNetService(); };
+  const auto kill_guest0 = [](auto& s) { (void)s.KillGuest(0); };
+
+  Scenario<UkernelStack>(table, "ukernel", "baseline (nothing killed)", {}, nothing);
+  Scenario<VmmStack>(table, "vmm+parallax", "baseline (nothing killed)", VmmConfig(/*parallax=*/true),
+                     nothing);
 
   // Storage-service death: the §3.1 comparison.
-  {
-    ustack::UkernelStack::Config c;
-    c.num_guests = 2;
-    ustack::UkernelStack stack(c);
-    Scenario(table, "ukernel", "kill block server", stack,
-             [](ustack::UkernelStack& s) { (void)s.KillBlockServer(); });
-  }
-  {
-    ustack::VmmStack::Config c;
-    c.num_guests = 2;
-    c.parallax_storage = true;
-    ustack::VmmStack stack(c);
-    Scenario(table, "vmm+parallax", "kill Parallax storage VM", stack,
-             [](ustack::VmmStack& s) { (void)s.KillStorage(); });
-  }
+  Scenario<UkernelStack>(table, "ukernel", "kill block server", {}, kill_storage);
+  Scenario<VmmStack>(table, "vmm+parallax", "kill Parallax storage VM",
+                     VmmConfig(/*parallax=*/true),
+                     kill_storage);
 
-  // Network-driver death.
-  {
-    ustack::UkernelStack::Config c;
-    c.num_guests = 2;
-    ustack::UkernelStack stack(c);
-    Scenario(table, "ukernel", "kill net driver server", stack,
-             [](ustack::UkernelStack& s) { (void)s.KillNetServer(); });
-  }
-
-  // Full disaggregation: net driver VM + Parallax storage VM, Dom0 empty.
-  // Killing the net driver VM must spare storage — the VMM rebuilt as a
-  // multiserver system.
-  {
-    ustack::VmmStack::Config c;
-    c.num_guests = 2;
-    c.parallax_storage = true;
-    c.net_driver_domain = true;
-    ustack::VmmStack stack(c);
-    Scenario(table, "vmm fully disaggregated", "kill net driver VM", stack,
-             [](ustack::VmmStack& s) { (void)s.KillNetService(); });
-  }
+  // Network-driver death. Full disaggregation (net driver VM + Parallax
+  // storage VM, Dom0 empty): killing the net driver VM must spare storage —
+  // the VMM rebuilt as a multiserver system.
+  Scenario<UkernelStack>(table, "ukernel", "kill net driver server", {}, kill_net);
+  Scenario<VmmStack>(table, "vmm fully disaggregated", "kill net driver VM",
+                     VmmConfig(/*parallax=*/true, /*net_driver_domain=*/true), kill_net);
 
   // The super-VM single point of failure (§2.2): Dom0 hosts drivers AND
   // (without Parallax) the storage backend.
-  {
-    ustack::VmmStack::Config c;
-    c.num_guests = 2;
-    ustack::VmmStack stack(c);
-    Scenario(table, "vmm (no parallax)", "kill Dom0 (super-VM)", stack,
-             [](ustack::VmmStack& s) { (void)s.KillDom0(); });
-  }
+  Scenario<VmmStack>(table, "vmm (no parallax)", "kill Dom0 (super-VM)", {},
+                     [](VmmStack& s) { (void)s.KillDom0(); });
 
   // A guest dying must never affect the other.
-  {
-    ustack::UkernelStack::Config c;
-    c.num_guests = 2;
-    ustack::UkernelStack stack(c);
-    Scenario(table, "ukernel", "kill guest 0", stack,
-             [](ustack::UkernelStack& s) { (void)s.KillGuest(0); });
-  }
-  {
-    ustack::VmmStack::Config c;
-    c.num_guests = 2;
-    ustack::VmmStack stack(c);
-    Scenario(table, "vmm", "kill guest 0", stack,
-             [](ustack::VmmStack& s) { (void)s.KillGuest(0); });
-  }
+  Scenario<UkernelStack>(table, "ukernel", "kill guest 0", {}, kill_guest0);
+  Scenario<VmmStack>(table, "vmm", "kill guest 0", {}, kill_guest0);
 
   table.Print();
   std::printf(

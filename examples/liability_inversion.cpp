@@ -33,51 +33,40 @@ void Probe(const char* label, StackT& stack, size_t guest) {
   });
 }
 
+// Boots a two-guest `StackT`, probes guest 0, applies `kill` and probes
+// both guests again.
+template <typename StackT, typename KillFn>
+void KillAndProbe(const char* heading, const char* killed, typename StackT::Config c,
+                  KillFn kill) {
+  std::printf("\n--- %s ---\n", heading);
+  c.num_guests = 2;
+  StackT stack(c);
+  Probe("guest0 before", stack, 0);
+  (void)kill(stack);
+  std::printf("  >>> %s killed <<<\n", killed);
+  Probe("guest0 after", stack, 0);
+  Probe("guest1 after", stack, 1);
+}
+
 }  // namespace
 
 int main() {
   std::printf("liability_inversion: kill the storage service, watch who suffers\n");
 
-  std::printf("\n--- microkernel: user-level block server dies ---\n");
-  {
-    ustack::UkernelStack::Config c;
-    c.num_guests = 2;
-    ustack::UkernelStack stack(c);
-    Probe("guest0 before", stack, 0);
-    (void)stack.KillBlockServer();
-    std::printf("  >>> block server killed <<<\n");
-    Probe("guest0 after", stack, 0);
-    Probe("guest1 after", stack, 1);
-  }
-
-  std::printf("\n--- VMM: Parallax-style storage VM dies ---\n");
-  {
-    ustack::VmmStack::Config c;
-    c.num_guests = 2;
-    c.parallax_storage = true;
-    ustack::VmmStack stack(c);
-    Probe("guest0 before", stack, 0);
-    (void)stack.KillStorage();
-    std::printf("  >>> Parallax storage VM killed <<<\n");
-    Probe("guest0 after", stack, 0);
-    Probe("guest1 after", stack, 1);
-  }
+  const auto kill_storage = [](auto& stack) { return stack.KillStorage(); };
+  KillAndProbe<ustack::UkernelStack>("microkernel: user-level block server dies",
+                                     "block server", {}, kill_storage);
+  ustack::VmmStack::Config parallax;
+  parallax.parallax_storage = true;
+  KillAndProbe<ustack::VmmStack>("VMM: Parallax-style storage VM dies",
+                                 "Parallax storage VM", parallax, kill_storage);
 
   std::printf(
       "\nIdentical semantics: storage gone, everything else intact, in BOTH systems.\n"
       "'Exactly the same situation as if a server fails in an L4-based system' (3.1).\n");
 
-  std::printf("\n--- VMM without disaggregation: the super-VM (Dom0) dies ---\n");
-  {
-    ustack::VmmStack::Config c;
-    c.num_guests = 2;
-    ustack::VmmStack stack(c);
-    Probe("guest0 before", stack, 0);
-    (void)stack.KillDom0();
-    std::printf("  >>> Dom0 killed <<<\n");
-    Probe("guest0 after", stack, 0);
-    Probe("guest1 after", stack, 1);
-  }
+  KillAndProbe<ustack::VmmStack>("VMM without disaggregation: the super-VM (Dom0) dies", "Dom0",
+                                 {}, [](ustack::VmmStack& stack) { return stack.KillDom0(); });
   std::printf(
       "\nWith drivers AND storage colocated in Dom0, one failure is a system-wide I/O\n"
       "outage — the 'centralized super-VM ... single point of failure' of section 2.2.\n");

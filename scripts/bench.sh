@@ -2,7 +2,8 @@
 # Builds the bench suite and runs the experiments that export machine-readable
 # results: the deterministic benches listed in scripts/det_benches.sh (E1 IPC
 # ping-pong, E3 Dom0 CPU accounting, E4 crossing counts, E5 fault-isolation
-# blast radius, E14 storage-service restart cost, E15 chaos soak, E16
+# blast radius, E8 trust-boundary orderings (its line counts go to the
+# _HOST file), E14 storage-service restart cost, E15 chaos soak, E16
 # batched datapath, E18 TLB shootdown scaling, E19 crash-recovery latency +
 # exactly-once ledger, E21 L4 fast-path IPC, E23 the completed fast-path
 # family, and the observer matrix behind E17/E20/E22). Each bench writes

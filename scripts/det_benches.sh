@@ -8,6 +8,7 @@ DET_BENCHES=(
   "bench_e3_dom0_cpu BENCH_E3.json"
   "bench_e4_crossings BENCH_E4.json"
   "bench_e5_fault_isolation BENCH_E5.json"
+  "bench_e8_tcb_size BENCH_E8.json"
   "bench_e14_service_restart BENCH_E14.json"
   "bench_e15_chaos_soak BENCH_E15.json"
   "bench_e16_batched_io BENCH_E16.json"

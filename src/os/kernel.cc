@@ -112,7 +112,7 @@ uint64_t Os::RunPrograms(uint64_t max_quanta) {
     if (done || proc->state == ProcState::kZombie) {
       programs_.erase(*pid);
       if (proc->state != ProcState::kZombie) {
-        proc->state = ProcState::kZombie;
+        EndProcess(*proc);
       }
     } else {
       proc->state = ProcState::kReady;
@@ -146,8 +146,8 @@ SyscallRet Os::SyscallImpl(ProcessId pid, SyscallReq& req) {
       machine_.Charge(machine_.costs().schedule_decision);
       return 0;
     case Sys::kExit:
-      proc->state = ProcState::kZombie;
       proc->exit_code = static_cast<int64_t>(req.a0);
+      EndProcess(*proc);
       return 0;
     case Sys::kOpen:
     case Sys::kCreate:
@@ -262,12 +262,24 @@ SyscallRet Os::DoFileSyscall(Process& proc, SyscallReq& req) {
   }
 }
 
+void Os::EndProcess(Process& proc) {
+  proc.state = ProcState::kZombie;
+  for (const uint16_t port : proc.bound_ports) {
+    (void)net_->Unbind(port);
+  }
+  proc.bound_ports.clear();
+}
+
 SyscallRet Os::DoNetSyscall(Process& proc, SyscallReq& req) {
-  (void)proc;
   switch (req.nr) {
     case Sys::kNetBind: {
-      const Err err = net_->Bind(static_cast<uint16_t>(req.a0));
-      return err == Err::kNone ? 0 : RetOf(err);
+      const auto port = static_cast<uint16_t>(req.a0);
+      const Err err = net_->Bind(port);
+      if (err != Err::kNone) {
+        return RetOf(err);
+      }
+      proc.bound_ports.push_back(port);
+      return 0;
     }
     case Sys::kNetSend: {
       const Err err = net_->Send(static_cast<uint16_t>(req.a0), static_cast<uint16_t>(req.a1),

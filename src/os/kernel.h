@@ -106,6 +106,9 @@ class Os {
  private:
   SyscallRet DoFileSyscall(Process& proc, SyscallReq& req);
   SyscallRet DoNetSyscall(Process& proc, SyscallReq& req);
+  // The one place a process becomes a zombie (its exit syscall, or its
+  // program finishing): the ports it bound are released, uncharged.
+  void EndProcess(Process& proc);
 
   hwsim::Machine& machine_;
   ArchPort& port_;

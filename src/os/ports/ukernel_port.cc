@@ -13,16 +13,10 @@ using ukern::IpcMessage;
 using ukvm::Err;
 using ukvm::ThreadId;
 
-namespace {
-
-// Servers reply in the OS syscall convention: a kernel-level status first,
-// then regs[0] < 0 as -Err.
-Err StatusOf(const IpcMessage& reply) {
+Err ReplyStatus(const IpcMessage& reply) {
   return reply.status != Err::kNone ? reply.status
                                     : ErrOf(static_cast<SyscallRet>(reply.regs[0]));
 }
-
-}  // namespace
 
 // --- Device adaptors -----------------------------------------------------------
 
@@ -68,7 +62,7 @@ class UkernelPort::IpcBlock : public BlockDevice {
                                      port_.machine_.cpu().current_domain());
       IpcMessage msg = IpcMessage::Short(kBlkReadLabel, lba + done, chunk);
       IpcMessage reply = port_.w_.kernel->Call(port_.w_.os_thread, port_.w_.blk_server, msg);
-      if (const Err err = StatusOf(reply); err != Err::kNone) {
+      if (const Err err = ReplyStatus(reply); err != Err::kNone) {
         rt.AbandonRequest(req_scope.ref());
         return err;
       }
@@ -99,7 +93,7 @@ class UkernelPort::IpcBlock : public BlockDevice {
       const uint32_t chunk = std::min(count - done, max_blocks);
       const auto payload =
           in.subspan(uint64_t{done} * block_size_, uint64_t{chunk} * block_size_);
-      const Err err = StatusOf(WriteChunk(/*replay_id=*/0, lba + done, chunk, payload));
+      const Err err = ReplyStatus(WriteChunk(/*replay_id=*/0, lba + done, chunk, payload));
       if (err != Err::kNone) {
         return err;
       }
@@ -155,7 +149,7 @@ class UkernelPort::IpcBlock : public BlockDevice {
     if (reply.status == Err::kDead || reply.status == Err::kBadHandle) {
       return reply;
     }
-    const bool ok = StatusOf(reply) == Err::kNone;
+    const bool ok = ReplyStatus(reply) == Err::kNone;
     journal_.Resolve(id, ok);
     if (replay) {
       rt.AddLeafTo(trace, req_replay_name_, ukvm::ReqNodeKind::kRecovery,
@@ -212,7 +206,7 @@ class UkernelPort::IpcNet : public NetDevice {
     msg.has_string = true;
     msg.string = ukern::StringItem{port_.w_.srv_window, static_cast<uint32_t>(packet.size())};
     IpcMessage reply = port_.w_.kernel->Call(port_.w_.os_thread, port_.w_.net_server, msg);
-    const Err err = StatusOf(reply);
+    const Err err = ReplyStatus(reply);
     if (err == Err::kNone) {
       rt.EndRequest(req_scope.ref());
     } else {

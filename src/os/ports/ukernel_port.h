@@ -45,6 +45,11 @@ struct UkernelPortWiring {
   ukvm::ThreadId net_server;
 };
 
+// The status of a server's reply: servers answer in the OS syscall
+// convention, so a kernel-level status comes first (kDead when the server
+// died mid-call), then regs[0] < 0 as -Err.
+ukvm::Err ReplyStatus(const ukern::IpcMessage& reply);
+
 class UkernelPort : public ArchPort {
  public:
   explicit UkernelPort(hwsim::Machine& machine, UkernelPortWiring wiring);

@@ -27,6 +27,7 @@ struct Process {
   int64_t exit_code = 0;
   uint32_t priority = 128;
   std::vector<FileHandle> fds;  // fd 0/1 are the console
+  std::vector<uint16_t> bound_ports;  // unbound when the process ends
   uint64_t syscalls_made = 0;
 
   Process(ukvm::ProcessId pid_in, std::string name_in)

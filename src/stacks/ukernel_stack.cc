@@ -147,7 +147,7 @@ void UkernelStack::RouteWirePort(uint16_t wire_port, size_t i) {
   net_routes_.Route(wire_port, guest(i).os_task);
 }
 
-Err UkernelStack::KillBlockServer() {
+Err UkernelStack::KillStorage() {
   UKVM_TRY(kernel_->DestroyTask(block_server_->task()));
   sigma0_->Reclaim(block_server_->task());
   // An in-flight request completing now would move garbage. Cancelled ops
@@ -161,7 +161,7 @@ Err UkernelStack::KillBlockServer() {
   return Err::kNone;
 }
 
-Err UkernelStack::KillNetServer() {
+Err UkernelStack::KillNetService() {
   UKVM_TRY(kernel_->DestroyTask(net_server_->task()));
   sigma0_->Reclaim(net_server_->task());
   // Otherwise arrivals would land in the dead server's pool and complete
@@ -170,8 +170,8 @@ Err UkernelStack::KillNetServer() {
   return Err::kNone;
 }
 
-Err UkernelStack::RestartBlockServer() {
-  (void)KillBlockServer();  // a no-op once the server is dead
+Err UkernelStack::RestartStorage() {
+  (void)KillStorage();  // a no-op once the server is dead
   for (auto& g : guests_) {
     if (GuestAlive(*g)) {
       g->xenbus.OnDetected();
@@ -193,8 +193,8 @@ Err UkernelStack::RestartBlockServer() {
   return Err::kNone;
 }
 
-Err UkernelStack::RestartNetServer() {
-  (void)KillNetServer();  // a no-op once the server is dead
+Err UkernelStack::RestartNetService() {
+  (void)KillNetService();  // a no-op once the server is dead
   StartNetServer("net-server-2");
   for (auto& g : guests_) {
     if (GuestAlive(*g)) {
@@ -227,25 +227,12 @@ Err UkernelStack::EnsureMonitor() {
       kMonitorWindowPages * static_cast<uint32_t>(machine_.memory().page_size()));
 }
 
-namespace {
-
-// Both servers reply in the OS syscall convention: regs[0] < 0 is -Err.
-Err ProbeReplyStatus(const ukern::IpcMessage& reply) {
-  if (reply.status != Err::kNone) {
-    return reply.status;
-  }
-  const auto ret = static_cast<int64_t>(reply.regs[0]);
-  return ret < 0 ? minios::ErrOf(static_cast<minios::SyscallRet>(ret)) : Err::kNone;
-}
-
-}  // namespace
-
-Err UkernelStack::ProbeBlockService() {
+Err UkernelStack::ProbeStorageService() {
   UKVM_TRY(EnsureMonitor());
   // One real 1-block read of the monitor's own slice, via the ordinary IPC
   // request path — exactly what a client would send.
   ukern::IpcMessage msg = ukern::IpcMessage::Short(minios::kBlkReadLabel, 0, 1);
-  return ProbeReplyStatus(kernel_->Call(monitor_thread_, block_server_->thread(), msg));
+  return minios::ReplyStatus(kernel_->Call(monitor_thread_, block_server_->thread(), msg));
 }
 
 Err UkernelStack::ProbeNetService() {
@@ -255,7 +242,7 @@ Err UkernelStack::ProbeNetService() {
   ukern::IpcMessage msg = ukern::IpcMessage::Short(minios::kNetSendLabel);
   msg.has_string = true;
   msg.string = ukern::StringItem{kMonitorWindowVa, kProbePayloadBytes};
-  return ProbeReplyStatus(kernel_->Call(monitor_thread_, net_server_->thread(), msg));
+  return minios::ReplyStatus(kernel_->Call(monitor_thread_, net_server_->thread(), msg));
 }
 
 Err UkernelStack::KillGuest(size_t i) {

@@ -11,18 +11,16 @@
 #include <vector>
 
 #include "src/check/auditor.h"
-#include "src/drivers/retry_policy.h"
 #include "src/hw/disk.h"
 #include "src/hw/fault_injector.h"
 #include "src/hw/machine.h"
 #include "src/hw/nic.h"
-#include "src/hw/platform.h"
 #include "src/os/blk_protocol.h"
 #include "src/os/kernel.h"
 #include "src/os/net_protocol.h"
 #include "src/os/ports/ukernel_port.h"
-#include "src/stacks/observers.h"
 #include "src/stacks/sigma0.h"
+#include "src/stacks/stack_config.h"
 #include "src/stacks/uk_block_server.h"
 #include "src/stacks/uk_net_server.h"
 #include "src/stacks/watchdog.h"
@@ -33,20 +31,7 @@ namespace ustack {
 
 class UkernelStack {
  public:
-  struct Config : ObserverConfig {
-    hwsim::Platform platform = hwsim::MakeX86Platform();
-    uint64_t memory_bytes = 64ull * 1024 * 1024;
-    uint32_t num_vcpus = 1;  // >1 arms the TLB shootdown protocol (E18)
-    uint32_t num_guests = 1;
-    uint64_t slice_blocks = 8192;  // per-client virtual-disk size
-    hwsim::Nic::Config nic;
-    hwsim::Disk::Config disk;
-    // Chaos knobs (E15). `faults` attaches a seeded injector to both
-    // devices; the policies harden the driver servers against it.
-    hwsim::FaultPlan faults;
-    udrv::RetryPolicy disk_retry;
-    udrv::RetryPolicy nic_retry;
-    DegradePolicy degrade;
+  struct Config : ServiceStackConfig {
     // E21 L4 fast-path IPC — default off, so every pre-E21 charge sequence
     // is byte-identical. On: short register-only Calls (including the OS
     // servers' syscall redirection) take the Liedtke fast path; everything
@@ -101,40 +86,45 @@ class UkernelStack {
   // for a dead guest's port are dropped.
   void RouteWirePort(uint16_t wire_port, size_t i);
 
-  // --- Fault injection (experiment E5) ----------------------------------------
+  // Guest `i`'s storage client, reached the same way on both stacks: its
+  // block device (IPC to the block server), write journal and uk-blk
+  // connection.
+  minios::BlockDevice& guest_block(size_t i) { return *guest(i).port->block(); }
+  const minios::BlkJournal& guest_journal(size_t i) { return guest(i).port->blk_journal(); }
+  XenbusConn& guest_blk_conn(size_t i) { return guest(i).xenbus; }
+
+  // --- Service lifecycle (E5, E14, E15, E19) ----------------------------------
+  //
+  // The same verbs as VmmStack's; here the storage service is the block
+  // server task and the net service the net server task.
   //
   // Kill is the only death edge; every Restart* below starts with it. A
-  // server kill destroys the task and quiesces the device whose DMA
-  // targets (the server's staging, window and pool frames) die with it:
-  // the disk's in-flight requests, or the NIC's posted rx buffers.
-  // kBadHandle once the server is already dead.
-
-  ukvm::Err KillBlockServer();
-  ukvm::Err KillNetServer();
+  // server kill destroys the task, hands its frames back to sigma0 and
+  // quiesces the device whose DMA targets (the server's staging, window
+  // and pool frames) die with it: the disk's in-flight requests, or the
+  // NIC's posted rx buffers. kBadHandle once the server is already dead.
+  ukvm::Err KillStorage();
+  ukvm::Err KillNetService();
   ukvm::Err KillGuest(size_t i);
-
-  // --- Service recovery (multiserver restartability) --------------------------
 
   // Kills the server (a no-op once it is dead), starts a fresh instance and
   // re-points each live guest at it. Disk contents survive (the backing
   // store is intact), clients keep their slices (the stack-owned BlkStore
   // holds them) and the net server routes as before (the stack-owned
-  // NetRoutes holds the routes). RestartBlockServer replays each live
-  // port's write journal (same ids); the store makes the writes
-  // exactly-once and each guest's uk-blk xenbus connection records the
-  // recovery phases (E19).
-  ukvm::Err RestartBlockServer();
-  ukvm::Err RestartNetServer();
+  // NetRoutes holds the routes). RestartStorage replays each live port's
+  // write journal (same ids); the store makes the writes exactly-once and
+  // each guest's uk-blk connection records the recovery phases (E19).
+  ukvm::Err RestartStorage();
+  ukvm::Err RestartNetService();
 
   // The stack-owned slice table and exactly-once write log (survives
   // server restarts).
   const minios::BlkStore& blk_store() const { return blk_store_; }
 
-  // --- Health probes (service watchdog) ----------------------------------------
-  // One request through the service's ordinary IPC interface, issued from a
-  // dedicated monitor task (created lazily on first probe). kNone means the
-  // service answered.
-  ukvm::Err ProbeBlockService();
+  // Health probes (service watchdog): one request through the service's
+  // ordinary IPC interface, issued from a dedicated monitor task (created
+  // lazily on first probe). kNone means the service answered.
+  ukvm::Err ProbeStorageService();
   ukvm::Err ProbeNetService();
 
   // Attaches (or replaces) a seeded fault injector on both devices. Chaos

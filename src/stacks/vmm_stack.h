@@ -14,34 +14,27 @@
 #include "src/check/auditor.h"
 #include "src/drivers/disk_driver.h"
 #include "src/drivers/nic_driver.h"
-#include "src/drivers/retry_policy.h"
 #include "src/hw/disk.h"
 #include "src/hw/fault_injector.h"
 #include "src/hw/machine.h"
 #include "src/hw/nic.h"
-#include "src/hw/platform.h"
 #include "src/os/kernel.h"
 #include "src/os/net_protocol.h"
 #include "src/os/ports/vmm_port.h"
 #include "src/stacks/blksplit.h"
 #include "src/stacks/netsplit.h"
-#include "src/stacks/observers.h"
 #include "src/stacks/port_mux.h"
+#include "src/stacks/stack_config.h"
 #include "src/vmm/hypervisor.h"
 
 namespace ustack {
 
 class VmmStack {
  public:
-  struct Config : ObserverConfig {
-    hwsim::Platform platform = hwsim::MakeX86Platform();
-    uint64_t memory_bytes = 64ull * 1024 * 1024;
-    uint32_t num_vcpus = 1;  // >1 arms the TLB shootdown protocol (E18)
-    uint32_t num_guests = 1;
+  struct Config : ServiceStackConfig {
     uint64_t dom0_pages = 2048;
     uint64_t guest_pages = 1024;
     uint64_t storage_pages = 1024;
-    uint64_t slice_blocks = 8192;
     RxMode rx_mode = RxMode::kPageFlip;
     bool parallax_storage = false;   // blkback in a separate storage VM
     bool net_driver_domain = false;  // NIC driver + netback in a separate
@@ -58,14 +51,6 @@ class VmmStack {
     //   persistent_grants: both ends of the net and blk split drivers keep
     //   grants/mappings alive across packets (grant recycling).
     bool persistent_grants = false;
-    hwsim::Nic::Config nic;
-    hwsim::Disk::Config disk;
-    // Chaos knobs (E15): seeded device fault injection plus the driver and
-    // backend hardening policies applied against it.
-    hwsim::FaultPlan faults;
-    udrv::RetryPolicy disk_retry;
-    udrv::RetryPolicy nic_retry;
-    DegradePolicy degrade;
   };
 
   struct Guest {
@@ -110,30 +95,35 @@ class VmmStack {
   // for a dead guest's port are dropped.
   void RouteWirePort(uint16_t wire_port, size_t i);
 
-  // --- Fault injection (experiment E5) ----------------------------------------
+  // Guest `i`'s storage client, reached the same way on both stacks: its
+  // block device (the blkfront), write journal and xenbus connection.
+  minios::BlockDevice& guest_block(size_t i) { return *guest(i).blkfront; }
+  const minios::BlkJournal& guest_journal(size_t i) { return guest(i).blkfront->journal(); }
+  XenbusConn& guest_blk_conn(size_t i) { return guest(i).blkfront->xenbus(); }
+
+  // --- Service lifecycle (E5, E14, E15, E19) ----------------------------------
+  //
+  // The same verbs as UkernelStack's; here the storage service is the
+  // Parallax VM or the blkback alone, and the net service the net driver
+  // VM or the netback alone.
   //
   // Kill is the only death edge; every Restart* below starts with it. A
   // service VM dies with its domain (the hypervisor reclaims its grants,
   // mappings and ports and upcalls the guests); a backend inside Dom0 dies
   // in place (its Kill releases the same by hand, then each live frontend
-  // runs OnBackendDead). kBadHandle or kDead once the service is dead.
-
-  // The Parallax VM, or the blkback alone. In-flight requests wake kDead.
+  // runs OnBackendDead). In-flight requests wake kDead. kBadHandle or kDead
+  // once the service is dead.
   ukvm::Err KillStorage();
-  // The net driver VM, or the netback alone.
   ukvm::Err KillNetService();
   ukvm::Err KillDom0();
   ukvm::Err KillGuest(size_t i);
 
-  // --- Service recovery (E19) ---------------------------------------------------
-  //
   // Domain death force-revokes the corpse's grants and event channels and
   // upcalls the surviving guests (kDomainDead); frontends journal writes
   // and replay them (same ids) over a xenbus-style reconnect, and the
   // stack-owned BlkStore keeps every guest's slice and makes block writes
-  // exactly-once across backend restarts. A restart reconnects only live
-  // guests.
-
+  // exactly-once across backend restarts (E19).
+  //
   // Both restarts share one shape: Kill (a no-op once the service is
   // dead), quiesce the device whose DMA targets died with the instance and
   // close its IRQ port, boot a replacement backend (a fresh VM when
@@ -149,9 +139,9 @@ class VmmStack {
   // backend restarts).
   const minios::BlkStore& blk_store() const { return blk_store_; }
 
-  // --- Health probes (service watchdog) ----------------------------------------
-  // One request through guest 0's ordinary frontend — the same ring
-  // round-trip any application I/O takes. kNone means the backend answered.
+  // Health probes (service watchdog): one request through the first live
+  // guest's ordinary frontend, the same ring round-trip any application
+  // I/O takes. kNone means the backend answered.
   ukvm::Err ProbeStorageService();
   ukvm::Err ProbeNetService();
 

@@ -261,18 +261,18 @@ TEST_F(DiskRetryTest, TimesOutOnLostInterrupts) {
 
 TEST(Watchdog, RestartsAKilledServerWithinBudget) {
   ustack::UkernelStack stack;
-  ASSERT_EQ(stack.ProbeBlockService(), Err::kNone);  // healthy baseline
+  ASSERT_EQ(stack.ProbeStorageService(), Err::kNone);  // healthy baseline
 
-  ASSERT_EQ(stack.KillBlockServer(), Err::kNone);
-  ASSERT_NE(stack.ProbeBlockService(), Err::kNone);
+  ASSERT_EQ(stack.KillStorage(), Err::kNone);
+  ASSERT_NE(stack.ProbeStorageService(), Err::kNone);
 
   ustack::Watchdog::Policy policy;
   policy.probe_interval = 1'000;
   policy.fail_threshold = 2;
   policy.restart_budget = 2;
   ustack::Watchdog wd(stack.machine(), policy);
-  wd.Watch("blk", [&] { return stack.ProbeBlockService(); },
-           [&] { (void)stack.RestartBlockServer(); });
+  wd.Watch("blk", [&] { return stack.ProbeStorageService(); },
+           [&] { (void)stack.RestartStorage(); });
 
   for (int i = 0; i < 4; ++i) {
     stack.machine().RunFor(2'000);
@@ -282,7 +282,7 @@ TEST(Watchdog, RestartsAKilledServerWithinBudget) {
   EXPECT_EQ(wd.restarts_total(), 1u);
   EXPECT_EQ(stack.machine().counters().Get("watchdog.restart"), 1u);
   EXPECT_GT(stack.machine().counters().Get("watchdog.probe_fail"), 0u);
-  EXPECT_EQ(stack.ProbeBlockService(), Err::kNone);  // service is back
+  EXPECT_EQ(stack.ProbeStorageService(), Err::kNone);  // service is back
 
   const auto& stats = wd.stats();
   ASSERT_EQ(stats.size(), 1u);
@@ -365,7 +365,7 @@ std::tuple<uint64_t, uint64_t, std::vector<std::pair<std::string, uint64_t>>> Ch
     (void)uwork::RunFileChurn(machine, os, pid, 3, 512, "det");
     (void)uwork::RunUdpSend(machine, os, pid, 7, 256, 8);
   });
-  (void)stack.ProbeBlockService();
+  (void)stack.ProbeStorageService();
   (void)stack.ProbeNetService();
   machine.RunFor(100'000);
 

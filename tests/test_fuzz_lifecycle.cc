@@ -25,10 +25,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -641,25 +639,18 @@ TEST(FuzzLifecycle, VmmSeedBankCleanAndDeterministic) { RunSeedBank(RunVmmFuzz, 
 //     grants exceed their post-boot count by at most the persistent
 //     cache's capacity.
 
-// One crash-recoverable storage stack under fuzz: the three variants differ
-// only in how the backend dies and comes back.
-struct RecoveryTarget {
-  hwsim::Machine* machine = nullptr;
-  ucheck::Auditor* auditor = nullptr;
-  std::function<Err(uint64_t lba, std::span<const uint8_t>)> write;
-  std::function<Err(uint64_t lba, std::span<uint8_t>)> read;
-  std::function<void()> kill;
-  std::function<Err()> restart;
-  const minios::BlkJournal* journal = nullptr;  // the client's write journal
-  const minios::BlkStore* store = nullptr;      // the stack's exactly-once log
-  std::function<uint64_t()> reconnects;
-  uint32_t block_size = 0;
-  // Leak probes, read after boot and at the seed's end: counts that must
-  // come back exactly (VMM: the guest's and Dom0's ports; microkernel: the
-  // free frames), and the client's in-use grants (VMM only).
-  std::function<std::vector<uint64_t>()> exact_counts;
-  std::function<uint64_t()> client_grants;
+// Leak probes, read after boot and at the seed's end: counts that must come
+// back exactly, and the client's in-use grants. Microkernel: the free
+// frames (it has no grants). VMM: the guest's and Dom0's ports, and the
+// guest's grants.
+struct Leaks {
+  std::vector<uint64_t> exact;
+  uint64_t client_grants = 0;
 };
+
+Leaks LeaksOf(ustack::UkernelStack& stack) {
+  return {{stack.machine().memory().free_frames()}, 0};
+}
 
 // The blkfront's persistent cache holds one grant per pool page and
 // direction: 8 pages x 2.
@@ -673,16 +664,30 @@ uint64_t GrantsMadeBy(uvmm::Hypervisor& hv, DomainId granter) {
   return n;
 }
 
-FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
+Leaks LeaksOf(ustack::VmmStack& stack) {
+  const DomainId guest = stack.guest(0).domain;
+  return {{stack.hv().evtchn().ports_of(guest), stack.hv().evtchn().ports_of(stack.dom0())},
+          GrantsMadeBy(stack.hv(), guest)};
+}
+
+// The three storage stacks differ only in how the backend dies and comes
+// back (a task, a whole VM, or a driver inside the surviving Dom0): one
+// body fuzzes each through the stacks' shared service interface.
+template <typename StackT>
+FuzzResult RunRecoveryFuzzOn(StackT& stack, uint64_t seed, uint32_t steps) {
   SplitMix64 rng(seed * 2 + 1);
   constexpr uint64_t kLbas = 40;  // well inside every stack's slice
   std::map<uint64_t, uint8_t> model;  // lba -> fill byte of the last
                                       // acknowledged-or-journaled write
+  hwsim::Machine& machine = stack.machine();
+  minios::BlockDevice& device = stack.guest_block(0);
+  const minios::BlkJournal& journal = stack.guest_journal(0);
+  const uint32_t block_size = device.block_size();
+  const auto kill_storage = [&stack] { (void)stack.KillStorage(); };
   bool alive = true;
-  std::vector<uint8_t> block(t.block_size);
-  std::vector<uint8_t> back(t.block_size);
-  const std::vector<uint64_t> boot_counts = t.exact_counts();
-  const uint64_t boot_grants = t.client_grants ? t.client_grants() : 0;
+  std::vector<uint8_t> block(block_size);
+  std::vector<uint8_t> back(block_size);
+  const Leaks boot = LeaksOf(stack);
 
   enum class Kill { kNone, kThenDrain, kThenRestart };
   auto do_write = [&](uint64_t lba, Kill kill) {
@@ -695,34 +700,34 @@ FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
       // 100us) or just after it — both interleavings must preserve the
       // exactly-once invariant.
       const uint64_t delay = (10 + rng.Below(120)) * hwsim::kCyclesPerUs;
-      kill_event = t.machine->ScheduleAfter(delay, [&] {
+      kill_event = machine.ScheduleAfter(delay, [&] {
         killed = true;
-        t.kill();
+        kill_storage();
       });
     }
-    const size_t depth_before = t.journal->size();
-    const Err err = t.write(lba, block);
+    const size_t depth_before = journal.size();
+    const Err err = device.Write(lba, 1, block);
     // A write is durable-eventually iff it was acknowledged or journaled;
     // journaled writes replay in id order before any post-restart write can
     // be issued, so last-writer-wins ordering matches issue order.
-    if (err == Err::kNone || t.journal->size() > depth_before) {
+    if (err == Err::kNone || journal.size() > depth_before) {
       model[lba] = fill;
     }
     if (kill == Kill::kThenDrain) {
       // Drain the kill event (if the write returned first) and any orphaned
       // completion the dead backend still had in flight — the
       // applied-but-unacknowledged interleaving.
-      t.machine->RunUntilIdle();
+      machine.RunUntilIdle();
       alive = false;
     } else if (kill == Kill::kThenRestart) {
       // Restart at once: the orphaned completion never runs, so whatever
       // the kill left in flight must be released by the kill itself.
       if (!killed) {
-        t.machine->CancelEvent(kill_event);
-        t.kill();
+        machine.CancelEvent(kill_event);
+        kill_storage();
       }
-      EXPECT_EQ(t.restart(), Err::kNone) << "seed " << seed;
-      EXPECT_EQ(t.journal->size(), 0u) << "seed " << seed;
+      EXPECT_EQ(stack.RestartStorage(), Err::kNone) << "seed " << seed;
+      EXPECT_EQ(journal.size(), 0u) << "seed " << seed;
     }
   };
 
@@ -733,63 +738,61 @@ FuzzResult RunRecoveryFuzzOn(RecoveryTarget& t, uint64_t seed, uint32_t steps) {
       do_write(lba, Kill::kNone);
     } else if (op < 55 && alive) {  // read-verify against the model
       const auto it = model.find(lba);
-      if (it != model.end() && t.read(lba, back) == Err::kNone) {
+      if (it != model.end() && device.Read(lba, 1, back) == Err::kNone) {
         EXPECT_EQ(back[0], it->second) << "seed " << seed << " lba " << lba;
-        EXPECT_EQ(back[t.block_size - 1], it->second) << "seed " << seed;
+        EXPECT_EQ(back[block_size - 1], it->second) << "seed " << seed;
       }
     } else if (op < 60 && alive) {  // mid-flight kill under a write
       do_write(lba, Kill::kThenDrain);
     } else if (op < 65 && alive) {  // mid-flight kill, restart at once
       do_write(lba, Kill::kThenRestart);
     } else if (op < 75 && alive) {  // quiescent kill
-      t.kill();
+      kill_storage();
       alive = false;
     } else if (op < 90 && !alive) {  // reconnect
-      EXPECT_EQ(t.restart(), Err::kNone) << "seed " << seed;
+      EXPECT_EQ(stack.RestartStorage(), Err::kNone) << "seed " << seed;
       alive = true;
-      EXPECT_EQ(t.journal->size(), 0u) << "seed " << seed;
+      EXPECT_EQ(journal.size(), 0u) << "seed " << seed;
     } else {  // let completions / upcalls drain
-      t.machine->RunFor((1 + rng.Below(200)) * hwsim::kCyclesPerUs);
+      machine.RunFor((1 + rng.Below(200)) * hwsim::kCyclesPerUs);
     }
-    if (step % 32 == 31 && t.auditor != nullptr) {
-      t.auditor->Checkpoint("recovery-fuzz-periodic");
+    if (step % 32 == 31 && stack.auditor() != nullptr) {
+      stack.auditor()->Checkpoint("recovery-fuzz-periodic");
     }
   }
 
   // Final reconnect, then verify the three properties.
   if (!alive) {
-    EXPECT_EQ(t.restart(), Err::kNone) << "seed " << seed;
+    EXPECT_EQ(stack.RestartStorage(), Err::kNone) << "seed " << seed;
   }
-  EXPECT_EQ(t.journal->size(), 0u) << "seed " << seed;
-  EXPECT_EQ(t.store->applied_total(), t.journal->acked_ok()) << "seed " << seed;
+  EXPECT_EQ(journal.size(), 0u) << "seed " << seed;
+  EXPECT_EQ(stack.blk_store().applied_total(), journal.acked_ok()) << "seed " << seed;
 
   Digest d;
-  d.Mix(t.machine->Now());
+  d.Mix(machine.Now());
   for (const auto& [lba, fill] : model) {
-    EXPECT_EQ(t.read(lba, back), Err::kNone) << "seed " << seed << " lba " << lba;
+    EXPECT_EQ(device.Read(lba, 1, back), Err::kNone) << "seed " << seed << " lba " << lba;
     EXPECT_EQ(back[0], fill) << "seed " << seed << " lba " << lba;
-    EXPECT_EQ(back[t.block_size - 1], fill) << "seed " << seed << " lba " << lba;
+    EXPECT_EQ(back[block_size - 1], fill) << "seed " << seed << " lba " << lba;
     d.Mix(lba);
     d.Mix(fill);
   }
-  d.Mix(t.store->applied_total());
-  d.Mix(t.journal->acked_ok());
-  d.Mix(t.reconnects());
-  d.Mix(t.journal->size());
+  d.Mix(stack.blk_store().applied_total());
+  d.Mix(journal.acked_ok());
+  d.Mix(stack.guest_blk_conn(0).reconnects());
+  d.Mix(journal.size());
 
-  EXPECT_EQ(t.exact_counts(), boot_counts) << "seed " << seed;
-  if (t.client_grants) {
-    const uint64_t grants = t.client_grants();
-    EXPECT_GE(grants, boot_grants) << "seed " << seed;
-    EXPECT_LE(grants, boot_grants + kPersistentCacheCapacity) << "seed " << seed;
-  }
+  const Leaks end = LeaksOf(stack);
+  EXPECT_EQ(end.exact, boot.exact) << "seed " << seed;
+  EXPECT_GE(end.client_grants, boot.client_grants) << "seed " << seed;
+  EXPECT_LE(end.client_grants, boot.client_grants + kPersistentCacheCapacity) << "seed " << seed;
 
   FuzzResult out;
   out.digest = d.value;
-  if (t.auditor != nullptr) {
-    t.auditor->Checkpoint("recovery-fuzz-final");
-    out.violations = t.auditor->violation_count();
-    out.reports = t.auditor->ViolationReports();
+  if (ucheck::Auditor* auditor = stack.auditor(); auditor != nullptr) {
+    auditor->Checkpoint("recovery-fuzz-final");
+    out.violations = auditor->violation_count();
+    out.reports = auditor->ViolationReports();
   }
   return out;
 }
@@ -801,22 +804,7 @@ FuzzResult RunUkernelRecoveryFuzzImpl(uint64_t seed, uint32_t steps, bool ipc_fa
   config.ipc_fastpath = ipc_fastpath;
   config.fastpath_features = features;
   ustack::UkernelStack stack(config);
-  auto* block = stack.guest(0).port->block();
-  RecoveryTarget t;
-  t.machine = &stack.machine();
-  t.auditor = stack.auditor();
-  t.block_size = block->block_size();
-  t.write = [&](uint64_t lba, std::span<const uint8_t> in) { return block->Write(lba, 1, in); };
-  t.read = [&](uint64_t lba, std::span<uint8_t> out) { return block->Read(lba, 1, out); };
-  t.kill = [&] { (void)stack.KillBlockServer(); };
-  t.restart = [&] { return stack.RestartBlockServer(); };
-  t.journal = &stack.guest(0).port->blk_journal();
-  t.store = &stack.blk_store();
-  t.reconnects = [&] { return stack.guest(0).xenbus.reconnects(); };
-  t.exact_counts = [&] {
-    return std::vector<uint64_t>{stack.machine().memory().free_frames()};
-  };
-  FuzzResult out = RunRecoveryFuzzOn(t, seed, steps);
+  FuzzResult out = RunRecoveryFuzzOn(stack, seed, steps);
   out.fastpath_taken = stack.kernel().fastpath_stats().taken;
   out.fastpath_replywait = stack.kernel().fastpath_stats().replywait_coalesced;
   return out;
@@ -846,27 +834,7 @@ FuzzResult RunVmmRecoveryFuzz(uint64_t seed, uint32_t steps, bool parallax) {
   // backend must release its persistent mappings.
   config.persistent_grants = seed % 2 == 0;
   ustack::VmmStack stack(config);
-  auto& front = *stack.guest(0).blkfront;
-  RecoveryTarget t;
-  t.machine = &stack.machine();
-  t.auditor = stack.auditor();
-  t.block_size = front.block_size();
-  t.write = [&](uint64_t lba, std::span<const uint8_t> in) { return front.Write(lba, 1, in); };
-  t.read = [&](uint64_t lba, std::span<uint8_t> out) { return front.Read(lba, 1, out); };
-  // Parallax: whole-VM death (reclamation + kDomainDead upcalls). Dom0
-  // storage: a driver crash inside the surviving Dom0.
-  t.kill = [&] { (void)stack.KillStorage(); };
-  t.restart = [&] { return stack.RestartStorage(); };
-  t.journal = &front.journal();
-  t.store = &stack.blk_store();
-  t.reconnects = [&] { return front.xenbus().reconnects(); };
-  const DomainId guest = stack.guest(0).domain;
-  t.exact_counts = [&] {
-    return std::vector<uint64_t>{stack.hv().evtchn().ports_of(guest),
-                                 stack.hv().evtchn().ports_of(stack.dom0())};
-  };
-  t.client_grants = [&] { return GrantsMadeBy(stack.hv(), guest); };
-  return RunRecoveryFuzzOn(t, seed, steps);
+  return RunRecoveryFuzzOn(stack, seed, steps);
 }
 
 FuzzResult RunVmmParallaxRecoveryFuzz(uint64_t seed, uint32_t steps, bool) {

@@ -30,18 +30,11 @@ using ucheck::Invariant;
 using ukvm::Err;
 using ustack::XenbusState;
 
-uint64_t VmmAckedWrites(ustack::VmmStack& stack) {
+template <typename StackT>
+uint64_t AckedWrites(StackT& stack) {
   uint64_t acked = 0;
   for (size_t i = 0; i < stack.num_guests(); ++i) {
-    acked += stack.guest(i).blkfront->journal().acked_ok();
-  }
-  return acked;
-}
-
-uint64_t UkAckedWrites(ustack::UkernelStack& stack) {
-  uint64_t acked = 0;
-  for (size_t i = 0; i < stack.num_guests(); ++i) {
-    acked += stack.guest(i).port->blk_journal().acked_ok();
+    acked += stack.guest_journal(i).acked_ok();
   }
   return acked;
 }
@@ -150,7 +143,7 @@ TEST(Recovery, VmmParallaxMidFlightKillReplaysExactlyOnce) {
   EXPECT_EQ(back, limbo);
 
   // Exactly-once: every applied write was acked exactly once, and vice versa.
-  EXPECT_EQ(stack.blk_store().applied_total(), VmmAckedWrites(stack));
+  EXPECT_EQ(stack.blk_store().applied_total(), AckedWrites(stack));
 
   // Service is fully back for ordinary I/O.
   ASSERT_EQ(front.Write(9, 1, block), Err::kNone);
@@ -163,7 +156,7 @@ TEST(Recovery, VmmParallaxMidFlightKillReplaysExactlyOnce) {
   for (uint64_t lba = 10; lba < 30; ++lba) {
     ASSERT_EQ(front.Write(lba, 1, block), Err::kNone);
   }
-  EXPECT_EQ(stack.blk_store().applied_total(), VmmAckedWrites(stack));
+  EXPECT_EQ(stack.blk_store().applied_total(), AckedWrites(stack));
   EXPECT_LE(stack.blk_store().live_entries(), stack.num_guests());
 
   if (stack.auditor() != nullptr) {
@@ -196,7 +189,7 @@ TEST(Recovery, VmmParallaxDuplicateSuppression) {
   (void)front.Write(3, 1, block);
   ASSERT_EQ(stack.RestartStorage(), Err::kNone);
   EXPECT_EQ(front.journal().size(), 0u);
-  EXPECT_EQ(stack.blk_store().applied_total(), VmmAckedWrites(stack));
+  EXPECT_EQ(stack.blk_store().applied_total(), AckedWrites(stack));
 
   std::vector<uint8_t> back(bs);
   ASSERT_EQ(front.Read(3, 1, back), Err::kNone);
@@ -224,7 +217,7 @@ TEST(Recovery, VmmDom0StorageServiceCrashRecovers) {
   std::vector<uint8_t> back(bs);
   ASSERT_EQ(front.Read(2, 1, back), Err::kNone);
   EXPECT_EQ(back, limbo);
-  EXPECT_EQ(stack.blk_store().applied_total(), VmmAckedWrites(stack));
+  EXPECT_EQ(stack.blk_store().applied_total(), AckedWrites(stack));
 }
 
 TEST(Recovery, ProbeOvertakingAnAppliedWriteStillSuppressesItsReplay) {
@@ -255,7 +248,7 @@ TEST(Recovery, ProbeOvertakingAnAppliedWriteStillSuppressesItsReplay) {
   EXPECT_EQ(front.probe_detections(), 0u);
   EXPECT_EQ(front.journal().size(), 0u);
   EXPECT_EQ(stack.blk_store().suppressed_total(), 1u);
-  EXPECT_EQ(stack.blk_store().applied_total(), VmmAckedWrites(stack));
+  EXPECT_EQ(stack.blk_store().applied_total(), AckedWrites(stack));
   std::vector<uint8_t> back(bs);
   ASSERT_EQ(front.Read(3, 1, back), Err::kNone);
   EXPECT_EQ(back, block);
@@ -311,44 +304,45 @@ TEST(Recovery, VmmNetDriverDomainReconnectRestoresTraffic) {
 
 TEST(Recovery, UkernelServerKillReplaysJournaledWrites) {
   ustack::UkernelStack stack;
-  auto& g = stack.guest(0);
-  ASSERT_TRUE(g.booted);
-  auto* block = g.port->block();
-  const uint32_t bs = block->block_size();
+  ASSERT_TRUE(stack.guest(0).booted);
+  auto& block = stack.guest_block(0);
+  const auto& journal = stack.guest_journal(0);
+  auto& conn = stack.guest_blk_conn(0);
+  const uint32_t bs = block.block_size();
   ASSERT_GT(bs, 0u);
 
   std::vector<uint8_t> data(bs, 0x66);
-  ASSERT_EQ(block->Write(5, 1, data), Err::kNone);
-  EXPECT_EQ(g.port->blk_journal().size(), 0u);
+  ASSERT_EQ(block.Write(5, 1, data), Err::kNone);
+  EXPECT_EQ(journal.size(), 0u);
 
-  ASSERT_EQ(stack.KillBlockServer(), Err::kNone);
+  ASSERT_EQ(stack.KillStorage(), Err::kNone);
   // A write against the dead server is journaled (limbo) and fails.
   std::vector<uint8_t> limbo(bs, 0x77);
-  EXPECT_EQ(block->Write(6, 1, limbo), Err::kDead);
-  EXPECT_EQ(g.port->blk_journal().size(), 1u);
+  EXPECT_EQ(block.Write(6, 1, limbo), Err::kDead);
+  EXPECT_EQ(journal.size(), 1u);
 
-  ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
-  EXPECT_TRUE(g.xenbus.connected());
-  EXPECT_EQ(g.xenbus.reconnects(), 1u);
-  EXPECT_EQ(g.xenbus.replayed_total(), 1u);
-  EXPECT_EQ(g.port->blk_journal().size(), 0u);
+  ASSERT_EQ(stack.RestartStorage(), Err::kNone);
+  EXPECT_TRUE(conn.connected());
+  EXPECT_EQ(conn.reconnects(), 1u);
+  EXPECT_EQ(conn.replayed_total(), 1u);
+  EXPECT_EQ(journal.size(), 0u);
 
   // Zero-loss: the journaled write landed through the replay.
   std::vector<uint8_t> back(bs);
-  ASSERT_EQ(block->Read(6, 1, back), Err::kNone);
+  ASSERT_EQ(block.Read(6, 1, back), Err::kNone);
   EXPECT_EQ(back, limbo);
   // And the pre-crash write is still there (slices carried over).
-  ASSERT_EQ(block->Read(5, 1, back), Err::kNone);
+  ASSERT_EQ(block.Read(5, 1, back), Err::kNone);
   EXPECT_EQ(back, data);
 
-  EXPECT_EQ(stack.blk_store().applied_total(), UkAckedWrites(stack));
+  EXPECT_EQ(stack.blk_store().applied_total(), AckedWrites(stack));
   EXPECT_EQ(stack.machine().counters().Get("xenbus.reconnects"), 1u);
 
   // Bounded log: at most one live entry per client after a further burst.
   for (uint64_t lba = 10; lba < 30; ++lba) {
-    ASSERT_EQ(block->Write(lba, 1, data), Err::kNone);
+    ASSERT_EQ(block.Write(lba, 1, data), Err::kNone);
   }
-  EXPECT_EQ(stack.blk_store().applied_total(), UkAckedWrites(stack));
+  EXPECT_EQ(stack.blk_store().applied_total(), AckedWrites(stack));
   EXPECT_LE(stack.blk_store().live_entries(), stack.num_guests());
 
   if (stack.auditor() != nullptr) {
@@ -363,28 +357,27 @@ TEST(Recovery, UkernelRestartLeavesADeadGuestsJournalAlone) {
   ustack::UkernelStack::Config config;
   config.num_guests = 2;
   ustack::UkernelStack stack(config);
-  auto& dead = stack.guest(0);
-  const uint32_t bs = dead.port->block()->block_size();
-  ASSERT_EQ(stack.KillBlockServer(), Err::kNone);
-  EXPECT_EQ(dead.port->block()->Write(3, 1, std::vector<uint8_t>(bs, 0xee)), Err::kDead);
-  ASSERT_EQ(dead.port->blk_journal().size(), 1u);
+  auto& dead = stack.guest_block(0);
+  const uint32_t bs = dead.block_size();
+  ASSERT_EQ(stack.KillStorage(), Err::kNone);
+  EXPECT_EQ(dead.Write(3, 1, std::vector<uint8_t>(bs, 0xee)), Err::kDead);
+  ASSERT_EQ(stack.guest_journal(0).size(), 1u);
   ASSERT_EQ(stack.KillGuest(0), Err::kNone);
   const uint64_t applied_before = stack.blk_store().applied_total();
 
-  ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
-  ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);  // this one replaces a live server
-  EXPECT_EQ(dead.xenbus.reconnects(), 0u);
-  EXPECT_EQ(dead.xenbus.replayed_total(), 0u);
-  EXPECT_EQ(dead.port->blk_journal().size(), 1u);
+  ASSERT_EQ(stack.RestartStorage(), Err::kNone);
+  ASSERT_EQ(stack.RestartStorage(), Err::kNone);  // this one replaces a live server
+  EXPECT_EQ(stack.guest_blk_conn(0).reconnects(), 0u);
+  EXPECT_EQ(stack.guest_blk_conn(0).replayed_total(), 0u);
+  EXPECT_EQ(stack.guest_journal(0).size(), 1u);
   EXPECT_EQ(stack.blk_store().applied_total(), applied_before);
 
   // The survivor reconnected both times and keeps its storage.
-  auto& live = stack.guest(1);
-  EXPECT_EQ(live.xenbus.reconnects(), 2u);
+  EXPECT_EQ(stack.guest_blk_conn(1).reconnects(), 2u);
   std::vector<uint8_t> data(bs, 0x5e);
   std::vector<uint8_t> back(bs);
-  ASSERT_EQ(live.port->block()->Write(3, 1, data), Err::kNone);
-  ASSERT_EQ(live.port->block()->Read(3, 1, back), Err::kNone);
+  ASSERT_EQ(stack.guest_block(1).Write(3, 1, data), Err::kNone);
+  ASSERT_EQ(stack.guest_block(1).Read(3, 1, back), Err::kNone);
   EXPECT_EQ(back, data);
 }
 
@@ -392,21 +385,20 @@ TEST(Recovery, UkernelDuplicateReplayIsSuppressed) {
   // Drive the dedup path directly: a journaled id that the server already
   // applied must be answered from the ledger, not re-executed.
   ustack::UkernelStack stack;
-  auto& g = stack.guest(0);
-  auto* block = g.port->block();
-  const uint32_t bs = block->block_size();
+  auto& block = stack.guest_block(0);
+  const uint32_t bs = block.block_size();
 
   const uint64_t served_before = stack.block_server().requests_served();
   const uint64_t applied_before = stack.blk_store().applied_total();
   std::vector<uint8_t> data(bs, 0x42);
-  ASSERT_EQ(block->Write(9, 1, data), Err::kNone);
+  ASSERT_EQ(block.Write(9, 1, data), Err::kNone);
   EXPECT_EQ(stack.blk_store().applied_total(), applied_before + 1);
   EXPECT_EQ(stack.block_server().requests_served(), served_before + 1);
 
   // Restart with an empty journal: replay is a no-op, nothing re-applies.
-  ASSERT_EQ(stack.KillBlockServer(), Err::kNone);
-  ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
-  EXPECT_EQ(g.xenbus.replayed_total(), 0u);
+  ASSERT_EQ(stack.KillStorage(), Err::kNone);
+  ASSERT_EQ(stack.RestartStorage(), Err::kNone);
+  EXPECT_EQ(stack.guest_blk_conn(0).replayed_total(), 0u);
   EXPECT_EQ(stack.blk_store().applied_total(), applied_before + 1);
   EXPECT_EQ(stack.blk_store().suppressed_total(), 0u);
 
@@ -421,8 +413,8 @@ TEST(Recovery, UkernelDuplicateReplayIsSuppressed) {
     ASSERT_EQ(os.Write(pid, fd, payload), 5);
     ASSERT_EQ(os.Close(pid, fd), 0);
   });
-  ASSERT_EQ(stack.KillBlockServer(), Err::kNone);
-  ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
+  ASSERT_EQ(stack.KillStorage(), Err::kNone);
+  ASSERT_EQ(stack.RestartStorage(), Err::kNone);
   stack.RunAsApp(0, [&] {
     auto& os = stack.guest_os(0);
     const minios::SyscallRet fd = os.Open(pid, "journalled");
@@ -431,7 +423,7 @@ TEST(Recovery, UkernelDuplicateReplayIsSuppressed) {
     EXPECT_EQ(os.Read(pid, fd, back), 5);
     EXPECT_EQ(back, (std::vector<uint8_t>{1, 2, 3, 4, 5}));
   });
-  EXPECT_EQ(stack.blk_store().applied_total(), UkAckedWrites(stack));
+  EXPECT_EQ(stack.blk_store().applied_total(), AckedWrites(stack));
 }
 
 // --- E21 satellite: rx read-back across backend death ----------------------------
@@ -496,60 +488,44 @@ TEST(Recovery, NetRxInFlightAtCrashDeliveredExactlyOnceAndSlotsReplayed) {
 
 // --- Slices survive a storage restart after a client died ------------------------
 
-TEST(Recovery, StorageRestartAfterGuestDeathKeepsEverySlice) {
-  // Three guests each write their own byte to one lba; guest 0 dies, then
-  // storage dies and restarts. Every survivor must read back its own byte.
-  // A replacement backend that dealt slices out in connection order would
-  // hand each survivor the slice of the guest before it.
+// Three guests each write their own byte to one lba; guest 0 dies, then
+// storage dies and restarts. Every survivor must read back its own byte.
+// A replacement backend that dealt slices out in connection order would
+// hand each survivor the slice of the guest before it.
+template <typename StackT>
+void ExpectSlicesSurviveGuestDeath(typename StackT::Config config) {
   constexpr uint8_t kFill[3] = {0x11, 0x22, 0x33};
-  for (const bool parallax : {true, false}) {
-    SCOPED_TRACE(parallax ? "vmm + parallax" : "vmm dom0 storage");
-    ustack::VmmStack::Config config;
-    config.parallax_storage = parallax;
-    config.num_guests = 3;
-    ustack::VmmStack stack(config);
-    const uint32_t bs = stack.guest(0).blkfront->block_size();
-    const uint64_t lba = stack.guest(0).blkfront->capacity_blocks() - 1;
-    for (size_t i = 0; i < 3; ++i) {
-      ASSERT_EQ(stack.guest(i).blkfront->Write(lba, 1, std::vector<uint8_t>(bs, kFill[i])),
-                Err::kNone);
-    }
-    ASSERT_EQ(stack.KillGuest(0), Err::kNone);
-    ASSERT_EQ(stack.KillStorage(), Err::kNone);
-    ASSERT_EQ(stack.RestartStorage(), Err::kNone);
-    for (size_t i = 1; i < 3; ++i) {
-      std::vector<uint8_t> back(bs);
-      ASSERT_EQ(stack.guest(i).blkfront->Read(lba, 1, back), Err::kNone);
-      EXPECT_EQ(back, std::vector<uint8_t>(bs, kFill[i])) << "guest " << i;
-    }
-    if (stack.auditor() != nullptr) {
-      stack.auditor()->Checkpoint("after-slice-restart");
-      EXPECT_EQ(stack.auditor()->violation_count(), 0u);
-    }
-  }
-
-  SCOPED_TRACE("ukernel, KillBlockServer");
-  ustack::UkernelStack::Config config;
   config.num_guests = 3;
-  ustack::UkernelStack stack(config);
-  const uint32_t bs = stack.guest(0).port->block()->block_size();
-  const uint64_t lba = stack.guest(0).port->block()->capacity_blocks() - 1;
+  StackT stack(config);
+  const uint32_t bs = stack.guest_block(0).block_size();
+  const uint64_t lba = stack.guest_block(0).capacity_blocks() - 1;
   for (size_t i = 0; i < 3; ++i) {
-    ASSERT_EQ(stack.guest(i).port->block()->Write(lba, 1, std::vector<uint8_t>(bs, kFill[i])),
+    ASSERT_EQ(stack.guest_block(i).Write(lba, 1, std::vector<uint8_t>(bs, kFill[i])),
               Err::kNone);
   }
   ASSERT_EQ(stack.KillGuest(0), Err::kNone);
-  ASSERT_EQ(stack.KillBlockServer(), Err::kNone);
-  ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
+  ASSERT_EQ(stack.KillStorage(), Err::kNone);
+  ASSERT_EQ(stack.RestartStorage(), Err::kNone);
   for (size_t i = 1; i < 3; ++i) {
     std::vector<uint8_t> back(bs);
-    ASSERT_EQ(stack.guest(i).port->block()->Read(lba, 1, back), Err::kNone);
+    ASSERT_EQ(stack.guest_block(i).Read(lba, 1, back), Err::kNone);
     EXPECT_EQ(back, std::vector<uint8_t>(bs, kFill[i])) << "guest " << i;
   }
   if (stack.auditor() != nullptr) {
     stack.auditor()->Checkpoint("after-slice-restart");
     EXPECT_EQ(stack.auditor()->violation_count(), 0u);
   }
+}
+
+TEST(Recovery, StorageRestartAfterGuestDeathKeepsEverySlice) {
+  for (const bool parallax : {true, false}) {
+    SCOPED_TRACE(parallax ? "vmm + parallax" : "vmm dom0 storage");
+    ustack::VmmStack::Config config;
+    config.parallax_storage = parallax;
+    ExpectSlicesSurviveGuestDeath<ustack::VmmStack>(config);
+  }
+  SCOPED_TRACE("ukernel");
+  ExpectSlicesSurviveGuestDeath<ustack::UkernelStack>({});
 }
 
 // --- A replaced backend releases its persistent mappings ------------------------
@@ -652,7 +628,7 @@ TEST(Recovery, VmmKillInsideReplayKeepsTheTailJournaled) {
     EXPECT_EQ(front.xenbus().reconnects(), 2u);
     EXPECT_EQ(front.xenbus().replayed_total(), 1u);
     EXPECT_EQ(front.journal().size(), 0u);
-    EXPECT_EQ(stack.blk_store().applied_total(), VmmAckedWrites(stack));
+    EXPECT_EQ(stack.blk_store().applied_total(), AckedWrites(stack));
 
     std::vector<uint8_t> back(bs);
     ASSERT_EQ(front.Read(7, 1, back), Err::kNone);
@@ -666,39 +642,40 @@ TEST(Recovery, VmmKillInsideReplayKeepsTheTailJournaled) {
 
 TEST(Recovery, UkernelKillInsideReplayKeepsTheTailJournaled) {
   ustack::UkernelStack stack;
-  auto& g = stack.guest(0);
-  auto* block = g.port->block();
-  const uint32_t bs = block->block_size();
+  auto& block = stack.guest_block(0);
+  const auto& journal = stack.guest_journal(0);
+  auto& conn = stack.guest_blk_conn(0);
+  const uint32_t bs = block.block_size();
 
   // Three writes against the dead server journal and fail with kDead.
-  ASSERT_EQ(stack.KillBlockServer(), Err::kNone);
+  ASSERT_EQ(stack.KillStorage(), Err::kNone);
   std::vector<std::vector<uint8_t>> outage;
   for (uint8_t i = 0; i < 3; ++i) {
     outage.emplace_back(bs, static_cast<uint8_t>(0xd0 + i));
-    EXPECT_EQ(block->Write(20 + i, 1, outage.back()), Err::kDead);
+    EXPECT_EQ(block.Write(20 + i, 1, outage.back()), Err::kDead);
   }
-  ASSERT_EQ(g.port->blk_journal().size(), 3u);
+  ASSERT_EQ(journal.size(), 3u);
 
   // Replays start about 4us into the restart and take about 105us each,
   // so a kill at +160us lands inside the second one.
   stack.machine().ScheduleAfter(160 * hwsim::kCyclesPerUs,
-                                [&] { (void)stack.KillBlockServer(); });
-  ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
-  EXPECT_EQ(g.xenbus.replayed_total(), 1u);
-  EXPECT_EQ(g.port->blk_journal().size(), 2u);  // the unanswered tail
+                                [&] { (void)stack.KillStorage(); });
+  ASSERT_EQ(stack.RestartStorage(), Err::kNone);
+  EXPECT_EQ(conn.replayed_total(), 1u);
+  EXPECT_EQ(journal.size(), 2u);  // the unanswered tail
 
-  ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
-  EXPECT_EQ(g.xenbus.reconnects(), 2u);
-  EXPECT_EQ(g.xenbus.replayed_total(), 3u);
-  EXPECT_EQ(g.port->blk_journal().size(), 0u);
+  ASSERT_EQ(stack.RestartStorage(), Err::kNone);
+  EXPECT_EQ(conn.reconnects(), 2u);
+  EXPECT_EQ(conn.replayed_total(), 3u);
+  EXPECT_EQ(journal.size(), 0u);
   // The kill edge cancelled the second replay's DMA, so it reached the disk
   // only through the next replay: nothing to suppress.
   EXPECT_EQ(stack.blk_store().suppressed_total(), 0u);
-  EXPECT_EQ(stack.blk_store().applied_total(), UkAckedWrites(stack));
+  EXPECT_EQ(stack.blk_store().applied_total(), AckedWrites(stack));
 
   std::vector<uint8_t> back(bs);
   for (uint8_t i = 0; i < 3; ++i) {
-    ASSERT_EQ(block->Read(20 + i, 1, back), Err::kNone);
+    ASSERT_EQ(block.Read(20 + i, 1, back), Err::kNone);
     EXPECT_EQ(back, outage[i]) << "lba " << 20 + i;
   }
   if (stack.auditor() != nullptr) {
@@ -817,13 +794,13 @@ TEST(Recovery, RestartsLeakNoGrantsPortsOrFrames) {
   for (const bool storage : {true, false}) {
     SCOPED_TRACE(storage ? "ukernel block server" : "ukernel net server");
     ustack::UkernelStack stack;
-    auto* block = stack.guest(0).port->block();
-    std::vector<uint8_t> data(block->block_size(), 0x5d);
+    auto& block = stack.guest_block(0);
+    std::vector<uint8_t> data(block.block_size(), 0x5d);
     const auto io = [&] {
       if (storage) {
         for (uint64_t lba = 0; lba < 16; ++lba) {
-          ASSERT_EQ(block->Write(lba, 1, data), Err::kNone);
-          ASSERT_EQ(block->Read(lba, 1, data), Err::kNone);
+          ASSERT_EQ(block.Write(lba, 1, data), Err::kNone);
+          ASSERT_EQ(block.Read(lba, 1, data), Err::kNone);
         }
         return;
       }
@@ -838,8 +815,8 @@ TEST(Recovery, RestartsLeakNoGrantsPortsOrFrames) {
       });
     };
     const auto cycle = [&] {
-      ASSERT_EQ(storage ? stack.KillBlockServer() : stack.KillNetServer(), Err::kNone);
-      ASSERT_EQ(storage ? stack.RestartBlockServer() : stack.RestartNetServer(), Err::kNone);
+      ASSERT_EQ(storage ? stack.KillStorage() : stack.KillNetService(), Err::kNone);
+      ASSERT_EQ(storage ? stack.RestartStorage() : stack.RestartNetService(), Err::kNone);
       io();
     };
     io();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/os/netstack.h"
+#include "src/stacks/native_stack.h"
 #include "src/stacks/ukernel_stack.h"
 #include "src/stacks/vmm_stack.h"
 #include "src/workloads/netio.h"
@@ -84,10 +85,11 @@ TEST(UkernelStack, TwoGuestsAreIsolated) {
   });
 }
 
-TEST(UkernelStack, KillingBlockServerOnlyBreaksStorage) {
-  ustack::UkernelStack stack;
+// The storage service's death breaks storage only, on either stack.
+template <typename StackT>
+void ExpectStorageKillBreaksOnlyStorage(StackT& stack) {
   uwork::WireHost wire(stack.machine(), stack.nic());
-  ASSERT_EQ(stack.KillBlockServer(), Err::kNone);
+  ASSERT_EQ(stack.KillStorage(), Err::kNone);
   stack.RunAsApp(0, [&] {
     auto& os = stack.guest_os(0);
     auto pid = os.Spawn("app");
@@ -103,9 +105,14 @@ TEST(UkernelStack, KillingBlockServerOnlyBreaksStorage) {
   EXPECT_EQ(wire.packets_received(), 1u);
 }
 
+TEST(UkernelStack, KillingBlockServerOnlyBreaksStorage) {
+  ustack::UkernelStack stack;
+  ExpectStorageKillBreaksOnlyStorage(stack);
+}
+
 TEST(UkernelStack, KillingNetServerOnlyBreaksNetworking) {
   ustack::UkernelStack stack;
-  ASSERT_EQ(stack.KillNetServer(), Err::kNone);
+  ASSERT_EQ(stack.KillNetService(), Err::kNone);
   stack.RunAsApp(0, [&] {
     auto& os = stack.guest_os(0);
     auto pid = os.Spawn("app");
@@ -239,18 +246,7 @@ TEST(VmmStack, KillingParallaxOnlyBreaksStorage) {
   config.parallax_storage = true;
   ustack::VmmStack stack(config);
   ASSERT_NE(stack.storage_domain(), stack.dom0());
-  uwork::WireHost wire(stack.machine(), stack.nic());
-  ASSERT_EQ(stack.KillStorage(), Err::kNone);
-  stack.RunAsApp(0, [&] {
-    auto& os = stack.guest_os(0);
-    auto pid = os.Spawn("app");
-    EXPECT_EQ(os.Null(*pid), 0);
-    std::vector<uint8_t> p = {1};
-    EXPECT_EQ(os.NetSend(*pid, 80, 7, p), 1);  // networking unaffected
-    EXPECT_EQ(ErrOf(os.Create(*pid, "f")), Err::kDead);
-  });
-  stack.machine().RunUntilIdle();
-  EXPECT_EQ(wire.packets_received(), 1u);
+  ExpectStorageKillBreaksOnlyStorage(stack);
 }
 
 TEST(VmmStack, FullyDisaggregatedSurvivesDriverDeathsIndependently) {
@@ -356,8 +352,10 @@ TEST(VmmStack, TxPacketsFlowThroughDom0) {
 
 // --- Service restart (multiserver recovery) -------------------------------------
 
-TEST(UkernelStack, BlockServerRestartRestoresServiceAndData) {
-  ustack::UkernelStack stack;
+// A restarted storage service serves again, and a file written before the
+// kill survives it, on either stack.
+template <typename StackT>
+void ExpectStorageRestartRestoresServiceAndData(StackT& stack) {
   ukvm::ProcessId pid;
   stack.RunAsApp(0, [&] {
     auto& os = stack.guest_os(0);
@@ -369,12 +367,12 @@ TEST(UkernelStack, BlockServerRestartRestoresServiceAndData) {
     ASSERT_EQ(os.Close(pid, fd), 0);
   });
 
-  ASSERT_EQ(stack.KillBlockServer(), Err::kNone);
+  ASSERT_EQ(stack.KillStorage(), Err::kNone);
   stack.RunAsApp(0, [&] {
     EXPECT_EQ(ErrOf(stack.guest_os(0).Open(pid, "precious")), Err::kDead);
   });
 
-  ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
+  ASSERT_EQ(stack.RestartStorage(), Err::kNone);
   stack.RunAsApp(0, [&] {
     auto& os = stack.guest_os(0);
     const SyscallRet fd = os.Open(pid, "precious");
@@ -385,12 +383,17 @@ TEST(UkernelStack, BlockServerRestartRestoresServiceAndData) {
   });
 }
 
+TEST(UkernelStack, BlockServerRestartRestoresServiceAndData) {
+  ustack::UkernelStack stack;
+  ExpectStorageRestartRestoresServiceAndData(stack);
+}
+
 TEST(UkernelStack, NetServerRestartRestoresTraffic) {
   ustack::UkernelStack stack;
   uwork::WireHost wire(stack.machine(), stack.nic());
   stack.RouteWirePort(40, 0);
-  ASSERT_EQ(stack.KillNetServer(), Err::kNone);
-  ASSERT_EQ(stack.RestartNetServer(), Err::kNone);
+  ASSERT_EQ(stack.KillNetService(), Err::kNone);
+  ASSERT_EQ(stack.RestartNetService(), Err::kNone);
   stack.RunAsApp(0, [&] {
     auto& os = stack.guest_os(0);
     auto pid = os.Spawn("tx");
@@ -412,13 +415,13 @@ TEST(UkernelStack, RestartingALiveServerLeavesNoOldInstance) {
   ustack::UkernelStack stack;
   const ukvm::DomainId old_blk = stack.block_server().task();
   const ukvm::DomainId old_net = stack.net_server().task();
-  ASSERT_EQ(stack.RestartBlockServer(), Err::kNone);
-  ASSERT_EQ(stack.RestartNetServer(), Err::kNone);
+  ASSERT_EQ(stack.RestartStorage(), Err::kNone);
+  ASSERT_EQ(stack.RestartNetService(), Err::kNone);
   EXPECT_FALSE(stack.kernel().TaskAlive(old_blk));
   EXPECT_FALSE(stack.kernel().TaskAlive(old_net));
   EXPECT_TRUE(stack.kernel().TaskAlive(stack.block_server().task()));
   EXPECT_TRUE(stack.kernel().TaskAlive(stack.net_server().task()));
-  EXPECT_EQ(stack.ProbeBlockService(), Err::kNone);
+  EXPECT_EQ(stack.ProbeStorageService(), Err::kNone);
   EXPECT_EQ(stack.ProbeNetService(), Err::kNone);
 }
 
@@ -426,30 +429,7 @@ TEST(VmmStack, ParallaxRestartRestoresServiceAndData) {
   ustack::VmmStack::Config config;
   config.parallax_storage = true;
   ustack::VmmStack stack(config);
-  ukvm::ProcessId pid;
-  stack.RunAsApp(0, [&] {
-    auto& os = stack.guest_os(0);
-    pid = *os.Spawn("app");
-    const SyscallRet fd = os.Create(pid, "precious");
-    ASSERT_GE(fd, 0);
-    std::vector<uint8_t> data = {4, 5, 6};
-    ASSERT_EQ(os.Write(pid, fd, data), 3);
-  });
-
-  ASSERT_EQ(stack.KillStorage(), Err::kNone);
-  stack.RunAsApp(0, [&] {
-    EXPECT_EQ(ErrOf(stack.guest_os(0).Open(pid, "precious")), Err::kDead);
-  });
-
-  ASSERT_EQ(stack.RestartStorage(), Err::kNone);
-  stack.RunAsApp(0, [&] {
-    auto& os = stack.guest_os(0);
-    const SyscallRet fd = os.Open(pid, "precious");
-    ASSERT_GE(fd, 0);
-    std::vector<uint8_t> back(3);
-    EXPECT_EQ(os.Read(pid, fd, back), 3);
-    EXPECT_EQ(back, (std::vector<uint8_t>{4, 5, 6}));
-  });
+  ExpectStorageRestartRestoresServiceAndData(stack);
 }
 
 TEST(VmmStack, RestartingLiveParallaxLeavesNoOldInstance) {
@@ -531,6 +511,43 @@ TEST(CrossStack, WireRoutingIsTheSameOnBothStacks) {
     stack.machine().RunUntilIdle();
     EXPECT_EQ(stack.netback().rx_dropped(), 1u);
     EXPECT_EQ(stack.netback().rx_delivered(), 1u);
+  }
+}
+
+// A process that ends releases the ports it bound, whether it exits or the
+// program attached to it completes, so a later process can bind them again.
+void ExpectEndedProcessesReleaseTheirPorts(minios::Os& os) {
+  const ProcessId exiting = *os.Spawn("exiting");
+  ASSERT_EQ(os.NetBind(exiting, 40), 0);
+  ASSERT_EQ(os.Exit(exiting, 0), 0);
+  EXPECT_EQ(os.NetBind(*os.Spawn("after-exit"), 40), 0);
+
+  const ProcessId program = *os.Spawn("program");
+  ASSERT_EQ(os.AttachProgram(program,
+                             [&] {
+                               EXPECT_EQ(os.NetBind(program, 41), 0);
+                               return true;
+                             }),
+            Err::kNone);
+  EXPECT_EQ(os.RunPrograms(), 1u);
+  EXPECT_EQ(os.NetBind(*os.Spawn("after-program"), 41), 0);
+}
+
+TEST(CrossStack, EndedProcessesReleaseTheirPorts) {
+  {
+    SCOPED_TRACE("native");
+    ustack::NativeStack stack;
+    ExpectEndedProcessesReleaseTheirPorts(stack.os());
+  }
+  {
+    SCOPED_TRACE("ukernel");
+    ustack::UkernelStack stack;
+    stack.RunAsApp(0, [&] { ExpectEndedProcessesReleaseTheirPorts(stack.guest_os(0)); });
+  }
+  {
+    SCOPED_TRACE("vmm");
+    ustack::VmmStack stack;
+    stack.RunAsApp(0, [&] { ExpectEndedProcessesReleaseTheirPorts(stack.guest_os(0)); });
   }
 }
 
