@@ -111,5 +111,6 @@ int main() {
       "and wins the most, since its flush is the dearest. On a tagged-TLB platform\n"
       "(MIPS) there is little to win, and with neither mechanism small spaces do not\n"
       "exist. Same single-primitive API in every case.\n");
+  uharness::WriteJsonIfRequested("E10");
   return 0;
 }

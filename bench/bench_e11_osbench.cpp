@@ -214,5 +214,6 @@ int main() {
       "2-4x on null syscalls): pure-CPU ops order native <= vmm-fast < vmm-reflected <\n"
       "ukernel; I/O-bound ops converge as device time dominates — the architecture\n"
       "tax matters exactly where the paper's IPC argument says it does.\n");
+  uharness::WriteJsonIfRequested("E11");
   return 0;
 }

@@ -79,5 +79,6 @@ int main() {
       "~20-30x native; batching amortises the entry/exit to near the pure validation\n"
       "cost, converging to a constant per-page tax (validation never disappears —\n"
       "that is the price of keeping the guest out of ring 0).\n");
+  uharness::WriteJsonIfRequested("E12");
   return 0;
 }

@@ -98,5 +98,6 @@ int main() {
       "\nShape check: competitive-phase shares match the weight vector; heavier\n"
       "guests finish equal work earlier; after a guest finishes, the survivors\n"
       "absorb the slack (work-conserving). Primitive 4 of section 2.2, observable.\n");
+  uharness::WriteJsonIfRequested("E13");
   return 0;
 }

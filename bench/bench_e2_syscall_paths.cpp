@@ -106,5 +106,6 @@ int main() {
       "\nShape check: fast gate ~= native << trap-and-reflect; loading one glibc-style\n"
       "segment silently degrades the VMM to the reflected path (paper section 3.2).\n"
       "The microkernel's IPC syscall sits between native and reflected cost.\n");
+  uharness::WriteJsonIfRequested("E2");
   return 0;
 }

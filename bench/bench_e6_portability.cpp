@@ -80,5 +80,6 @@ int main() {
       "x86-specific optimisation — the trap-gate syscall shortcut of section 3.2 —\n"
       "exists only where segmentation does, illustrating the paper's point that VMM\n"
       "interfaces mirror one architecture's peculiarities.\n");
+  uharness::WriteJsonIfRequested("E6");
   return 0;
 }

@@ -139,5 +139,6 @@ int main() {
       "PTE+shootdown cost large); flips only pay off for page-multiple bulk data.\n"
       "At NIC payload sizes the flip cost is exactly flat — CG05's 'irrespective of\n"
       "the message size'.\n");
+  uharness::WriteJsonIfRequested("E9");
   return 0;
 }

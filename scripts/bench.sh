@@ -1,12 +1,15 @@
 #!/usr/bin/env bash
 # Builds the bench suite and runs the experiments that export machine-readable
 # results: the deterministic benches listed in scripts/det_benches.sh (E1 IPC
-# ping-pong, E3 Dom0 CPU accounting, E4 crossing counts, E5 fault-isolation
-# blast radius, E8 trust-boundary orderings (its line counts go to the
-# _HOST file), E14 storage-service restart cost, E15 chaos soak, E16
-# batched datapath, E18 TLB shootdown scaling, E19 crash-recovery latency +
-# exactly-once ledger, E21 L4 fast-path IPC, E23 the completed fast-path
-# family, and the observer matrix behind E17/E20/E22). Each bench writes
+# ping-pong, E2 syscall paths, E3 Dom0 CPU accounting, E4 crossing counts,
+# E5 fault-isolation blast radius, E6 portability, E7 per-primitive cycles
+# and E8 trust-boundary orderings (both put their line counts in the _HOST
+# file), E9 flip vs copy, E10 small spaces, E11 lmbench ops, E12 MMU
+# batching, E13 scheduler fairness, E14 storage-service restart cost, E15
+# chaos soak, E16 batched datapath, E18 TLB shootdown scaling, E19
+# crash-recovery latency + exactly-once ledger, E21 L4 fast-path IPC, E23
+# the completed fast-path family, and the observer matrix behind
+# E17/E20/E22). Each bench writes
 # BENCH_<id>.json into $OUT alongside its human-readable tables on stdout;
 # host wall-clock columns go to a separate BENCH_<id>_HOST.json so the
 # deterministic tables stay bit-exact. The observer matrix additionally
