@@ -27,6 +27,7 @@
 
 namespace {
 
+using ukern::IpcPath;
 using ukvm::Err;
 using ukvm::ThreadId;
 
@@ -41,14 +42,13 @@ struct PingPong {
   static constexpr hwsim::Vaddr kClientWin = 0x100000;
   static constexpr hwsim::Vaddr kServerWin = 0x200000;
 
-  PingPong(const hwsim::Platform& platform, bool small, bool fastpath)
+  // This bench is the E21 historical record: the fast side runs the
+  // Call-only path so its committed tables stay bit-identical.
+  // bench_e23_replywait measures the full family against this baseline.
+  PingPong(const hwsim::Platform& platform, bool small, IpcPath path)
       : machine(platform, 16 << 20) {
     kernel = std::make_unique<ukern::Kernel>(machine);
-    kernel->SetIpcFastpath(fastpath);
-    // This bench is the E21 historical record: pin the Call-only feature
-    // set so its committed tables stay bit-identical. bench_e23_replywait
-    // measures the full family against this baseline.
-    kernel->SetFastpathFeatures(ukern::Kernel::FastpathFeatures::CallOnly());
+    kernel->SetIpcPath(path);
     auto MakeSide = [&](hwsim::Vaddr window, ukern::IpcHandler handler) {
       auto task = kernel->CreateTask(ThreadId::Invalid());
       auto thread = kernel->CreateThread(*task, 128, std::move(handler));
@@ -106,11 +106,10 @@ struct PingPong {
   }
 };
 
-uint64_t NullSyscallMean(bool fastpath) {
+uint64_t NullSyscallMean(IpcPath path) {
   ustack::UkernelStack::Config config;
   config.audit = false;  // hook-free baseline, as in the other benches
-  config.ipc_fastpath = fastpath;
-  config.fastpath_features = ukern::Kernel::FastpathFeatures::CallOnly();
+  config.ipc_path = path;
   ustack::UkernelStack stack(config);
   auto pid = stack.guest_os(0).Spawn("bench");
   (void)stack.kernel().ActivateThread(stack.guest(0).app_thread);
@@ -129,7 +128,7 @@ bool FastpathRunIsClean() {
   ustack::UkernelStack::Config config;
   config.audit = true;
   config.race_detect = true;
-  config.ipc_fastpath = true;
+  config.ipc_path = IpcPath::kFamily;
   ustack::UkernelStack stack(config);
   auto pid = stack.guest_os(0).Spawn("gate");
   (void)stack.kernel().ActivateThread(stack.guest(0).app_thread);
@@ -181,8 +180,8 @@ int main() {
   uint64_t e1_off = 0;
   uint64_t e1_on = 0;
   for (const Config& config : configs) {
-    PingPong off(config.platform, config.small, false);
-    PingPong on(config.platform, config.small, true);
+    PingPong off(config.platform, config.small, IpcPath::kSlow);
+    PingPong on(config.platform, config.small, IpcPath::kCallOnly);
     const uint64_t off_mean = off.Mean(0);
     const uint64_t on_mean = on.Mean(0);
     const double ratio = static_cast<double>(off_mean) / static_cast<double>(on_mean);
@@ -225,8 +224,8 @@ int main() {
   uharness::Table strings("256 B string ping-pong, cycles per round trip (mean of 100)",
                           {"configuration", "fastpath off", "fastpath on", "speedup"});
   {
-    PingPong off(hwsim::MakeX86Platform(), false, false);
-    PingPong on(hwsim::MakeX86Platform(), false, true);
+    PingPong off(hwsim::MakeX86Platform(), false, IpcPath::kSlow);
+    PingPong on(hwsim::MakeX86Platform(), false, IpcPath::kCallOnly);
     const uint64_t off_mean = off.Mean(256);
     const uint64_t on_mean = on.Mean(256);
     strings.AddRow({"x86 flat spaces", uharness::FmtInt(off_mean), uharness::FmtInt(on_mean),
@@ -250,8 +249,8 @@ int main() {
   uharness::Table syscalls("null syscall via redirection, cycles (mean of 100)",
                            {"configuration", "fastpath off", "fastpath on", "speedup"});
   {
-    const uint64_t off_mean = NullSyscallMean(false);
-    const uint64_t on_mean = NullSyscallMean(true);
+    const uint64_t off_mean = NullSyscallMean(IpcPath::kSlow);
+    const uint64_t on_mean = NullSyscallMean(IpcPath::kCallOnly);
     syscalls.AddRow({"uk-stack null syscall", uharness::FmtInt(off_mean),
                      uharness::FmtInt(on_mean),
                      uharness::FmtDouble(static_cast<double>(off_mean) /

@@ -65,7 +65,7 @@ BENCHMARK(BM_UkernelNullIpc);
 void BM_UkernelNullIpcFastpath(benchmark::State& state) {
   hwsim::Machine machine(hwsim::MakeX86Platform(), 8 << 20);
   ukern::Kernel kernel(machine);
-  kernel.SetIpcFastpath(true);
+  kernel.SetIpcPath(ukern::IpcPath::kFamily);
   auto server_task = kernel.CreateTask(ukvm::ThreadId::Invalid());
   auto server = kernel.CreateThread(*server_task, 128, [](ukvm::ThreadId, ukern::IpcMessage) {
     return ukern::IpcMessage{};

@@ -36,8 +36,7 @@ UkernelStack::UkernelStack(Config config)
     ArmFaults(config_.faults);
   }
   kernel_ = std::make_unique<ukern::Kernel>(machine_);
-  kernel_->SetIpcFastpath(config_.ipc_fastpath);
-  kernel_->SetFastpathFeatures(config_.fastpath_features);
+  kernel_->SetIpcPath(config_.ipc_path);
   machine_.tracer().RegisterDomain(kernel_->kernel_domain(), "l4-kernel");
   sigma0_ = std::make_unique<Sigma0>(machine_, *kernel_);
   machine_.tracer().RegisterDomain(sigma0_->task(), "sigma0");

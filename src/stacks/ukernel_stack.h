@@ -32,16 +32,10 @@ namespace ustack {
 class UkernelStack {
  public:
   struct Config : ServiceStackConfig {
-    // E21 L4 fast-path IPC — default off, so every pre-E21 charge sequence
-    // is byte-identical. On: short register-only Calls (including the OS
-    // servers' syscall redirection) take the Liedtke fast path; everything
-    // else falls back to the slow path unchanged.
-    bool ipc_fastpath = false;
-    // E23: which members of the Liedtke family ride along when the fast
-    // path is on. Defaults to the full family (reply-wait coalescing,
-    // Send/Notify stubs, pager fault IPC, pinned string window);
-    // FastpathFeatures::CallOnly() reproduces the E21 behaviour exactly.
-    ukern::Kernel::FastpathFeatures fastpath_features;
+    // E21/E23: which IPC path the kernel takes (see ukern::IpcPath).
+    // Default kSlow; on a fast path the OS servers' syscall redirection
+    // rides it too.
+    ukern::IpcPath ipc_path = ukern::IpcPath::kSlow;
   };
 
   struct Guest {

@@ -44,7 +44,7 @@ inline constexpr uint32_t kMaxStringBytes = 1u << 20;
 struct IpcMessage {
   // Short data in (virtual) registers; regs[0] conventionally the opcode.
   std::array<uint64_t, kIpcRegWords> regs{};
-  uint32_t reg_count = 0;
+  uint32_t reg_count = 0;  // at most kIpcRegWords, or the kernel answers kInvalidArgument
 
   // At most one string item per message (as in L4 X.2 simple usage).
   StringItem string;
@@ -61,11 +61,14 @@ struct IpcMessage {
   // Error the kernel reports to the caller in the reply (kNone on success).
   ukvm::Err status = ukvm::Err::kNone;
 
-  // True when the whole payload fits in registers: no string item and no
-  // map/grant items. This is the message shape the E21 Liedtke fast path
-  // accepts without falling back (string items may still qualify via the
-  // temporary-mapping window; delegation never does).
-  bool IsRegisterOnly() const { return !has_string && map_items.empty(); }
+  // True when the whole payload fits in registers: a register count the
+  // ABI can carry, no string item and no map/grant items. This is the
+  // message shape the E21 Liedtke fast path accepts without falling back
+  // (string items may still qualify via the temporary-mapping window;
+  // delegation never does).
+  bool IsRegisterOnly() const {
+    return reg_count <= kIpcRegWords && !has_string && map_items.empty();
+  }
 
   static IpcMessage Short(uint64_t op) {
     IpcMessage msg;

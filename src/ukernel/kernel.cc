@@ -87,7 +87,7 @@ Err Kernel::DestroyTask(DomainId task) {
   // Drop IRQ routes to its threads.
   for (auto it = irq_routes_.begin(); it != irq_routes_.end();) {
     Tcb* tcb = FindThread(it->second);
-    if (tcb == nullptr || tcb->state == ThreadState::kDead) {
+    if (tcb == nullptr || ThreadDead(*tcb)) {
       it = irq_routes_.erase(it);
     } else {
       ++it;
@@ -192,7 +192,7 @@ bool Kernel::TaskAlive(DomainId task) const {
 
 bool Kernel::ThreadAlive(ThreadId thread) const {
   auto it = threads_.find(thread);
-  return it != threads_.end() && it->second->state != ThreadState::kDead;
+  return it != threads_.end() && !ThreadDead(*it->second);
 }
 
 Result<DomainId> Kernel::TaskOf(ThreadId thread) const {
@@ -223,16 +223,17 @@ Tcb* Kernel::FindThread(ThreadId id) {
 
 // --- Kernel entry/exit -------------------------------------------------------
 
-void Kernel::EnterKernel() {
-  machine_.Charge(machine_.costs().trap_entry);
+void Kernel::EnterKernel(Stub stub) {
+  const hwsim::CostModel& costs = machine_.costs();
+  machine_.Charge(stub == Stub::kFast ? costs.fast_trap_entry : costs.trap_entry);
   machine_.cpu().SetDomain(kKernelDomain);
   machine_.cpu().SetMode(hwsim::PrivLevel::kPrivileged);
   machine_.cpu().SetInterruptsEnabled(false);
 }
 
-void Kernel::LeaveKernelTo(ThreadId thread) {
+void Kernel::LeaveKernelTo(ThreadId thread, Stub stub) {
   Tcb* tcb = FindThread(thread);
-  if (tcb == nullptr || tcb->state == ThreadState::kDead) {
+  if (tcb == nullptr || ThreadDead(*tcb)) {
     // Nothing to return to; stay in the kernel (idle).
     current_thread_ = ThreadId::Invalid();
     machine_.cpu().SetInterruptsEnabled(true);
@@ -248,11 +249,34 @@ void Kernel::LeaveKernelTo(ThreadId thread) {
   machine_.cpu().SetSegments(&task->segments);
   machine_.cpu().SetDomain(task->id);
   machine_.cpu().SetMode(hwsim::PrivLevel::kUser);
-  machine_.Charge(machine_.costs().trap_return);
+  const hwsim::CostModel& costs = machine_.costs();
+  machine_.Charge(stub == Stub::kFast ? costs.fast_trap_return : costs.trap_return);
   current_thread_ = thread;
   tcb->state = ThreadState::kRunning;
   machine_.cpu().SetInterruptsEnabled(true);
   machine_.DeliverPendingInterrupts();
+}
+
+template <typename Body>
+void Kernel::RunInThread(ThreadId thread, Stub stub, Body&& body) {
+  const ThreadId prev = current_thread_;
+  if (stub == Stub::kFast) {
+    lazy_queue_dirty_ = true;
+  }
+  LeaveKernelTo(thread, stub);
+  if (body()) {
+    EnterKernel(stub);
+  }
+  current_thread_ = prev;
+}
+
+IpcMessage Kernel::RunHandler(Tcb& dest, ThreadId sender, IpcMessage&& msg) {
+  IpcMessage reply = dest.handler ? dest.handler(sender, std::move(msg)) : IpcMessage{};
+  ++dest.messages_handled;
+  if (dest.state == ThreadState::kRunning) {
+    dest.state = ThreadState::kWaiting;
+  }
+  return reply;
 }
 
 Err Kernel::ActivateThread(ThreadId thread) {
@@ -267,7 +291,7 @@ Err Kernel::ActivateThread(ThreadId thread) {
   if (lazy_queue_dirty_) {
     DrainLazyRunQueue();
   }
-  LeaveKernelTo(thread);
+  LeaveKernelTo(thread, Stub::kTrap);
   return Err::kNone;
 }
 
@@ -284,10 +308,19 @@ void Kernel::DrainLazyRunQueue() {
 
 // --- IPC ----------------------------------------------------------------------
 
+Err Kernel::CheckIpc(const Tcb* caller, const Tcb* dest, const IpcMessage& msg) const {
+  if (caller == nullptr || dest == nullptr) {
+    return Err::kBadHandle;
+  }
+  if (ThreadDead(*caller) || ThreadDead(*dest)) {
+    return Err::kDead;
+  }
+  return msg.reg_count > kIpcRegWords ? Err::kInvalidArgument : Err::kNone;
+}
+
 void Kernel::ChargeRegTransfer(const IpcMessage& msg) {
   machine_.Charge(machine_.costs().CopyCost(uint64_t{msg.reg_count} * 8));
 }
-
 Result<uint64_t> Kernel::TransferString(Tcb& sender, Tcb& receiver, const IpcMessage& msg,
                                         IpcMessage& delivered) {
   if (msg.string.len == 0) {
@@ -351,58 +384,73 @@ Result<uint64_t> Kernel::TransferString(Tcb& sender, Tcb& receiver, const IpcMes
   return uint64_t{len};
 }
 
-Err Kernel::ApplyMapItem(Task& from, Task& to, const MapItem& item) {
-  const uint64_t page = from.space.page_size();
-  for (uint32_t i = 0; i < item.pages; ++i) {
-    const hwsim::Vaddr snd_va = item.snd_base + uint64_t{i} * page;
-    const hwsim::Vaddr rcv_va = item.rcv_base + uint64_t{i} * page;
-    const hwsim::Vaddr snd_vpn = from.space.VpnOf(snd_va);
-    const hwsim::Vaddr rcv_vpn = to.space.VpnOf(rcv_va);
+Err Kernel::TransferMapItems(DomainId from_id, DomainId to_id, const std::vector<MapItem>& items) {
+  Task* from = FindTask(from_id);
+  Task* to = FindTask(to_id);
+  for (const MapItem& item : items) {
+    const uint64_t page = from->space.page_size();
+    for (uint32_t i = 0; i < item.pages; ++i) {
+      const hwsim::Vaddr snd_va = item.snd_base + uint64_t{i} * page;
+      const hwsim::Vaddr rcv_va = item.rcv_base + uint64_t{i} * page;
+      const hwsim::Vaddr snd_vpn = from->space.VpnOf(snd_va);
+      const hwsim::Vaddr rcv_vpn = to->space.VpnOf(rcv_va);
 
-    MapNode* node = mapdb_.Find(from.id, snd_vpn);
-    hwsim::Pte* pte = from.space.Walk(snd_va);
-    if (node == nullptr || pte == nullptr || !pte->present) {
-      return Err::kPermissionDenied;  // cannot delegate what you don't hold
-    }
-    if (mapdb_.Find(to.id, rcv_vpn) != nullptr) {
-      return Err::kAlreadyExists;
-    }
-    const bool writable = item.writable && pte->writable;  // no privilege amplification
-    const hwsim::Frame frame = pte->frame;
+      MapNode* node = mapdb_.Find(from_id, snd_vpn);
+      hwsim::Pte* pte = from->space.Walk(snd_va);
+      if (node == nullptr || pte == nullptr || !pte->present) {
+        return Err::kPermissionDenied;  // cannot delegate what you don't hold
+      }
+      if (mapdb_.Find(to_id, rcv_vpn) != nullptr) {
+        return Err::kAlreadyExists;
+      }
+      const bool writable = item.writable && pte->writable;  // no privilege amplification
+      const hwsim::Frame frame = pte->frame;
 
-    if (item.grant) {
-      UKVM_TRY(mapdb_.MoveNode(node, to.id, rcv_vpn));
-      from.space.Unmap(snd_va);
-      InvalidateStringWindow(from.space, snd_vpn);
+      if (item.grant) {
+        UKVM_TRY(mapdb_.MoveNode(node, to_id, rcv_vpn));
+        from->space.Unmap(snd_va);
+        InvalidateStringWindow(from->space, snd_vpn);
+        machine_.Charge(machine_.costs().pte_write);
+        // Salt-aware flush: on tagged-TLB platforms (and for small spaces)
+        // the granter's entries outlive address-space switches. Remote vCPUs
+        // must drop it too before the receiver relies on exclusivity.
+        machine_.cpu().InvalidatePage(&from->space, snd_vpn);
+        machine_.TlbShootdown(&from->space, {&snd_vpn, 1});
+      } else {
+        mapdb_.AddChild(node, to_id, rcv_vpn, frame);
+      }
+      to->space.Map(rcv_va, frame, hwsim::PtePerms{writable, /*user=*/true});
       machine_.Charge(machine_.costs().pte_write);
-      // Salt-aware flush: on tagged-TLB platforms (and for small spaces)
-      // the granter's entries outlive address-space switches. Remote vCPUs
-      // must drop it too before the receiver relies on exclusivity.
-      machine_.cpu().InvalidatePage(&from.space, snd_vpn);
-      machine_.TlbShootdown(&from.space, {&snd_vpn, 1});
-    } else {
-      mapdb_.AddChild(node, to.id, rcv_vpn, frame);
     }
-    to.space.Map(rcv_va, frame, hwsim::PtePerms{writable, /*user=*/true});
-    machine_.Charge(machine_.costs().pte_write);
+    machine_.ledger().Record(mech_.ipc_map, from_id, to_id, 0, uint64_t{item.pages} * page);
   }
   return Err::kNone;
 }
 
-IpcMessage Kernel::InvokeHandler(Tcb& dest, ThreadId sender, IpcMessage&& delivered) {
-  const ThreadId prev = current_thread_;
-  LeaveKernelTo(dest.id);
-  IpcMessage reply = dest.handler ? dest.handler(sender, std::move(delivered)) : IpcMessage{};
-  ++dest.messages_handled;
-  EnterKernel();
-  if (Tcb* d = FindThread(dest.id); d != nullptr && d->state == ThreadState::kRunning) {
-    d->state = ThreadState::kWaiting;
+IpcMessage Kernel::ReplyLeg(Tcb& server, Tcb& caller, IpcMessage reply) {
+  const uint64_t t1 = machine_.Now();
+  machine_.Charge(machine_.costs().kernel_op);
+  if (reply.reg_count > kIpcRegWords) {
+    reply = IpcMessage::Error(Err::kInvalidArgument);  // malformed: nothing transfers
   }
-  current_thread_ = prev;
+  ChargeRegTransfer(reply);
+  if (reply.has_string) {
+    auto moved = TransferString(server, caller, reply, reply);
+    if (!moved.ok()) {
+      reply.status = moved.error();
+    } else {
+      machine_.ledger().Record(mech_.ipc_string, server.task, caller.task, 0, *moved);
+    }
+  }
+  if (reply.status == Err::kNone) {
+    reply.status = TransferMapItems(server.task, caller.task, reply.map_items);
+  }
+  machine_.ledger().Record(mech_.ipc_reply, server.task, caller.task, machine_.Now() - t1, 0);
+  LeaveKernelTo(caller.id, Stub::kTrap);
   return reply;
 }
 
-// --- E21: the L4 fast path -----------------------------------------------------
+// --- E21/E23: the L4 fast-path family -------------------------------------------
 //
 // Liedtke's short-IPC fast path [Lie93], structurally: the kernel is
 // entered through a minimal stub (fast_trap_entry — no full frame save),
@@ -412,46 +460,15 @@ IpcMessage Kernel::InvokeHandler(Tcb& dest, ThreadId sender, IpcMessage&& delive
 // fixed up lazily at the next real schedule decision. Single-page string
 // items ride a temporary-mapping window: one kernel PTE write plus one
 // charged copy instead of the walk-twice gather/scatter. Everything the
-// fast path cannot handle falls back to the slow path below, unchanged.
-
-void Kernel::EnterKernelFast() {
-  machine_.Charge(machine_.costs().fast_trap_entry);
-  machine_.cpu().SetDomain(kKernelDomain);
-  machine_.cpu().SetMode(hwsim::PrivLevel::kPrivileged);
-  machine_.cpu().SetInterruptsEnabled(false);
-}
-
-void Kernel::LeaveKernelFastTo(ThreadId thread) {
-  Tcb* tcb = FindThread(thread);
-  if (tcb == nullptr || tcb->state == ThreadState::kDead) {
-    current_thread_ = ThreadId::Invalid();
-    machine_.cpu().SetInterruptsEnabled(true);
-    return;
-  }
-  Task* task = FindTask(tcb->task);
-  assert(task != nullptr);
-  if (task->small_space) {
-    machine_.cpu().SwitchAddressSpaceSmall(&task->space);
-  } else {
-    machine_.cpu().SwitchAddressSpace(&task->space);
-  }
-  machine_.cpu().SetSegments(&task->segments);
-  machine_.cpu().SetDomain(task->id);
-  machine_.cpu().SetMode(hwsim::PrivLevel::kUser);
-  machine_.Charge(machine_.costs().fast_trap_return);
-  current_thread_ = thread;
-  tcb->state = ThreadState::kRunning;
-  machine_.cpu().SetInterruptsEnabled(true);
-  machine_.DeliverPendingInterrupts();
-}
+// fast path cannot handle falls back to the slow path, unchanged.
 
 Kernel::FastpathVerdict Kernel::ClassifyFastpath(ThreadId caller, ThreadId dest,
                                                  const IpcMessage& msg) {
   Tcb* c = FindThread(caller);
   Tcb* d = FindThread(dest);
-  // Error paths (bad handle, dead caller or partner) keep the slow path's
-  // exact charge-and-reply discipline.
-  if (c == nullptr || d == nullptr || ThreadDead(*c) || ThreadDead(*d)) {
+  // Error paths (bad handle, dead caller or partner, too many registers)
+  // keep the slow path's exact charge-and-reply discipline.
+  if (CheckIpc(c, d, msg) != Err::kNone) {
     return FastpathVerdict::kNotReady;
   }
   if (d->state != ThreadState::kWaiting || !d->handler) {
@@ -465,7 +482,6 @@ Kernel::FastpathVerdict Kernel::ClassifyFastpath(ThreadId caller, ThreadId dest,
   }
   return FastpathVerdict::kEligible;
 }
-
 bool Kernel::FastStringEligible(Tcb& sender, Tcb& receiver, const IpcMessage& msg) {
   if (receiver.recv_buffer_len == 0 || msg.string.len > receiver.recv_buffer_len) {
     return false;  // no receive window, or the slow path would truncate
@@ -503,11 +519,11 @@ uint64_t Kernel::FastTransferString(Tcb& sender, Tcb& receiver, const IpcMessage
   // One PTE write maps the source page into the kernel's copy window; the
   // destination page is reached through the receiver's space directly, so
   // a single charged copy replaces TransferString's per-page walk-twice
-  // gather/scatter. E23: with the pinned window armed, this vCPU remembers
+  // gather/scatter. E23: on the family path, this vCPU remembers
   // which source page its window maps — a burst of strings from the same
   // page pays the PTE write once and every later transfer rides the pin.
   bool pinned = false;
-  if (features_.pinned_window) {
+  if (ipc_path_ == IpcPath::kFamily) {
     StringWindow& win = string_windows_[machine_.current_vcpu()];
     const uint64_t inst = from->space.instance_id();
     const hwsim::Vaddr vpn = from->space.VpnOf(msg.string.snd_base);
@@ -549,119 +565,13 @@ void Kernel::InvalidateStringWindow(const hwsim::PageTable& space, hwsim::Vaddr 
   }
 }
 
-IpcMessage Kernel::CallFast(ThreadId caller, ThreadId dest, IpcMessage msg) {
-  Tcb* c = FindThread(caller);
-  Tcb* d = FindThread(dest);
-  ukvm::SpanScope trace_span(machine_.tracer(), trace_.call_name, c->task);
-  ukvm::ProfScope trace_frame(machine_.tracer(), trace_.call_frame);
-  const uint64_t t0 = machine_.Now();
-  EnterKernelFast();
-  ++ipc_calls_;
-  ++fastpath_stats_.taken;
-
-  // Register transfer costs nothing: a short message never leaves the
-  // physical registers on its way across the direct process switch.
-  IpcMessage delivered = msg;
-  delivered.string_data.clear();
-  if (msg.has_string && msg.string.len > 0) {
-    const uint64_t moved = FastTransferString(*c, *d, msg, delivered);
-    machine_.ledger().Record(mech_.ipc_string, c->task, d->task, 0, moved);
-    ++fastpath_stats_.string_windows;
-  }
-  machine_.ledger().Record(mech_.ipc_call, c->task, d->task, machine_.Now() - t0, 0);
-  const DomainId dest_task = d->task;
-
-  // Direct process switch: the receiver runs on the caller's donated time
-  // slice; run_queue_ is deliberately left stale (lazy scheduling) and
-  // reconciled at the next real schedule decision.
-  lazy_queue_dirty_ = true;
-  const ThreadId prev = current_thread_;
-  LeaveKernelFastTo(dest);
-  IpcMessage reply = d->handler(caller, std::move(delivered));
-  ++d->messages_handled;
-
-  // E23 reply-wait coalescing: the handler's return IS the server's
-  // reply-and-wait-next syscall, and its stub is still resident from the
-  // call leg — so a register-only reply from a living server never pays a
-  // second kernel entry. The server parks straight back into receive
-  // (no scheduler pass) and the direct switch to the caller costs one
-  // fast_trap_return. The shape must be decided BEFORE charging re-entry
-  // so every fallback leg below stays charge-identical to reply_wait=off.
-  d = FindThread(dest);
-  const bool server_alive =
-      d != nullptr && d->state != ThreadState::kDead && TaskAlive(d->task);
-  if (features_.reply_wait && server_alive && reply.IsRegisterOnly()) {
-    ++fastpath_stats_.replywait_coalesced;
-    if (d->state == ThreadState::kRunning) {
-      d->state = ThreadState::kWaiting;
-    }
-    current_thread_ = prev;
-    if (!test_skip_replywait_record_) {
-      machine_.ledger().Record(mech_.ipc_replywait, d->task, c->task, 0, 0);
-    }
-    LeaveKernelFastTo(caller);
-    return reply;
-  }
-
-  EnterKernelFast();
-  if (Tcb* dd = FindThread(dest); dd != nullptr && dd->state == ThreadState::kRunning) {
-    dd->state = ThreadState::kWaiting;
-  }
-  current_thread_ = prev;
-
-  // Same mid-call death discipline as the slow path: the kernel
-  // synthesizes the reply crossing on the dead server's behalf.
-  if (!server_alive) {
-    machine_.ledger().Record(mech_.ipc_reply, dest_task, c->task, 0, 0);
-    IpcMessage err = IpcMessage::Error(Err::kDead);
-    LeaveKernelFastTo(caller);
-    return err;
-  }
-
-  if (!reply.IsRegisterOnly()) {
-    // Complex reply: only the return leg falls off the fast path; it runs
-    // the slow path's exact reply sequence.
-    ++fastpath_stats_.slow_replies;
-    const uint64_t t1 = machine_.Now();
-    machine_.Charge(machine_.costs().kernel_op);
-    ChargeRegTransfer(reply);
-    if (reply.has_string) {
-      auto moved = TransferString(*d, *c, reply, reply);
-      if (!moved.ok()) {
-        reply.status = moved.error();
-      } else {
-        machine_.ledger().Record(mech_.ipc_string, d->task, c->task, 0, *moved);
-      }
-    }
-    if (!reply.map_items.empty() && reply.status == Err::kNone) {
-      Task* from = FindTask(d->task);
-      Task* to = FindTask(c->task);
-      for (const MapItem& item : reply.map_items) {
-        if (Err err = ApplyMapItem(*from, *to, item); err != Err::kNone) {
-          reply.status = err;
-          break;
-        }
-        machine_.ledger().Record(mech_.ipc_map, d->task, c->task, 0,
-                                 uint64_t{item.pages} * from->space.page_size());
-      }
-    }
-    machine_.ledger().Record(mech_.ipc_reply, d->task, c->task, machine_.Now() - t1, 0);
-    LeaveKernelTo(caller);
-    return reply;
-  }
-
-  if (!test_skip_fastpath_reply_record_) {
-    machine_.ledger().Record(mech_.ipc_reply, d->task, c->task, 0, 0);
-  }
-  LeaveKernelFastTo(caller);
-  return reply;
-}
-
 IpcMessage Kernel::Call(ThreadId caller, ThreadId dest, IpcMessage msg) {
-  if (ipc_fastpath_) {
+  Stub stub = Stub::kTrap;
+  if (ipc_path_ != IpcPath::kSlow) {
     switch (ClassifyFastpath(caller, dest, msg)) {
       case FastpathVerdict::kEligible:
-        return CallFast(caller, dest, std::move(msg));
+        stub = Stub::kFast;
+        break;
       case FastpathVerdict::kNotReady:
         ++fastpath_stats_.fallback_not_ready;
         break;
@@ -679,229 +589,191 @@ IpcMessage Kernel::Call(ThreadId caller, ThreadId dest, IpcMessage msg) {
                              c != nullptr ? c->task : DomainId::Invalid());
   ukvm::ProfScope trace_frame(machine_.tracer(), trace_.call_frame);
   const uint64_t t0 = machine_.Now();
-  EnterKernel();
+  EnterKernel(stub);
   ++ipc_calls_;
-  machine_.Charge(machine_.costs().kernel_op);
 
   // A dead caller gets its answer without the kernel ever switching back
   // into its address space.
   auto fail = [&](Err err) {
-    IpcMessage reply = IpcMessage::Error(err);
     if (c != nullptr && !ThreadDead(*c)) {
-      LeaveKernelTo(caller);
+      LeaveKernelTo(caller, stub);
     }
-    return reply;
+    return IpcMessage::Error(err);
   };
-
-  if (c == nullptr || d == nullptr) {
-    return fail(Err::kBadHandle);
-  }
-  if (ThreadDead(*c) || ThreadDead(*d)) {
-    return fail(Err::kDead);
-  }
-
-  ChargeRegTransfer(msg);
 
   IpcMessage delivered = msg;
   delivered.string_data.clear();
-  if (msg.has_string) {
-    auto moved = TransferString(*c, *d, msg, delivered);
-    if (!moved.ok()) {
-      return fail(moved.error());
+  if (stub == Stub::kFast) {
+    // Register transfer costs nothing: a short message never leaves the
+    // physical registers on its way across the direct process switch.
+    ++fastpath_stats_.taken;
+    if (msg.has_string && msg.string.len > 0) {
+      const uint64_t moved = FastTransferString(*c, *d, msg, delivered);
+      machine_.ledger().Record(mech_.ipc_string, c->task, d->task, 0, moved);
+      ++fastpath_stats_.string_windows;
     }
-    machine_.ledger().Record(mech_.ipc_string, c->task, d->task, 0, *moved);
-  }
-  if (!msg.map_items.empty()) {
-    Task* from = FindTask(c->task);
-    Task* to = FindTask(d->task);
-    for (const MapItem& item : msg.map_items) {
-      if (Err err = ApplyMapItem(*from, *to, item); err != Err::kNone) {
-        return fail(err);
+  } else {
+    machine_.Charge(machine_.costs().kernel_op);
+    if (Err err = CheckIpc(c, d, msg); err != Err::kNone) {
+      return fail(err);
+    }
+    ChargeRegTransfer(msg);
+    if (msg.has_string) {
+      auto moved = TransferString(*c, *d, msg, delivered);
+      if (!moved.ok()) {
+        return fail(moved.error());
       }
-      machine_.ledger().Record(mech_.ipc_map, c->task, d->task, 0,
-                               uint64_t{item.pages} * from->space.page_size());
+      machine_.ledger().Record(mech_.ipc_string, c->task, d->task, 0, *moved);
+    }
+    if (Err err = TransferMapItems(c->task, d->task, msg.map_items); err != Err::kNone) {
+      return fail(err);
     }
   }
-
   machine_.ledger().Record(mech_.ipc_call, c->task, d->task, machine_.Now() - t0, 0);
-  const DomainId dest_task = d->task;
-
-  IpcMessage reply = InvokeHandler(*d, caller, std::move(delivered));
 
   // Either end can be destroyed while the call is handled (a supervisor
   // killing a server task mid-request, or the caller's guest). Whatever the
   // handler returned is void: the caller observes the death, exactly as if
-  // the call had never been answered, and the stale Tcb is never
-  // dereferenced. The kernel synthesizes the error reply on the dead
-  // server's behalf, so the crossing ledger still sees a balanced
+  // the call had never been answered, and the kernel never switches back
+  // into a dead space. The kernel synthesizes the reply on the dead
+  // partner's behalf, so the crossing ledger still sees one balanced
   // call/reply pair.
-  d = FindThread(dest);
-  if (d == nullptr || ThreadDead(*d) || ThreadDead(*c)) {
-    machine_.ledger().Record(mech_.ipc_reply, dest_task, c->task, 0, 0);
+  //
+  // E23 reply-wait: on the family path the handler's return IS the
+  // server's reply-and-wait syscall, and the stub that carried the request
+  // is still resident — so a register-only reply between two living ends
+  // never pays a second kernel entry, and the server parks straight back
+  // into receive.
+  IpcMessage reply;
+  bool alive = false;
+  bool coalesced = false;
+  RunInThread(dest, stub, [&] {
+    reply = RunHandler(*d, caller, std::move(delivered));
+    alive = !ThreadDead(*d) && !ThreadDead(*c);
+    coalesced = alive && stub == Stub::kFast && ipc_path_ == IpcPath::kFamily &&
+                reply.IsRegisterOnly();
+    return !coalesced;
+  });
+  if (!alive) {
+    machine_.ledger().Record(mech_.ipc_reply, d->task, c->task, 0, 0);
     return fail(Err::kDead);
   }
-
-  // Reply path: transfer back to the caller.
-  const uint64_t t1 = machine_.Now();
-  machine_.Charge(machine_.costs().kernel_op);
-  ChargeRegTransfer(reply);
-  if (reply.has_string) {
-    auto moved = TransferString(*d, *c, reply, reply);
-    if (!moved.ok()) {
-      reply.status = moved.error();
-    } else {
-      machine_.ledger().Record(mech_.ipc_string, d->task, c->task, 0, *moved);
+  if (stub == Stub::kFast && reply.IsRegisterOnly()) {
+    if (coalesced) {
+      ++fastpath_stats_.replywait_coalesced;
     }
-  }
-  if (!reply.map_items.empty() && reply.status == Err::kNone) {
-    Task* from = FindTask(d->task);
-    Task* to = FindTask(c->task);
-    for (const MapItem& item : reply.map_items) {
-      if (Err err = ApplyMapItem(*from, *to, item); err != Err::kNone) {
-        reply.status = err;
-        break;
-      }
-      machine_.ledger().Record(mech_.ipc_map, d->task, c->task, 0,
-                               uint64_t{item.pages} * from->space.page_size());
+    const bool skip_record =
+        coalesced ? test_skip_replywait_record_ : test_skip_fastpath_reply_record_;
+    if (!skip_record) {
+      machine_.ledger().Record(coalesced ? mech_.ipc_replywait : mech_.ipc_reply, d->task,
+                               c->task, 0, 0);
     }
+    LeaveKernelTo(caller, Stub::kFast);
+    return reply;
   }
-  machine_.ledger().Record(mech_.ipc_reply, d->task, c->task, machine_.Now() - t1, 0);
-  LeaveKernelTo(caller);
-  return reply;
-}
-
-Err Kernel::SendFast(ThreadId caller, ThreadId dest, IpcMessage msg) {
-  Tcb* c = FindThread(caller);
-  Tcb* d = FindThread(dest);
-  ukvm::SpanScope trace_span(machine_.tracer(), trace_.send_name, c->task);
-  ukvm::ProfScope trace_frame(machine_.tracer(), trace_.send_frame);
-  EnterKernelFast();
-  ++ipc_calls_;
-  ++fastpath_stats_.send_fast;
-  // Register transfer costs nothing — the short message stays in physical
-  // registers across the direct switch; the one-way crossing is recorded
-  // (l4.ipc.send is pairing-exempt by design) and the receiver runs on the
-  // sender's donated slice with the run queue left stale.
-  machine_.ledger().Record(mech_.ipc_send, c->task, d->task, 0, 0);
-  lazy_queue_dirty_ = true;
-  const ThreadId prev = current_thread_;
-  LeaveKernelFastTo(dest);
-  (void)d->handler(caller, std::move(msg));
-  ++d->messages_handled;
-  EnterKernelFast();
-  if (Tcb* dd = FindThread(dest); dd != nullptr && dd->state == ThreadState::kRunning) {
-    dd->state = ThreadState::kWaiting;
+  // Only the return leg of a fast Call with a complex reply falls off the
+  // fast path: it runs the slow path's exact reply sequence.
+  if (stub == Stub::kFast) {
+    ++fastpath_stats_.slow_replies;
   }
-  current_thread_ = prev;
-  LeaveKernelFastTo(caller);
-  return Err::kNone;
+  return ReplyLeg(*d, *c, std::move(reply));
 }
 
 Err Kernel::Send(ThreadId caller, ThreadId dest, IpcMessage msg) {
-  if (ipc_fastpath_ && features_.send) {
+  Stub stub = Stub::kTrap;
+  if (ipc_path_ == IpcPath::kFamily) {
     // Only the register-only shape rides the stubs; strings and map items
     // keep the slow path's exact charge-and-reply discipline.
-    if (!msg.has_string && msg.map_items.empty() &&
+    if (msg.IsRegisterOnly() &&
         ClassifyFastpath(caller, dest, msg) == FastpathVerdict::kEligible) {
-      return SendFast(caller, dest, std::move(msg));
+      stub = Stub::kFast;
+      ++fastpath_stats_.send_fast;
+    } else {
+      ++fastpath_stats_.send_slow;
     }
-    ++fastpath_stats_.send_slow;
   }
   Tcb* c = FindThread(caller);
   Tcb* d = FindThread(dest);
   ukvm::SpanScope trace_span(machine_.tracer(), trace_.send_name,
                              c != nullptr ? c->task : DomainId::Invalid());
   ukvm::ProfScope trace_frame(machine_.tracer(), trace_.send_frame);
-  EnterKernel();
+  EnterKernel(stub);
   ++ipc_calls_;
-  machine_.Charge(machine_.costs().kernel_op);
-  if (c == nullptr || d == nullptr) {
-    LeaveKernelTo(caller);
-    return Err::kBadHandle;
-  }
-  if (ThreadDead(*c) || ThreadDead(*d)) {
-    if (!ThreadDead(*c)) {
-      LeaveKernelTo(caller);
+  auto fail = [&](Err err) {
+    if (c != nullptr && !ThreadDead(*c)) {
+      LeaveKernelTo(caller, stub);
     }
-    return Err::kDead;
-  }
-  ChargeRegTransfer(msg);
+    return err;
+  };
+  // On the fast stub the short message stays in physical registers across
+  // the direct switch, so its transfer costs nothing.
   IpcMessage delivered = msg;
-  if (msg.has_string) {
-    auto moved = TransferString(*c, *d, msg, delivered);
-    if (!moved.ok()) {
-      LeaveKernelTo(caller);
-      return moved.error();
+  if (stub == Stub::kTrap) {
+    machine_.Charge(machine_.costs().kernel_op);
+    if (Err err = CheckIpc(c, d, msg); err != Err::kNone) {
+      return fail(err);
     }
-    machine_.ledger().Record(mech_.ipc_string, c->task, d->task, 0, *moved);
+    ChargeRegTransfer(msg);
+    if (msg.has_string) {
+      auto moved = TransferString(*c, *d, msg, delivered);
+      if (!moved.ok()) {
+        return fail(moved.error());
+      }
+      machine_.ledger().Record(mech_.ipc_string, c->task, d->task, 0, *moved);
+    }
   }
+  // l4.ipc.send is one-way: pairing-exempt by design.
   machine_.ledger().Record(mech_.ipc_send, c->task, d->task, 0, 0);
-  (void)InvokeHandler(*d, caller, std::move(delivered));
-  LeaveKernelTo(caller);
-  return Err::kNone;
-}
-
-Err Kernel::NotifyFast(Tcb& dest, uint64_t bits) {
-  ukvm::SpanScope trace_span(machine_.tracer(), trace_.notify_name, dest.task);
-  ukvm::ProfScope trace_frame(machine_.tracer(), trace_.notify_frame);
-  ++fastpath_stats_.notify_fast;
-  // The latch discipline is identical to the slow path: new bits merge into
-  // the pending set first, and the handler consumes the whole merged set.
-  // The mutation hook delivers only the fresh bits — anything latched while
-  // the receiver was busy is silently lost, which the differential
-  // fast-vs-slow fuzzer must flag as an end-state divergence.
-  if (!test_skip_notify_latch_) {
-    dest.pending_notify_bits |= bits;
-  }
-  ++dest.notifications;
-  machine_.ledger().Record(mech_.ipc_notify, machine_.cpu().current_domain(), dest.task, 0, 0);
-  const ThreadId prev = current_thread_;
-  lazy_queue_dirty_ = true;
-  LeaveKernelFastTo(dest.id);
-  uint64_t pending = dest.pending_notify_bits;
-  if (test_skip_notify_latch_) {
-    pending = bits;
-  }
-  dest.pending_notify_bits = 0;
-  dest.notify_handler(pending);
-  EnterKernelFast();
-  current_thread_ = prev;
-  if (prev.valid()) {
-    LeaveKernelFastTo(prev);
-  }
+  RunInThread(dest, stub, [&] {
+    (void)RunHandler(*d, caller, std::move(delivered));
+    return true;
+  });
+  LeaveKernelTo(caller, stub);
   return Err::kNone;
 }
 
 Err Kernel::Notify(ThreadId dest, uint64_t bits) {
   Tcb* d = FindThread(dest);
-  if (d == nullptr || d->state == ThreadState::kDead || !TaskAlive(d->task)) {
+  if (d == nullptr || ThreadDead(*d)) {
     return Err::kDead;
   }
-  if (ipc_fastpath_ && features_.notify) {
+  Stub stub = Stub::kTrap;
+  if (ipc_path_ == IpcPath::kFamily) {
     // Fast delivery needs a receiver blocked in receive with a notify
     // handler; everything else (latch-only, busy receiver) falls back to
     // the slow path's exact charge sequence.
     if (d->state == ThreadState::kWaiting && d->notify_handler) {
-      return NotifyFast(*d, bits);
+      stub = Stub::kFast;
+      ++fastpath_stats_.notify_fast;
+    } else {
+      ++fastpath_stats_.notify_slow;
     }
-    ++fastpath_stats_.notify_slow;
   }
   ukvm::SpanScope trace_span(machine_.tracer(), trace_.notify_name, d->task);
   ukvm::ProfScope trace_frame(machine_.tracer(), trace_.notify_frame);
-  machine_.ChargeTo(kKernelDomain, machine_.costs().kernel_op);
-  d->pending_notify_bits |= bits;
+  if (stub == Stub::kTrap) {
+    machine_.ChargeTo(kKernelDomain, machine_.costs().kernel_op);
+  }
+  // New bits merge into the pending set, and the handler consumes the
+  // whole merged set. The mutation hook makes the fast stub deliver only
+  // the fresh bits — anything latched while the receiver was busy is
+  // silently lost, which the differential fast-vs-slow fuzzer must flag as
+  // an end-state divergence.
+  const bool skip_latch = stub == Stub::kFast && test_skip_notify_latch_;
+  if (!skip_latch) {
+    d->pending_notify_bits |= bits;
+  }
   ++d->notifications;
   machine_.ledger().Record(mech_.ipc_notify, machine_.cpu().current_domain(), d->task, 0, 0);
   if (d->notify_handler) {
-    const ThreadId prev = current_thread_;
-    LeaveKernelTo(dest);
-    const uint64_t pending = d->pending_notify_bits;
-    d->pending_notify_bits = 0;
-    d->notify_handler(pending);
-    EnterKernel();
-    current_thread_ = prev;
-    if (prev.valid()) {
-      LeaveKernelTo(prev);
+    RunInThread(dest, stub, [&] {
+      const uint64_t pending = skip_latch ? bits : d->pending_notify_bits;
+      d->pending_notify_bits = 0;
+      d->notify_handler(pending);
+      return true;
+    });
+    if (current_thread_.valid()) {
+      LeaveKernelTo(current_thread_, stub);
     }
   }
   return Err::kNone;
@@ -989,7 +861,7 @@ Err Kernel::Unmap(DomainId task, hwsim::Vaddr va, uint32_t pages, bool include_s
   ukvm::SpanScope trace_span(machine_.tracer(), trace_.unmap_name, task);
   ukvm::ProfScope trace_frame(machine_.tracer(), trace_.unmap_frame);
   const uint64_t t0 = machine_.Now();
-  EnterKernel();
+  EnterKernel(Stub::kTrap);
   machine_.Charge(machine_.costs().kernel_op);
   const uint64_t page = t->space.page_size();
   for (uint32_t i = 0; i < pages; ++i) {
@@ -1006,7 +878,7 @@ Err Kernel::Unmap(DomainId task, hwsim::Vaddr va, uint32_t pages, bool include_s
   machine_.ledger().Record(mech_.unmap, machine_.cpu().current_domain(), task,
                            machine_.Now() - t0, uint64_t{pages} * page);
   if (current_thread_.valid()) {
-    LeaveKernelTo(current_thread_);
+    LeaveKernelTo(current_thread_, Stub::kTrap);
   }
   return Err::kNone;
 }
@@ -1046,12 +918,10 @@ Err Kernel::DoResolveFault(ThreadId thread, hwsim::Vaddr va, bool write) {
   if (!task->pager.valid()) {
     return Err::kFault;
   }
-  const ThreadId pager_id = task->pager;
-  Tcb* pager = FindThread(pager_id);
-  if (pager == nullptr || pager->state == ThreadState::kDead || !TaskAlive(pager->task)) {
+  Tcb* pager = FindThread(task->pager);
+  if (pager == nullptr || ThreadDead(*pager)) {
     return Err::kDead;  // pager gone: the fault is unresolvable
   }
-  const DomainId pager_task_id = pager->task;
 
   ukvm::SpanScope trace_span(machine_.tracer(), trace_.pf_name, tcb->task);
   ukvm::ProfScope trace_frame(machine_.tracer(), trace_.pf_frame);
@@ -1059,52 +929,34 @@ Err Kernel::DoResolveFault(ThreadId thread, hwsim::Vaddr va, bool write) {
   // Synthesized page-fault IPC, as the L4 pager protocol specifies.
   IpcMessage fault = IpcMessage::Short(kPageFaultLabel, va, write ? 1 : 0);
   machine_.ledger().Record(mech_.pf_ipc, tcb->task, pager->task, 0, 0);
-  IpcMessage reply;
-  if (ipc_fastpath_ && features_.fault_ipc && pager->state == ThreadState::kWaiting &&
-      pager->handler) {
-    // E23: the fault IPC rides the fast stubs. The fault trap itself stays
-    // a full-cost hardware trap (TouchPage charges trap_entry/trap_return
-    // around us); only the two kernel/pager crossings go fast, with the
-    // run queue left stale across the direct switch.
+  // E23: on the family path the fault IPC to a waiting pager rides the
+  // fast stubs. The fault trap itself stays a full-cost hardware trap
+  // (TouchPage charges trap_entry/trap_return around us); only the two
+  // kernel/pager crossings go fast.
+  Stub stub = Stub::kTrap;
+  if (ipc_path_ == IpcPath::kFamily && pager->state == ThreadState::kWaiting && pager->handler) {
+    stub = Stub::kFast;
     ++fastpath_stats_.fault_fast;
-    lazy_queue_dirty_ = true;
-    const ThreadId prev = current_thread_;
-    LeaveKernelFastTo(pager_id);
-    reply = pager->handler(thread, std::move(fault));
-    ++pager->messages_handled;
-    EnterKernelFast();
-    if (Tcb* p = FindThread(pager_id); p != nullptr && p->state == ThreadState::kRunning) {
-      p->state = ThreadState::kWaiting;
-    }
-    current_thread_ = prev;
-  } else {
-    reply = InvokeHandler(*pager, thread, std::move(fault));
   }
-  // E23 bugfix, mirroring Call's mid-call death discipline: the pager can
-  // be destroyed while handling the fault (a supervisor killing it
-  // mid-request). Whatever the doomed handler returned is void — its map
-  // items are never applied — and the kernel synthesizes the reply
-  // crossing on the dead pager's behalf so the pf pairing stays balanced.
-  pager = FindThread(pager_id);
-  if (pager == nullptr || pager->state == ThreadState::kDead || !TaskAlive(pager->task)) {
-    machine_.ledger().Record(mech_.ipc_reply, pager_task_id, tcb->task, machine_.Now() - t0, 0);
+  IpcMessage reply;
+  RunInThread(pager->id, stub, [&] {
+    reply = RunHandler(*pager, thread, std::move(fault));
+    return true;
+  });
+  // The pager answers even when it dies while handling the fault (a
+  // supervisor killing it mid-request): the kernel synthesizes the reply
+  // on its behalf so the pf pairing stays balanced, and whatever the doomed
+  // handler returned is void — its map items are never applied. An error
+  // reply is a reply too.
+  machine_.ledger().Record(mech_.ipc_reply, pager->task, tcb->task, machine_.Now() - t0, 0);
+  if (ThreadDead(*pager)) {
     return Err::kDead;
   }
-  // The pager did answer — even an error reply is a reply, so record it
-  // before bailing or the call/reply pairing goes unbalanced.
-  machine_.ledger().Record(mech_.ipc_reply, pager->task, tcb->task, machine_.Now() - t0, 0);
   if (reply.status != Err::kNone) {
     return reply.status;
   }
   // The pager answers with map items targeting the faulter's space.
-  Task* pager_task = FindTask(pager->task);
-  for (const MapItem& item : reply.map_items) {
-    if (Err err = ApplyMapItem(*pager_task, *task, item); err != Err::kNone) {
-      return err;
-    }
-    machine_.ledger().Record(mech_.ipc_map, pager->task, task->id, 0,
-                             uint64_t{item.pages} * task->space.page_size());
-  }
+  UKVM_TRY(TransferMapItems(pager->task, task->id, reply.map_items));
 
   // Verify the fault is now resolved.
   hwsim::Pte* pte = task->space.Walk(va);
@@ -1195,21 +1047,23 @@ void Kernel::HandleInterrupt(IrqLine line) {
     return;  // spurious / unrouted
   }
   Tcb* handler = FindThread(it->second);
-  if (handler == nullptr || handler->state == ThreadState::kDead || !TaskAlive(handler->task)) {
+  if (handler == nullptr || ThreadDead(*handler)) {
     return;  // driver died; interrupt is dropped
   }
-  const ThreadId prev = current_thread_;
   ukvm::SpanScope trace_span(machine_.tracer(), trace_.irq_name, handler->task);
   ukvm::ProfScope trace_frame(machine_.tracer(), trace_.irq_frame);
   const uint64_t t0 = machine_.Now();
-  EnterKernel();
+  EnterKernel(Stub::kTrap);
   machine_.Charge(machine_.costs().kernel_op);
   machine_.ledger().Record(mech_.irq_ipc, ukvm::kHardwareDomain, handler->task,
                            machine_.Now() - t0, 0);
   IpcMessage msg = IpcMessage::Short(kIrqLabel, line.value());
-  (void)InvokeHandler(*handler, ThreadId::Invalid(), std::move(msg));
-  if (prev.valid()) {
-    LeaveKernelTo(prev);
+  RunInThread(handler->id, Stub::kTrap, [&] {
+    (void)RunHandler(*handler, ThreadId::Invalid(), std::move(msg));
+    return true;
+  });
+  if (current_thread_.valid()) {
+    LeaveKernelTo(current_thread_, Stub::kTrap);
   } else {
     machine_.cpu().SetInterruptsEnabled(true);
   }

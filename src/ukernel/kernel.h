@@ -47,6 +47,26 @@ enum class SyscallNr : uint32_t {
 };
 inline constexpr uint32_t kSyscallCount = 6;
 
+// Which IPC path the kernel takes: the one knob behind E21 and E23.
+enum class IpcPath : uint8_t {
+  // Every IPC through the full trap path.
+  kSlow,
+  // E21: a short Call to a waiting receiver takes the Liedtke fast path —
+  // fast trap entry/exit, register transfer at zero copy cost (a short
+  // message stays in physical registers across the switch), a direct
+  // process switch donating the caller's time slice, lazy run-queue fixup,
+  // and a temporary-mapping window for single-page string items. Anything
+  // else (map/grant items, long or faulting strings, a receiver that is
+  // not blocked in receive) falls back to the slow path unchanged.
+  kCallOnly,
+  // E23: the whole Liedtke family. On top of kCallOnly, a register-only
+  // reply fuses with the server's next receive into one crossing
+  // (reply-wait), register-only Send, Notify to a waiting receiver and the
+  // pager's fault IPC ride the fast stubs, and each vCPU keeps its string
+  // window pinned across a same-page burst.
+  kFamily,
+};
+
 class Kernel : public hwsim::TrapHandler {
  public:
   explicit Kernel(hwsim::Machine& machine);
@@ -93,35 +113,12 @@ class Kernel : public hwsim::TrapHandler {
   // `status` carries kernel-detected errors (dead partner, bad transfer).
   IpcMessage Call(ukvm::ThreadId caller, ukvm::ThreadId dest, IpcMessage msg);
 
-  // --- E21: the L4 fast path --------------------------------------------------
+  // --- E21/E23: the L4 fast-path family ---------------------------------------
 
-  // When enabled, a short Call to a waiting receiver takes the Liedtke
-  // fast path: fast trap entry/exit, register transfer at zero copy cost
-  // (a short message stays in physical registers across the switch), a
-  // direct process switch donating the caller's time slice, lazy
-  // run-queue fixup, and a temporary-mapping window for single-page
-  // string items. Anything else — map/grant items, long or faulting
-  // strings, a receiver that is not blocked in receive — falls back to
-  // the slow path unchanged. Default off; with the knob off every charge
-  // sequence is byte-identical to the pre-E21 kernel.
-  void SetIpcFastpath(bool on) { ipc_fastpath_ = on; }
-  bool ipc_fastpath() const { return ipc_fastpath_; }
-
-  // E23: the rest of the Liedtke family. Which members are armed when the
-  // fast path is on; `Call` itself is the base member and is implied by
-  // SetIpcFastpath. Default is the full family; CallOnly() reproduces the
-  // E21 configuration exactly (bench_e21 pins it so its committed numbers
-  // stay bit-identical).
-  struct FastpathFeatures {
-    bool reply_wait = true;     // server reply + next receive fuse into one crossing
-    bool send = true;           // register-only Send rides the fast stubs
-    bool notify = true;         // Notify to a waiting receiver rides the fast stubs
-    bool fault_ipc = true;      // the pager's fault IPC rides the fast stubs
-    bool pinned_window = true;  // per-vCPU pinned temp-map string window
-    static FastpathFeatures CallOnly() { return {false, false, false, false, false}; }
-  };
-  void SetFastpathFeatures(const FastpathFeatures& f) { features_ = f; }
-  const FastpathFeatures& fastpath_features() const { return features_; }
+  // Default kSlow; kCallOnly reproduces the E21 configuration exactly
+  // (bench_e21 pins it so its committed numbers stay bit-identical).
+  void SetIpcPath(IpcPath path) { ipc_path_ = path; }
+  IpcPath ipc_path() const { return ipc_path_; }
 
   struct FastpathStats {
     uint64_t taken = 0;               // calls whose request leg went fast
@@ -134,9 +131,9 @@ class Kernel : public hwsim::TrapHandler {
     // E23 family counters.
     uint64_t replywait_coalesced = 0;  // reply legs fused with the next receive
     uint64_t send_fast = 0;            // sends delivered through the fast stubs
-    uint64_t send_slow = 0;            // fastpath-on sends that fell back
+    uint64_t send_slow = 0;            // family-path sends that fell back
     uint64_t notify_fast = 0;          // notifies delivered through the fast stubs
-    uint64_t notify_slow = 0;          // fastpath-on notifies that fell back
+    uint64_t notify_slow = 0;          // family-path notifies that fell back
     uint64_t fault_fast = 0;           // pager fault IPCs on the fast stubs
     uint64_t window_pins = 0;          // string PTE writes skipped via the pinned window
   };
@@ -257,10 +254,34 @@ class Kernel : public hwsim::TrapHandler {
     return tcb.state == ThreadState::kDead || !TaskAlive(tcb.task);
   }
 
-  // Charges syscall entry (user -> kernel trap) and sets kernel context.
-  void EnterKernel();
-  // Charges the return to `thread`'s user context and switches to it.
-  void LeaveKernelTo(ukvm::ThreadId thread);
+  // How a thread enters and leaves the kernel: the full trap saves the
+  // whole frame (trap_entry / trap_return); the short-IPC fast stub saves
+  // none (fast_trap_entry / fast_trap_return).
+  enum class Stub : uint8_t { kTrap, kFast };
+
+  // Charges kernel entry through `stub` and sets kernel context.
+  void EnterKernel(Stub stub);
+  // Charges the return through `stub` to `thread`'s user context and
+  // switches to it; with no live thread to return to, the kernel idles.
+  void LeaveKernelTo(ukvm::ThreadId thread, Stub stub);
+
+  // The one handler switch, shared by every IPC leg (Call, Send, Notify,
+  // pager fault, interrupt): leaves the kernel into `thread` through
+  // `stub`, runs `body` in its domain, and re-enters through the same stub
+  // with the interrupted thread current again. A fast-stub switch donates
+  // the caller's time slice and leaves the run queue stale (lazy
+  // scheduling). `body` returns whether to re-enter: false when the stub
+  // that carried the request is still resident (E23 reply-wait).
+  template <typename Body>
+  void RunInThread(ukvm::ThreadId thread, Stub stub, Body&& body);
+
+  // Runs `dest`'s IPC handler on `msg`, counts the message, and parks
+  // `dest` back in receive; called inside RunInThread.
+  IpcMessage RunHandler(Tcb& dest, ukvm::ThreadId sender, IpcMessage&& msg);
+
+  // kNone when `caller` may send `msg` to `dest`: both exist, both live,
+  // and the message's register count fits the ABI.
+  ukvm::Err CheckIpc(const Tcb* caller, const Tcb* dest, const IpcMessage& msg) const;
 
   // Copies message registers (charging per-word cost).
   void ChargeRegTransfer(const IpcMessage& msg);
@@ -270,13 +291,17 @@ class Kernel : public hwsim::TrapHandler {
   ukvm::Result<uint64_t> TransferString(Tcb& sender, Tcb& receiver, const IpcMessage& msg,
                                         IpcMessage& delivered);
 
-  // Applies one map/grant item from sender's task to receiver's task.
-  ukvm::Err ApplyMapItem(Task& from, Task& to, const MapItem& item);
+  // Applies map/grant `items` from task `from` to task `to`, recording one
+  // l4.ipc.map crossing per item; stops at the first item that fails.
+  ukvm::Err TransferMapItems(ukvm::DomainId from, ukvm::DomainId to,
+                             const std::vector<MapItem>& items);
 
-  // Invokes `dest`'s handler in its own domain and returns the reply.
-  IpcMessage InvokeHandler(Tcb& dest, ukvm::ThreadId sender, IpcMessage&& delivered);
+  // The slow reply leg: transfers `reply` from `server` back to `caller`
+  // and leaves the kernel through the full trap. Serves the slow Call and
+  // a fast Call whose reply is not register-only.
+  IpcMessage ReplyLeg(Tcb& server, Tcb& caller, IpcMessage reply);
 
-  // --- E21 fast-path internals ----------------------------------------------
+  // --- E21/E23 fast-path internals --------------------------------------------
 
   enum class FastpathVerdict : uint8_t { kEligible, kNotReady, kMapItem, kString };
   // Pure lookups, no charging: decides whether this Call may take the fast
@@ -291,18 +316,9 @@ class Kernel : public hwsim::TrapHandler {
   // FastStringEligible said yes. Returns bytes moved.
   uint64_t FastTransferString(Tcb& sender, Tcb& receiver, const IpcMessage& msg,
                               IpcMessage& delivered);
-  IpcMessage CallFast(ukvm::ThreadId caller, ukvm::ThreadId dest, IpcMessage msg);
-  // E23: register-only one-way send / notify delivery through the fast
-  // stubs; only called after the dispatcher verified eligibility.
-  ukvm::Err SendFast(ukvm::ThreadId caller, ukvm::ThreadId dest, IpcMessage msg);
-  ukvm::Err NotifyFast(Tcb& dest, uint64_t bits);
   // E23: drops any per-vCPU pinned string window covering (space, vpn) —
   // revocation and grant both move the frame out from under the pin.
   void InvalidateStringWindow(const hwsim::PageTable& space, hwsim::Vaddr vpn);
-  // Fast-trap variants of EnterKernel/LeaveKernelTo: the short-IPC stub
-  // saves no full frame, so entry/exit cost fast_trap_* instead of trap_*.
-  void EnterKernelFast();
-  void LeaveKernelFastTo(ukvm::ThreadId thread);
   // The real schedule decision reconciling run-queue entries the fast
   // path left stale (lazy scheduling).
   void DrainLazyRunQueue();
@@ -344,9 +360,8 @@ class Kernel : public hwsim::TrapHandler {
 
   uint64_t ipc_calls_ = 0;
 
-  // E21 fast-path state.
-  bool ipc_fastpath_ = false;
-  FastpathFeatures features_;
+  // E21/E23 fast-path state.
+  IpcPath ipc_path_ = IpcPath::kSlow;
   // Set when a fast path direct-switched without touching run_queue_;
   // cleared by DrainLazyRunQueue at the next real schedule decision.
   bool lazy_queue_dirty_ = false;

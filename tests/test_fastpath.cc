@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -30,11 +31,26 @@ namespace {
 
 using ucheck::Auditor;
 using ucheck::LintRule;
+using ukern::IpcPath;
 using ukvm::Err;
 using ukvm::ThreadId;
 
 constexpr hwsim::Vaddr kClientWin = 0x100000;
 constexpr hwsim::Vaddr kServerWin = 0x200000;
+
+constexpr IpcPath kAllPaths[] = {IpcPath::kSlow, IpcPath::kCallOnly, IpcPath::kFamily};
+
+const char* PathName(IpcPath path) {
+  switch (path) {
+    case IpcPath::kSlow:
+      return "slow";
+    case IpcPath::kCallOnly:
+      return "call-only";
+    case IpcPath::kFamily:
+      return "family";
+  }
+  return "?";
+}
 
 // The E1 harness shape: two tasks, an echo server, mapped string windows.
 struct World {
@@ -45,15 +61,12 @@ struct World {
   ThreadId client;
   ThreadId server;
 
-  // `features` selects which members of the Liedtke family are armed when
-  // `fastpath` is on: the default is the full E23 family;
-  // FastpathFeatures::CallOnly() reproduces E21 exactly.
-  explicit World(bool fastpath, hwsim::Platform platform = hwsim::MakeX86Platform(),
-                 ukern::Kernel::FastpathFeatures features = {}, uint32_t num_vcpus = 1)
+  // kFamily arms the whole E23 family; kCallOnly reproduces E21 exactly.
+  explicit World(IpcPath path, hwsim::Platform platform = hwsim::MakeX86Platform(),
+                 uint32_t num_vcpus = 1)
       : machine(platform, 16 << 20, num_vcpus) {
     kernel = std::make_unique<ukern::Kernel>(machine);
-    kernel->SetIpcFastpath(fastpath);
-    kernel->SetFastpathFeatures(features);
+    kernel->SetIpcPath(path);
     auto make_side = [&](hwsim::Vaddr window, ukern::IpcHandler handler) {
       auto task = kernel->CreateTask(ThreadId::Invalid());
       auto thread = kernel->CreateThread(*task, 128, std::move(handler));
@@ -97,8 +110,8 @@ struct World {
 // --- Semantic equivalence ---------------------------------------------------------
 
 TEST(Fastpath, RegisterOnlyCallMatchesSlowPathResult) {
-  World off(false);
-  World on(true);
+  World off(IpcPath::kSlow);
+  World on(IpcPath::kFamily);
   ukern::IpcMessage msg = ukern::IpcMessage::Short(41);
   ukern::IpcMessage slow_reply;
   ukern::IpcMessage fast_reply;
@@ -116,8 +129,8 @@ TEST(Fastpath, RegisterOnlyCallMatchesSlowPathResult) {
 }
 
 TEST(Fastpath, ShortStringUsesTempWindowAndMatchesSlowPath) {
-  World off(false);
-  World on(true);
+  World off(IpcPath::kSlow);
+  World on(IpcPath::kFamily);
   // A 200-byte string inside one page: eligible for the temp-map window.
   auto make_msg = [&](World& w) {
     std::vector<uint8_t> payload(200);
@@ -149,8 +162,8 @@ TEST(Fastpath, ShortStringUsesTempWindowAndMatchesSlowPath) {
 // --- Pinned fallback triggers -----------------------------------------------------
 
 TEST(Fastpath, PageCrossingStringFallsBackToSlowPath) {
-  World on(true);
-  World off(false);
+  World on(IpcPath::kFamily);
+  World off(IpcPath::kSlow);
   const uint32_t len = static_cast<uint32_t>(on.machine.memory().page_size()) + 64;
   ukern::IpcMessage msg = ukern::IpcMessage::Short(7);
   msg.has_string = true;
@@ -168,8 +181,8 @@ TEST(Fastpath, PageCrossingStringFallsBackToSlowPath) {
 }
 
 TEST(Fastpath, MapItemFallsBackToSlowPath) {
-  World on(true);
-  World off(false);
+  World on(IpcPath::kFamily);
+  World off(IpcPath::kSlow);
   ukern::IpcMessage msg = ukern::IpcMessage::Short(7);
   msg.map_items.push_back(ukern::MapItem{kClientWin, 0x300000, 1, true, false});
   ukern::IpcMessage fast_reply;
@@ -184,8 +197,8 @@ TEST(Fastpath, MapItemFallsBackToSlowPath) {
 }
 
 TEST(Fastpath, ReceiverNotReadyFallsBackToSlowPath) {
-  World on(true);
-  World off(false);
+  World on(IpcPath::kFamily);
+  World off(IpcPath::kSlow);
   // The server is mid-quantum rather than blocked in receive: the fast
   // path's direct switch would be wrong, so the call must take the slow
   // path (which queues through the passive-server model either way).
@@ -209,8 +222,8 @@ TEST(Fastpath, SmallSpaceRoundTripAtLeastHalved) {
   // dominates. This is where the paper's 2x claim must hold. Pinned to the
   // Call-only feature set: this is the E21 arithmetic record; the family's
   // coalesced shape is pinned in ReplyWait* below.
-  World off(false);
-  World on(true, hwsim::MakeX86Platform(), ukern::Kernel::FastpathFeatures::CallOnly());
+  World off(IpcPath::kSlow);
+  World on(IpcPath::kCallOnly, hwsim::MakeX86Platform());
   for (World* w : {&off, &on}) {
     ASSERT_EQ(w->kernel->SetSmallSpace(w->client_task, true), Err::kNone);
     ASSERT_EQ(w->kernel->SetSmallSpace(w->server_task, true), Err::kNone);
@@ -226,8 +239,8 @@ TEST(Fastpath, SmallSpaceRoundTripAtLeastHalved) {
 }
 
 TEST(Fastpath, ArmFcseSmallSpaceSwitchIsFree) {
-  World off(false, hwsim::MakeArmPlatform());
-  World on(true, hwsim::MakeArmPlatform(), ukern::Kernel::FastpathFeatures::CallOnly());
+  World off(IpcPath::kSlow, hwsim::MakeArmPlatform());
+  World on(IpcPath::kCallOnly, hwsim::MakeArmPlatform());
   for (World* w : {&off, &on}) {
     // ARMv5 has no segmentation; FCSE's PID relocation stands in for it.
     ASSERT_EQ(w->kernel->SetSmallSpace(w->client_task, true), Err::kNone);
@@ -246,7 +259,7 @@ TEST(Fastpath, ArmFcseSmallSpaceSwitchIsFree) {
 // --- Lazy scheduling --------------------------------------------------------------
 
 TEST(Fastpath, LazySchedulingReconcilesRunQueueAtNextDecision) {
-  World on(true);
+  World on(IpcPath::kFamily);
   // A stale entry: the server sits in the ready queue, then the fast path
   // direct-switches through it (leaving it kWaiting) without ever touching
   // the queue — Liedtke's lazy scheduling.
@@ -279,11 +292,10 @@ TEST(FastpathMutation, SkippedReplyRecordCaughtByCrossingLint) {
   // flag the unbalanced call at the next quiescent point.
   ustack::UkernelStack::Config config;
   config.audit = true;
-  config.ipc_fastpath = true;
   // Call-only: with reply-wait armed the register-only reply leg records
   // l4.ipc.replywait instead, so this E21 hook would never fire (its E23
   // sibling is SkippedReplyWaitRecordCaughtByCrossingLint below).
-  config.fastpath_features = ukern::Kernel::FastpathFeatures::CallOnly();
+  config.ipc_path = IpcPath::kCallOnly;
   ustack::UkernelStack stack(config);
   stack.kernel().TestSkipFastpathReplyRecord(true);
   auto pid = stack.guest_os(0).Spawn("mutant");
@@ -312,8 +324,8 @@ TEST(Fastpath, ReplyWaitCoalescesReplyAndReceiveOnArmFcse) {
   // the round trip collapses from four fast transits to three:
   //   Call-only:  2 * (fast_trap_entry + fast_trap_return)
   //   family:     fast_trap_entry + 2 * fast_trap_return
-  World callonly(true, hwsim::MakeArmPlatform(), ukern::Kernel::FastpathFeatures::CallOnly());
-  World family(true, hwsim::MakeArmPlatform());
+  World callonly(IpcPath::kCallOnly, hwsim::MakeArmPlatform());
+  World family(IpcPath::kFamily, hwsim::MakeArmPlatform());
   for (World* w : {&callonly, &family}) {
     ASSERT_EQ(w->kernel->SetSmallSpace(w->client_task, true), Err::kNone);
     ASSERT_EQ(w->kernel->SetSmallSpace(w->server_task, true), Err::kNone);
@@ -336,8 +348,8 @@ TEST(Fastpath, ReplyWaitCoalescesReplyAndReceiveOnArmFcse) {
 }
 
 TEST(Fastpath, RegisterOnlySendMatchesSlowPathAndIsCheaper) {
-  World off(false);
-  World on(true);
+  World off(IpcPath::kSlow);
+  World on(IpcPath::kFamily);
   uint64_t cycles[2];
   uint64_t seen[2] = {0, 0};
   int i = 0;
@@ -366,8 +378,8 @@ TEST(Fastpath, RegisterOnlySendMatchesSlowPathAndIsCheaper) {
 }
 
 TEST(Fastpath, NotifyToWaitingReceiverMatchesSlowPathAndIsCheaper) {
-  World off(false);
-  World on(true);
+  World off(IpcPath::kSlow);
+  World on(IpcPath::kFamily);
   uint64_t cycles[2];
   std::vector<uint64_t> delivered[2];
   int i = 0;
@@ -395,8 +407,8 @@ TEST(Fastpath, NotifyBitsMergeWhileReceiverIsMidFastCall) {
   // Interleaving pin: bits latched while the receiver had no handler must
   // merge with bits notified mid-call, and the fast path must deliver the
   // same merged set the slow path does.
-  World off(false);
-  World on(true);
+  World off(IpcPath::kSlow);
+  World on(IpcPath::kFamily);
   std::vector<uint64_t> delivered[2];
   int i = 0;
   for (World* w : {&off, &on}) {
@@ -438,8 +450,9 @@ TEST(Fastpath, ServerDeathBetweenReplyAndReceiveSynthesizesReply) {
   // park in receive, and the register-only reply it computed is void. Both
   // worlds must agree: the caller sees kDead from a kernel-synthesized
   // reply, and the crossing ledger stays balanced.
-  for (bool fastpath : {false, true}) {
-    World w(fastpath);
+  for (IpcPath path : kAllPaths) {
+    SCOPED_TRACE(PathName(path));
+    World w(path);
     ucheck::Auditor::Options opts;
     ucheck::Auditor auditor(w.machine, opts);
     auditor.AttachUkernel(*w.kernel);
@@ -456,7 +469,7 @@ TEST(Fastpath, ServerDeathBetweenReplyAndReceiveSynthesizesReply) {
               Err::kNone);
     ukern::IpcMessage reply = w.kernel->Call(w.client, w.server, ukern::IpcMessage::Short(1));
     EXPECT_EQ(reply.status, Err::kDead);
-    if (fastpath) {
+    if (path != IpcPath::kSlow) {
       EXPECT_EQ(w.kernel->fastpath_stats().taken, 1u);
       // Never coalesced: the death check runs before the coalesce decision.
       EXPECT_EQ(w.kernel->fastpath_stats().replywait_coalesced, 0u);
@@ -471,10 +484,10 @@ TEST(Fastpath, DeadCallerGetsDeadOnFastAndSlowPaths) {
   // the block server and Send to the net server, and a Call expecting a
   // string reply, all fail with kDead on both paths: no handler runs and
   // the kernel never switches back into the dead address space.
-  for (bool fastpath : {false, true}) {
-    SCOPED_TRACE(fastpath ? "fast path" : "slow path");
+  for (IpcPath path : kAllPaths) {
+    SCOPED_TRACE(PathName(path));
     ustack::UkernelStack::Config config;
-    config.ipc_fastpath = fastpath;
+    config.ipc_path = path;
     ustack::UkernelStack stack(config);
     ukern::Kernel& k = stack.kernel();
     const auto& g = stack.guest(0);
@@ -504,11 +517,91 @@ TEST(Fastpath, DeadCallerGetsDeadOnFastAndSlowPaths) {
   }
 }
 
+TEST(Fastpath, CallerKilledInsideHandlerGetsDeadOnEveryPath) {
+  // Interleaving pin: the server's handler destroys its caller's thread, or
+  // the caller's whole task, then returns a register-only reply. Whatever
+  // the handler returned is void on every path: the caller sees kDead, the
+  // kernel synthesizes exactly one l4.ipc.reply (never a coalesced
+  // l4.ipc.replywait), and it never switches back into the dead space.
+  for (IpcPath path : kAllPaths) {
+    for (bool kill_task : {false, true}) {
+      SCOPED_TRACE(std::string(PathName(path)) + (kill_task ? ", task" : ", thread"));
+      World w(path);
+      ucheck::Auditor::Options opts;
+      ucheck::Auditor auditor(w.machine, opts);
+      auditor.AttachUkernel(*w.kernel);
+      ukern::Kernel* k = w.kernel.get();
+      const ThreadId client = w.client;
+      const ukvm::DomainId client_task = w.client_task;
+      ASSERT_EQ(w.kernel->SetThreadHandler(
+                    w.server,
+                    [k, client, client_task, kill_task](ThreadId, ukern::IpcMessage msg) {
+                      EXPECT_EQ(kill_task ? k->DestroyTask(client_task)
+                                          : k->DestroyThread(client),
+                                Err::kNone);
+                      ukern::IpcMessage reply;
+                      reply.regs[0] = msg.regs[0] + 1;
+                      reply.reg_count = 1;
+                      return reply;
+                    }),
+                Err::kNone);
+      const uint64_t replies = w.machine.ledger().StatsFor("l4.ipc.reply").count;
+      const uint64_t replywaits = w.machine.ledger().StatsFor("l4.ipc.replywait").count;
+      ukern::IpcMessage reply = w.kernel->Call(client, w.server, ukern::IpcMessage::Short(41));
+      EXPECT_EQ(reply.status, Err::kDead);
+      EXPECT_EQ(reply.regs[0], 0u);
+      EXPECT_EQ(w.machine.ledger().StatsFor("l4.ipc.reply").count, replies + 1);
+      EXPECT_EQ(w.machine.ledger().StatsFor("l4.ipc.replywait").count, replywaits);
+      EXPECT_NE(w.machine.cpu().current_domain(), client_task);
+      EXPECT_NE(w.kernel->current_thread(), client);
+      EXPECT_EQ(w.kernel->fastpath_stats().taken, path == IpcPath::kSlow ? 0u : 1u);
+      auditor.Checkpoint("after-caller-death");
+      EXPECT_EQ(auditor.violation_count(), 0u);
+    }
+  }
+}
+
+TEST(Fastpath, OutOfRangeRegisterCountIsRejectedOnEveryPath) {
+  // IpcMessage::reg_count is guest input: a count beyond the ABI's
+  // kIpcRegWords registers gets kInvalidArgument before anything transfers
+  // (no handler runs, no per-word charge), on Call and Send alike, and a
+  // server that replies with one hands its caller kInvalidArgument.
+  constexpr uint32_t kHostile = 0xFFFFFFFF;
+  for (IpcPath path : kAllPaths) {
+    SCOPED_TRACE(PathName(path));
+    World w(path);
+    const uint64_t handled = w.kernel->FindThread(w.server)->messages_handled;
+    ukern::IpcMessage msg = ukern::IpcMessage::Short(1);
+    msg.reg_count = kHostile;
+    uint64_t t0 = w.machine.Now();
+    EXPECT_EQ(w.kernel->Call(w.client, w.server, msg).status, Err::kInvalidArgument);
+    EXPECT_EQ(w.kernel->Send(w.client, w.server, msg), Err::kInvalidArgument);
+    EXPECT_LT(w.machine.Now() - t0, 10'000u);
+    EXPECT_EQ(w.kernel->FindThread(w.server)->messages_handled, handled);
+    EXPECT_EQ(w.kernel->fastpath_stats().taken, 0u);
+    EXPECT_EQ(w.kernel->fastpath_stats().send_fast, 0u);
+
+    ASSERT_EQ(w.kernel->SetThreadHandler(w.server,
+                                         [](ThreadId, ukern::IpcMessage) {
+                                           ukern::IpcMessage reply = ukern::IpcMessage::Short(7);
+                                           reply.reg_count = kHostile;
+                                           return reply;
+                                         }),
+              Err::kNone);
+    t0 = w.machine.Now();
+    ukern::IpcMessage reply = w.kernel->Call(w.client, w.server, ukern::IpcMessage::Short(1));
+    EXPECT_EQ(reply.status, Err::kInvalidArgument);
+    EXPECT_LT(w.machine.Now() - t0, 10'000u);
+    EXPECT_EQ(w.kernel->FindThread(w.server)->messages_handled, handled + 1);
+    EXPECT_EQ(w.kernel->fastpath_stats().replywait_coalesced, 0u);
+  }
+}
+
 TEST(Fastpath, PinnedWindowAmortisesBurstAndEvictsAcrossVcpus) {
   // The per-vCPU pinned window: the second same-page string in a burst
   // skips the temp-map PTE write; switching vCPUs must not let one vCPU
   // ride a window pinned on another.
-  World on(true, hwsim::MakeX86Platform(), {}, /*num_vcpus=*/2);
+  World on(IpcPath::kFamily, hwsim::MakeX86Platform(), /*num_vcpus=*/2);
   ukern::IpcMessage msg = ukern::IpcMessage::Short(1);
   msg.has_string = true;
   msg.string = ukern::StringItem{kClientWin, 200};
@@ -527,7 +620,7 @@ TEST(Fastpath, PinnedWindowAmortisesBurstAndEvictsAcrossVcpus) {
 
   // Contrast: with the pin disabled (E21 Call-only), every string pays the
   // PTE write and a burst is flat.
-  World callonly(true, hwsim::MakeX86Platform(), ukern::Kernel::FastpathFeatures::CallOnly());
+  World callonly(IpcPath::kCallOnly, hwsim::MakeX86Platform());
   const uint64_t k1 = callonly.TimedCall(msg);
   const uint64_t k2 = callonly.TimedCall(msg);
   EXPECT_EQ(k1, k2);
@@ -546,9 +639,9 @@ struct PagedWorld {
   int faults_served = 0;
   bool kill_pager_on_fault = false;
 
-  explicit PagedWorld(bool fastpath) : machine(hwsim::MakeX86Platform(), 16 << 20) {
+  explicit PagedWorld(IpcPath path) : machine(hwsim::MakeX86Platform(), 16 << 20) {
     kernel = std::make_unique<ukern::Kernel>(machine);
-    kernel->SetIpcFastpath(fastpath);
+    kernel->SetIpcPath(path);
     auto pt = kernel->CreateTask(ThreadId::Invalid());
     pager_task = *pt;
     auto pth = kernel->CreateThread(*pt, 255, [this](ThreadId, ukern::IpcMessage msg) {
@@ -580,8 +673,8 @@ struct PagedWorld {
 };
 
 TEST(Fastpath, PagerFaultIpcRidesFastStubs) {
-  PagedWorld off(false);
-  PagedWorld on(true);
+  PagedWorld off(IpcPath::kSlow);
+  PagedWorld on(IpcPath::kFamily);
   uint64_t cycles[2];
   int i = 0;
   for (PagedWorld* w : {&off, &on}) {
@@ -606,17 +699,16 @@ TEST(Fastpath, PagerDeathMidFaultIpcSynthesizesReply) {
   // synthesizes the reply crossing on its behalf, the faulter sees kDead,
   // no mapping is applied, and the ledger stays balanced — identically on
   // the fast and slow fault paths.
-  for (bool fastpath : {false, true}) {
-    PagedWorld w(fastpath);
+  for (IpcPath path : kAllPaths) {
+    SCOPED_TRACE(PathName(path));
+    PagedWorld w(path);
     ucheck::Auditor::Options opts;
     ucheck::Auditor auditor(w.machine, opts);
     auditor.AttachUkernel(*w.kernel);
     w.kill_pager_on_fault = true;
     EXPECT_EQ(w.kernel->TouchPage(w.thread, 0x555000, true), Err::kDead);
     EXPECT_EQ(w.faults_served, 1);
-    if (fastpath) {
-      EXPECT_EQ(w.kernel->fastpath_stats().fault_fast, 1u);
-    }
+    EXPECT_EQ(w.kernel->fastpath_stats().fault_fast, path == IpcPath::kFamily ? 1u : 0u);
     // The doomed handler's reply was void: nothing was mapped.
     ukern::Task* t = w.kernel->FindTask(w.task);
     const hwsim::Pte* pte = t->space.Walk(0x555000);
@@ -632,7 +724,7 @@ TEST(FastpathMutation, SkippedReplyWaitRecordCaughtByCrossingLint) {
   // Make it "forget" and the ledger lint must flag the unbalanced call.
   ustack::UkernelStack::Config config;
   config.audit = true;
-  config.ipc_fastpath = true;  // full family: register-only replies coalesce
+  config.ipc_path = IpcPath::kFamily;  // register-only replies coalesce
   ustack::UkernelStack stack(config);
   stack.kernel().TestSkipReplyWaitRecord(true);
   auto pid = stack.guest_os(0).Spawn("mutant");
@@ -651,7 +743,7 @@ TEST(FastpathMutation, HonestFastpathIsLedgerClean) {
   ustack::UkernelStack::Config config;
   config.audit = true;
   config.race_detect = true;
-  config.ipc_fastpath = true;
+  config.ipc_path = IpcPath::kFamily;
   ustack::UkernelStack stack(config);
   auto pid = stack.guest_os(0).Spawn("clean");
   ASSERT_EQ(stack.kernel().ActivateThread(stack.guest(0).app_thread), Err::kNone);

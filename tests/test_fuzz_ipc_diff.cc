@@ -18,8 +18,8 @@
 //     bank (nonzero taken / replywait_coalesced / send_fast / notify_fast /
 //     fault_fast counters) — otherwise the equivalence is vacuous.
 //
-// Histories include mid-call server death (with respawn), pager death
-// mid-fault-IPC, notify-handler toggling (so bits latch while no handler is
+// Histories include mid-call server death and a server killing its caller
+// mid-call (each with respawn), pager death mid-fault-IPC, notify-handler toggling (so bits latch while no handler is
 // installed and must merge into a later delivery), notifies fired from
 // inside a server handler while the caller is mid-fast-Call, and vCPU
 // migration (pinned string windows must not leak across vCPUs).
@@ -47,6 +47,7 @@
 namespace {
 
 using ucheck::Auditor;
+using ukern::IpcPath;
 using ukvm::DomainId;
 using ukvm::Err;
 using ukvm::ThreadId;
@@ -114,17 +115,16 @@ struct DiffWorld {
     hwsim::Vaddr next_fault_va;  // fresh unmapped pages to fault on
     bool has_notify_handler = false;
     bool die_on_next_message = false;
+    bool kill_sender_on_next_message = false;
     bool notify_sender_mid_call = false;
   };
   std::vector<Peer> peers;
 
-  explicit DiffWorld(uint64_t seed, bool fastpath,
-                     ukern::Kernel::FastpathFeatures features = {})
+  explicit DiffWorld(uint64_t seed, IpcPath path)
       : machine(PlatformForSeed(seed), 16ull * 1024 * 1024, VcpusForSeed(seed)),
         auditor(machine, MakeOpts()) {
     kernel = std::make_unique<ukern::Kernel>(machine);
-    kernel->SetIpcFastpath(fastpath);
-    kernel->SetFastpathFeatures(features);
+    kernel->SetIpcPath(path);
     auditor.AttachUkernel(*kernel);
 
     auto pt = kernel->CreateTask(ThreadId::Invalid());
@@ -190,6 +190,12 @@ struct DiffWorld {
             me.die_on_next_message = false;
             EXPECT_EQ(kernel->DestroyThread(me.thread), Err::kNone);
             return ukern::IpcMessage{};
+          }
+          if (me.kill_sender_on_next_message) {
+            // The caller dies while blocked in this very call: the reply
+            // below is void in both worlds.
+            me.kill_sender_on_next_message = false;
+            EXPECT_EQ(kernel->DestroyThread(sender), Err::kNone);
           }
           if (me.notify_sender_mid_call) {
             me.notify_sender_mid_call = false;
@@ -265,11 +271,10 @@ struct DiffWorld {
   }
 };
 
-DiffResult RunIpcHistory(uint64_t seed, uint32_t steps, bool fastpath,
-                         ukern::Kernel::FastpathFeatures features = {},
+DiffResult RunIpcHistory(uint64_t seed, uint32_t steps, IpcPath path,
                          bool mutate_notify_latch = false) {
   SplitMix64 rng(seed * 2 + 1);
-  DiffWorld w(seed, fastpath, features);
+  DiffWorld w(seed, path);
   if (mutate_notify_latch) {
     w.kernel->TestSkipNotifyLatch(true);
   }
@@ -334,19 +339,26 @@ DiffResult RunIpcHistory(uint64_t seed, uint32_t steps, bool fastpath,
       w.digest.Mix(static_cast<uint64_t>(w.kernel->TouchPage(src.thread, va, rng.Chance(50))));
       // Re-touch: a hit after a resolved fault, kFault/kDead again otherwise.
       w.digest.Mix(static_cast<uint64_t>(w.kernel->TouchPage(src.thread, va + 8, false)));
-    } else if (op < 86) {  // mid-call server death, then respawn
+    } else if (op < 84) {  // mid-call server death, then respawn
       dst.die_on_next_message = true;
       ukern::IpcMessage reply =
           w.kernel->Call(src.thread, dst.thread, ukern::IpcMessage::Short(step));
       w.MixReply(reply);
       dst.thread = w.SpawnPeerThread(b, dst.task, dst.window);
       dst.has_notify_handler = false;
-    } else if (op < 90) {  // notify-during-wait: fired from inside the handler
+    } else if (op < 88) {  // the server kills its caller mid-call, then respawn
+      dst.kill_sender_on_next_message = true;
+      ukern::IpcMessage reply =
+          w.kernel->Call(src.thread, dst.thread, ukern::IpcMessage::Short(step));
+      w.MixReply(reply);
+      src.thread = w.SpawnPeerThread(a, src.task, src.window);
+      src.has_notify_handler = false;
+    } else if (op < 92) {  // notify-during-wait: fired from inside the handler
       dst.notify_sender_mid_call = true;
       ukern::IpcMessage reply =
           w.kernel->Call(src.thread, dst.thread, ukern::IpcMessage::Short(step));
       w.MixReply(reply);
-    } else if (op < 94) {  // pager death mid-fault-IPC, then respawn + rebind
+    } else if (op < 96) {  // pager death mid-fault-IPC, then respawn + rebind
       w.pager_dies_this_fault = true;
       const hwsim::Vaddr va = src.next_fault_va;
       src.next_fault_va += page;
@@ -392,8 +404,8 @@ TEST(FuzzIpcDiff, FastAndSlowWorldsAgreeAcrossSeedBank) {
   ukern::Kernel::FastpathStats total;
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const DiffResult off = RunIpcHistory(seed, kSteps, /*fastpath=*/false);
-    const DiffResult on = RunIpcHistory(seed, kSteps, /*fastpath=*/true);
+    const DiffResult off = RunIpcHistory(seed, kSteps, IpcPath::kSlow);
+    const DiffResult on = RunIpcHistory(seed, kSteps, IpcPath::kFamily);
     for (const std::string& report : off.reports) {
       ADD_FAILURE() << "slow world: " << report;
     }
@@ -427,23 +439,22 @@ TEST(FuzzIpcDiff, FastAndSlowWorldsAgreeAcrossSeedBank) {
 TEST(FuzzIpcDiff, EachWorldIsTwoRunDeterministic) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    for (bool fastpath : {false, true}) {
-      const DiffResult first = RunIpcHistory(seed, kSteps, fastpath);
-      const DiffResult second = RunIpcHistory(seed, kSteps, fastpath);
+    for (IpcPath path : {IpcPath::kSlow, IpcPath::kCallOnly, IpcPath::kFamily}) {
+      const DiffResult first = RunIpcHistory(seed, kSteps, path);
+      const DiffResult second = RunIpcHistory(seed, kSteps, path);
       EXPECT_EQ(first.digest, second.digest)
-          << (fastpath ? "fast" : "slow") << " world nondeterministic";
+          << "world nondeterministic on path " << static_cast<int>(path);
     }
   }
 }
 
-// The Call-only feature set must also be equivalent to the slow path —
-// the E21 subset remains a valid configuration of the family.
+// The Call-only path must also be equivalent to the slow path — the E21
+// subset remains a valid configuration of the family.
 TEST(FuzzIpcDiff, CallOnlyFeatureSetAgreesWithSlowPath) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const DiffResult off = RunIpcHistory(seed, kSteps, false);
-    const DiffResult on = RunIpcHistory(seed, kSteps, true,
-                                        ukern::Kernel::FastpathFeatures::CallOnly());
+    const DiffResult off = RunIpcHistory(seed, kSteps, IpcPath::kSlow);
+    const DiffResult on = RunIpcHistory(seed, kSteps, IpcPath::kCallOnly);
     EXPECT_EQ(on.digest, off.digest);
     EXPECT_EQ(on.violations, 0u);
     // The family members stayed dark.
@@ -462,8 +473,8 @@ TEST(FuzzIpcDiff, CallOnlyFeatureSetAgreesWithSlowPath) {
 TEST(FuzzIpcDiffMutation, SkippedNotifyLatchCaughtByDifferentialFuzzer) {
   bool diverged = false;
   for (uint64_t seed = 1; seed <= 16 && !diverged; ++seed) {
-    const DiffResult off = RunIpcHistory(seed, kSteps, false);
-    const DiffResult on = RunIpcHistory(seed, kSteps, true, {},
+    const DiffResult off = RunIpcHistory(seed, kSteps, IpcPath::kSlow);
+    const DiffResult on = RunIpcHistory(seed, kSteps, IpcPath::kFamily,
                                         /*mutate_notify_latch=*/true);
     diverged = on.digest != off.digest;
   }

@@ -224,13 +224,11 @@ FuzzResult RunNativeFuzz(uint64_t seed, uint32_t steps, bool incremental_tlb) {
 // --- Microkernel: tasks, IPC map/grant items, recursive unmap --------------------
 
 FuzzResult RunUkernelFuzzImpl(uint64_t seed, uint32_t steps, bool incremental_tlb,
-                              bool ipc_fastpath,
-                              ukern::Kernel::FastpathFeatures features = {}) {
+                              ukern::IpcPath path) {
   SplitMix64 rng(seed * 2 + 1);
   hwsim::Machine machine(PlatformForSeed(seed), 16ull * 1024 * 1024, VcpusForSeed(seed));
   ukern::Kernel kernel(machine);
-  kernel.SetIpcFastpath(ipc_fastpath);
-  kernel.SetFastpathFeatures(features);
+  kernel.SetIpcPath(path);
   Auditor::Options opts;
   opts.incremental_tlb = incremental_tlb;
   opts.race_detect = true;  // E20: fuzz histories must stay race-free too
@@ -348,7 +346,7 @@ FuzzResult RunUkernelFuzzImpl(uint64_t seed, uint32_t steps, bool incremental_tl
 }
 
 FuzzResult RunUkernelFuzz(uint64_t seed, uint32_t steps, bool incremental_tlb) {
-  return RunUkernelFuzzImpl(seed, steps, incremental_tlb, /*ipc_fastpath=*/false);
+  return RunUkernelFuzzImpl(seed, steps, incremental_tlb, ukern::IpcPath::kSlow);
 }
 
 // E21/E23: the identical op stream with the fast path armed. The digests
@@ -356,14 +354,13 @@ FuzzResult RunUkernelFuzz(uint64_t seed, uint32_t steps, bool incremental_tlb) {
 // charged); what must hold is that each seed is auditor-clean and two-run
 // deterministic, exactly like the slow path.
 FuzzResult RunUkernelFastpathFuzz(uint64_t seed, uint32_t steps, bool incremental_tlb) {
-  return RunUkernelFuzzImpl(seed, steps, incremental_tlb, /*ipc_fastpath=*/true);
+  return RunUkernelFuzzImpl(seed, steps, incremental_tlb, ukern::IpcPath::kFamily);
 }
 
-// E23: the same bank restricted to the E21 Call-only feature subset — the
-// family knobs must be independently disengageable.
+// E23: the same bank on the E21 Call-only path — the family must be
+// disengageable.
 FuzzResult RunUkernelCallOnlyFuzz(uint64_t seed, uint32_t steps, bool incremental_tlb) {
-  return RunUkernelFuzzImpl(seed, steps, incremental_tlb, /*ipc_fastpath=*/true,
-                            ukern::Kernel::FastpathFeatures::CallOnly());
+  return RunUkernelFuzzImpl(seed, steps, incremental_tlb, ukern::IpcPath::kCallOnly);
 }
 
 // --- VMM: domains, grants, transfers, paravirtual PT updates ---------------------
@@ -797,12 +794,10 @@ FuzzResult RunRecoveryFuzzOn(StackT& stack, uint64_t seed, uint32_t steps) {
   return out;
 }
 
-FuzzResult RunUkernelRecoveryFuzzImpl(uint64_t seed, uint32_t steps, bool ipc_fastpath,
-                                      ukern::Kernel::FastpathFeatures features = {}) {
+FuzzResult RunUkernelRecoveryFuzzImpl(uint64_t seed, uint32_t steps, ukern::IpcPath path) {
   ustack::UkernelStack::Config config;
   config.race_detect = true;  // E20: crash/replay histories must stay race-free
-  config.ipc_fastpath = ipc_fastpath;
-  config.fastpath_features = features;
+  config.ipc_path = path;
   ustack::UkernelStack stack(config);
   FuzzResult out = RunRecoveryFuzzOn(stack, seed, steps);
   out.fastpath_taken = stack.kernel().fastpath_stats().taken;
@@ -811,19 +806,18 @@ FuzzResult RunUkernelRecoveryFuzzImpl(uint64_t seed, uint32_t steps, bool ipc_fa
 }
 
 FuzzResult RunUkernelRecoveryFuzz(uint64_t seed, uint32_t steps, bool) {
-  return RunUkernelRecoveryFuzzImpl(seed, steps, /*ipc_fastpath=*/false);
+  return RunUkernelRecoveryFuzzImpl(seed, steps, ukern::IpcPath::kSlow);
 }
 
 // E21/E23: crash/replay histories with the fast path armed. Every syscall
-// that reaches the block port rides CallFast; kills and journal replays
+// that reaches the block port rides the fast path; kills and journal replays
 // must leave each seed clean and two-run deterministic all the same.
 FuzzResult RunUkernelFastpathRecoveryFuzz(uint64_t seed, uint32_t steps, bool) {
-  return RunUkernelRecoveryFuzzImpl(seed, steps, /*ipc_fastpath=*/true);
+  return RunUkernelRecoveryFuzzImpl(seed, steps, ukern::IpcPath::kFamily);
 }
 
 FuzzResult RunUkernelCallOnlyRecoveryFuzz(uint64_t seed, uint32_t steps, bool) {
-  return RunUkernelRecoveryFuzzImpl(seed, steps, /*ipc_fastpath=*/true,
-                                    ukern::Kernel::FastpathFeatures::CallOnly());
+  return RunUkernelRecoveryFuzzImpl(seed, steps, ukern::IpcPath::kCallOnly);
 }
 
 FuzzResult RunVmmRecoveryFuzz(uint64_t seed, uint32_t steps, bool parallax) {
