@@ -1,6 +1,7 @@
 #include "src/vmm/hypervisor.h"
 
 #include <cassert>
+#include <type_traits>
 
 #include "src/core/log.h"
 
@@ -186,59 +187,46 @@ void Hypervisor::ForEachDomain(const std::function<void(Domain&)>& fn) {
 
 // --- Hypercall plumbing -----------------------------------------------------------
 
-Domain* Hypervisor::HypercallProlog(DomainId dom, HypercallNr nr) {
+template <typename Body>
+auto Hypervisor::Hypercall(DomainId dom, HypercallNr nr, Body&& body) {
+  using R = std::invoke_result_t<Body&, Domain&>;
   Domain* d = FindDomain(dom);
   if (d == nullptr || !d->alive) {
-    return nullptr;
+    return R{Err::kBadHandle};
   }
-  // Open the trace span/frame before the entry charge so the whole
-  // hypercall — entry cost included — lands inside it. The epilog pops;
-  // pairing holds because upcall reentrancy nests hypercalls LIFO.
-  ukvm::Tracer& tracer = machine_.tracer();
-  HcTrace trace;
-  if (tracer.enabled()) {
-    const auto i = static_cast<size_t>(nr);
-    trace.span = tracer.BeginSpan(trace_span_names_[i], dom);
-    tracer.profiler().Push(trace_frames_[i]);
-    trace.pushed = true;
-  }
-  hc_trace_stack_.push_back(trace);
-  machine_.Charge(machine_.costs().hypercall_entry);
+  // The span and frame open before the entry charge and close after the
+  // return charge, so the whole hypercall lands inside them; upcall
+  // reentrancy nests hypercalls LIFO.
+  const auto i = static_cast<size_t>(nr);
+  ukvm::SpanScope span(machine_.tracer(), trace_span_names_[i], dom);
+  ukvm::ProfScope frame(machine_.tracer(), trace_frames_[i]);
+  const hwsim::CostModel& costs = machine_.costs();
+  machine_.Charge(costs.hypercall_entry);
   sched_.EnterHypervisor();
   ++d->hypercalls;
   ++total_hypercalls_;
-  ++hypercall_counts_[static_cast<size_t>(nr)];
-  machine_.ledger().Record(mech_hypercall_, dom, kVmmDomain, machine_.costs().hypercall_entry, 0);
+  ++hypercall_counts_[i];
+  machine_.ledger().Record(mech_hypercall_, dom, kVmmDomain, costs.hypercall_entry, 0);
+  const uint64_t edge = hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kHypercall, dom.value());
   if (hwsim::Observer* race = machine_.race_observer()) {
     // Degenerate self-edge (release+acquire by the same context): entry and
     // exit order nothing across domains — the detector must not let the VMM
     // hub transitively serialize all guests, so the crossing events above
     // are also excluded from its edge stream (SetHubDomain).
-    race->Release(dom, hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kHypercall, dom.value()));
+    race->Release(dom, edge);
   }
-  return d;
-}
 
-void Hypervisor::HypercallEpilog(Domain* dom) {
-  if (dom != nullptr && dom->alive) {
-    sched_.SwitchTo(*dom, hwsim::PrivLevel::kGuestKernel);
+  R result = body(*d);
+
+  if (d->alive) {
+    sched_.SwitchTo(*d, hwsim::PrivLevel::kGuestKernel);
   }
-  machine_.Charge(machine_.costs().hypercall_return);
-  if (dom != nullptr) {
-    machine_.ledger().Record(mech_hypercall_ret_, kVmmDomain, dom->id,
-                             machine_.costs().hypercall_return, 0);
-    if (hwsim::Observer* race = machine_.race_observer()) {
-      race->Acquire(dom->id,
-                    hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kHypercall, dom->id.value()));
-    }
+  machine_.Charge(costs.hypercall_return);
+  machine_.ledger().Record(mech_hypercall_ret_, kVmmDomain, dom, costs.hypercall_return, 0);
+  if (hwsim::Observer* race = machine_.race_observer()) {
+    race->Acquire(dom, edge);
   }
-  assert(!hc_trace_stack_.empty());
-  const HcTrace trace = hc_trace_stack_.back();
-  hc_trace_stack_.pop_back();
-  if (trace.pushed) {
-    machine_.tracer().profiler().Pop();
-  }
-  machine_.tracer().EndSpan(trace.span);
+  return result;
 }
 
 uint64_t Hypervisor::HypercallCountOf(HypercallNr nr) const {
@@ -251,351 +239,277 @@ Err Hypervisor::HcSetTrapTable(DomainId dom,
                                std::function<uint64_t(hwsim::TrapFrame&)> syscall_entry,
                                std::function<Err(hwsim::Vaddr, bool)> pagefault_entry,
                                bool request_fast_trap) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kSetTrapTable);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  d->syscall_entry = std::move(syscall_entry);
-  d->pagefault_entry = std::move(pagefault_entry);
-  d->fast_trap_requested = request_fast_trap;
-  exc_.RecheckFastPath(*d);
-  HypercallEpilog(d);
-  return Err::kNone;
+  return Hypercall(dom, HypercallNr::kSetTrapTable, [&](Domain& d) {
+    d.syscall_entry = std::move(syscall_entry);
+    d.pagefault_entry = std::move(pagefault_entry);
+    d.fast_trap_requested = request_fast_trap;
+    exc_.RecheckFastPath(d);
+    return Err::kNone;
+  });
 }
 
 Err Hypervisor::HcSetUpcall(DomainId dom, std::function<void(uint32_t)> upcall) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kVcpuOp);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  d->evtchn_upcall = std::move(upcall);
-  HypercallEpilog(d);
-  return Err::kNone;
+  return Hypercall(dom, HypercallNr::kVcpuOp, [&](Domain& d) {
+    d.evtchn_upcall = std::move(upcall);
+    return Err::kNone;
+  });
 }
 
 Err Hypervisor::HcSetDomainDeadHandler(DomainId dom, std::function<void(DomainId)> handler) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kVcpuOp);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  d->domain_dead_upcall = std::move(handler);
-  HypercallEpilog(d);
-  return Err::kNone;
+  return Hypercall(dom, HypercallNr::kVcpuOp, [&](Domain& d) {
+    d.domain_dead_upcall = std::move(handler);
+    return Err::kNone;
+  });
 }
 
 Err Hypervisor::HcSetExceptionHandler(DomainId dom,
                                       std::function<Err(hwsim::TrapFrame&)> handler) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kSetTrapTable);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  d->exception_entry = std::move(handler);
-  HypercallEpilog(d);
-  return Err::kNone;
+  return Hypercall(dom, HypercallNr::kSetTrapTable, [&](Domain& d) {
+    d.exception_entry = std::move(handler);
+    return Err::kNone;
+  });
 }
 
 Err Hypervisor::HcSetSegment(DomainId dom, hwsim::SegmentReg reg,
                              hwsim::SegmentDescriptor descriptor) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kSetSegment);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  machine_.Charge(machine_.costs().kernel_op);  // descriptor validation
-  d->segments.Set(reg, descriptor);
-  machine_.cpu().ChargeSegmentReloads(1);
-  // The moment any segment stops excluding the hypervisor, the trap-gate
-  // shortcut becomes unsafe and is revoked (§3.2: "Linux's latest glibc
-  // violates the assumption and renders the shortcut useless").
-  exc_.RecheckFastPath(*d);
-  HypercallEpilog(d);
-  return Err::kNone;
+  return Hypercall(dom, HypercallNr::kSetSegment, [&](Domain& d) {
+    machine_.Charge(machine_.costs().kernel_op);  // descriptor validation
+    d.segments.Set(reg, descriptor);
+    machine_.cpu().ChargeSegmentReloads(1);
+    // The moment any segment stops excluding the hypervisor, the trap-gate
+    // shortcut becomes unsafe and is revoked (§3.2: "Linux's latest glibc
+    // violates the assumption and renders the shortcut useless").
+    exc_.RecheckFastPath(d);
+    return Err::kNone;
+  });
 }
 
 Err Hypervisor::HcMmuUpdate(DomainId dom, std::span<const MmuUpdate> updates) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kMmuUpdate);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  const Err err = pt_virt_.Apply(*d, updates);
-  HypercallEpilog(d);
-  return err;
+  return Hypercall(dom, HypercallNr::kMmuUpdate,
+                   [&](Domain& d) { return pt_virt_.Apply(d, updates); });
 }
 
 Result<uint32_t> Hypervisor::HcEvtchnAllocUnbound(DomainId dom, DomainId remote) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kEventChannelOp);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  machine_.Charge(machine_.costs().kernel_op);
-  auto port = evtchn_->AllocUnbound(dom, remote);
-  HypercallEpilog(d);
-  return port;
+  return Hypercall(dom, HypercallNr::kEventChannelOp, [&](Domain&) {
+    machine_.Charge(machine_.costs().kernel_op);
+    return evtchn_->AllocUnbound(dom, remote);
+  });
 }
 
 Result<uint32_t> Hypervisor::HcEvtchnBind(DomainId dom, DomainId remote_dom,
                                           uint32_t remote_port) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kEventChannelOp);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  machine_.Charge(machine_.costs().kernel_op);
-  auto port = evtchn_->BindInterdomain(dom, remote_dom, remote_port);
-  HypercallEpilog(d);
-  return port;
+  return Hypercall(dom, HypercallNr::kEventChannelOp, [&](Domain&) {
+    machine_.Charge(machine_.costs().kernel_op);
+    return evtchn_->BindInterdomain(dom, remote_dom, remote_port);
+  });
 }
 
-Err Hypervisor::HcEvtchnSend(DomainId dom, uint32_t port) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kEventChannelOp);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
+Err Hypervisor::EvtchnSend(DomainId dom, uint32_t port) {
   machine_.Charge(machine_.costs().kernel_op);
   const uint64_t t0 = machine_.Now();
   const Err err = evtchn_->Send(dom, port);
   if (err == Err::kNone) {
     machine_.ledger().Record(mech_upcall_, dom, DomainId::Invalid(), machine_.Now() - t0, 0);
   }
-  HypercallEpilog(d);
   return err;
+}
+
+Err Hypervisor::HcEvtchnSend(DomainId dom, uint32_t port) {
+  return Hypercall(dom, HypercallNr::kEventChannelOp,
+                   [&](Domain&) { return EvtchnSend(dom, port); });
 }
 
 Err Hypervisor::HcEvtchnClose(DomainId dom, uint32_t port) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kEventChannelOp);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  const Err err = evtchn_->Close(dom, port);
-  HypercallEpilog(d);
-  return err;
+  return Hypercall(dom, HypercallNr::kEventChannelOp,
+                   [&](Domain&) { return evtchn_->Close(dom, port); });
 }
 
 Err Hypervisor::HcEvtchnMask(DomainId dom, uint32_t port, bool masked) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kEventChannelOp);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  const Err err = evtchn_->SetMask(dom, port, masked);
-  HypercallEpilog(d);
-  return err;
+  return Hypercall(dom, HypercallNr::kEventChannelOp,
+                   [&](Domain&) { return evtchn_->SetMask(dom, port, masked); });
 }
 
 Result<uint32_t> Hypervisor::HcGrantAccess(DomainId dom, DomainId grantee, Pfn pfn,
                                            bool writable) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kGrantTableOp);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  auto ref = gnttab_->GrantAccess(dom, grantee, pfn, writable);
-  HypercallEpilog(d);
-  return ref;
+  return Hypercall(dom, HypercallNr::kGrantTableOp,
+                   [&](Domain&) { return gnttab_->GrantAccess(dom, grantee, pfn, writable); });
 }
 
 Result<uint32_t> Hypervisor::HcGrantTransferSlot(DomainId dom, DomainId grantee, Pfn pfn) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kGrantTableOp);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  auto ref = gnttab_->GrantTransfer(dom, grantee, pfn);
-  HypercallEpilog(d);
-  return ref;
+  return Hypercall(dom, HypercallNr::kGrantTableOp,
+                   [&](Domain&) { return gnttab_->GrantTransfer(dom, grantee, pfn); });
 }
 
 Err Hypervisor::HcGrantEnd(DomainId dom, uint32_t ref) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kGrantTableOp);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  const Err err = gnttab_->EndGrant(dom, ref);
-  HypercallEpilog(d);
-  return err;
+  return Hypercall(dom, HypercallNr::kGrantTableOp,
+                   [&](Domain&) { return gnttab_->EndGrant(dom, ref); });
 }
 
 Err Hypervisor::HcGrantMap(DomainId dom, DomainId granter, uint32_t ref, hwsim::Vaddr va,
                            bool write) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kGrantTableOp);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  const Err err = gnttab_->MapGrant(dom, granter, ref, va, write);
-  HypercallEpilog(d);
-  return err;
+  return Hypercall(dom, HypercallNr::kGrantTableOp,
+                   [&](Domain&) { return gnttab_->MapGrant(dom, granter, ref, va, write); });
 }
 
 Err Hypervisor::HcGrantUnmap(DomainId dom, DomainId granter, uint32_t ref, hwsim::Vaddr va) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kGrantTableOp);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  const Err err = gnttab_->UnmapGrant(dom, granter, ref, va);
-  HypercallEpilog(d);
-  return err;
+  return Hypercall(dom, HypercallNr::kGrantTableOp,
+                   [&](Domain&) { return gnttab_->UnmapGrant(dom, granter, ref, va); });
 }
 
 Err Hypervisor::HcGrantCopy(DomainId dom, DomainId granter, uint32_t ref, uint64_t grant_off,
                             Pfn local_pfn, uint64_t local_off, uint32_t len, bool to_grant) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kGrantTableOp);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  const Err err = gnttab_->Copy(dom, granter, ref, grant_off, local_pfn, local_off, len, to_grant);
-  HypercallEpilog(d);
-  return err;
+  return Hypercall(dom, HypercallNr::kGrantTableOp, [&](Domain&) {
+    return gnttab_->Copy(dom, granter, ref, grant_off, local_pfn, local_off, len, to_grant);
+  });
 }
 
 Result<hwsim::Frame> Hypervisor::HcGrantTransfer(DomainId dom, Pfn pfn, DomainId granter,
                                                  uint32_t ref) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kGrantTableOp);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  auto frame = gnttab_->Transfer(dom, pfn, granter, ref);
-  HypercallEpilog(d);
-  return frame;
+  return Hypercall(dom, HypercallNr::kGrantTableOp,
+                   [&](Domain&) { return gnttab_->Transfer(dom, pfn, granter, ref); });
 }
 
 Err Hypervisor::HcTlbShootdown(DomainId dom, std::span<const hwsim::Vaddr> vas) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kTlbShootdown);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  machine_.Charge(machine_.costs().kernel_op);  // validate the batch
-  std::vector<hwsim::Vaddr> vpns;
-  vpns.reserve(vas.size());
-  for (const hwsim::Vaddr va : vas) {
-    vpns.push_back(d->space.VpnOf(va));
-  }
-  // Local invalidation is priced like the guest's own invlpg loop; the
-  // machine protocol adds the IPI round (free on a single-vCPU machine).
-  machine_.Charge(vpns.empty() ? machine_.costs().tlb_flush_full
-                               : machine_.costs().tlb_flush_page * vpns.size());
-  machine_.TlbShootdown(&d->space, vpns);
-  HypercallEpilog(d);
-  return Err::kNone;
+  return Hypercall(dom, HypercallNr::kTlbShootdown, [&](Domain& d) {
+    machine_.Charge(machine_.costs().kernel_op);  // validate the batch
+    std::vector<hwsim::Vaddr> vpns;
+    vpns.reserve(vas.size());
+    for (const hwsim::Vaddr va : vas) {
+      vpns.push_back(d.space.VpnOf(va));
+    }
+    // Local invalidation is priced like the guest's own invlpg loop; the
+    // machine protocol adds the IPI round (free on a single-vCPU machine).
+    machine_.Charge(vpns.empty() ? machine_.costs().tlb_flush_full
+                                 : machine_.costs().tlb_flush_page * vpns.size());
+    machine_.TlbShootdown(&d.space, vpns);
+    return Err::kNone;
+  });
 }
 
 MulticallOutcome Hypervisor::HcMulticall(DomainId dom, std::span<const MulticallOp> ops) {
-  MulticallOutcome out;
-  Domain* d = HypercallProlog(dom, HypercallNr::kMulticall);
-  if (d == nullptr) {
-    out.status = Err::kBadHandle;
+  return Hypercall(dom, HypercallNr::kMulticall, [&](Domain& d) {
+    MulticallOutcome out;
+    out.results.reserve(ops.size());
+    multicall_subops_ += ops.size();
+    // Transfers in the batch share one TLB shootdown, charged at EndBatch.
+    gnttab_->BeginBatch();
+    // kTlbShootdown sub-ops likewise coalesce into one deferred IPI round.
+    std::vector<hwsim::Vaddr> shootdown_vpns;
+    for (const MulticallOp& op : ops) {
+      MulticallResult r;
+      switch (op.kind) {
+        case MulticallOp::Kind::kGrantAccess: {
+          auto ref = gnttab_->GrantAccess(dom, op.peer, op.pfn, op.flag);
+          r.status = ref.ok() ? Err::kNone : ref.error();
+          r.value = ref.ok() ? *ref : 0;
+          break;
+        }
+        case MulticallOp::Kind::kGrantTransferSlot: {
+          auto ref = gnttab_->GrantTransfer(dom, op.peer, op.pfn);
+          r.status = ref.ok() ? Err::kNone : ref.error();
+          r.value = ref.ok() ? *ref : 0;
+          break;
+        }
+        case MulticallOp::Kind::kGrantEnd:
+          r.status = gnttab_->EndGrant(dom, op.ref);
+          break;
+        case MulticallOp::Kind::kGrantMap:
+          r.status = gnttab_->MapGrant(dom, op.peer, op.ref, op.va, op.flag);
+          break;
+        case MulticallOp::Kind::kGrantUnmap:
+          r.status = gnttab_->UnmapGrant(dom, op.peer, op.ref, op.va);
+          break;
+        case MulticallOp::Kind::kGrantCopy:
+          r.status = gnttab_->Copy(dom, op.peer, op.ref, op.grant_off, op.pfn, op.local_off,
+                                   op.len, op.flag);
+          break;
+        case MulticallOp::Kind::kGrantTransfer: {
+          auto frame = gnttab_->Transfer(dom, op.pfn, op.peer, op.ref);
+          r.status = frame.ok() ? Err::kNone : frame.error();
+          r.value = frame.ok() ? *frame : 0;
+          break;
+        }
+        case MulticallOp::Kind::kEvtchnSend:
+          r.status = EvtchnSend(dom, op.port);
+          break;
+        case MulticallOp::Kind::kTlbShootdown: {
+          // Queue `len` pages starting at va; the flush itself (local invlpg
+          // loop + one shared IPI round) happens after the batch completes.
+          machine_.Charge(machine_.costs().kernel_op);
+          const uint32_t pages = op.len == 0 ? 1 : op.len;
+          for (uint32_t i = 0; i < pages; ++i) {
+            shootdown_vpns.push_back(d.space.VpnOf(op.va) + i);
+          }
+          break;
+        }
+      }
+      out.results.push_back(r);
+      if (r.status != Err::kNone) {
+        // Xen aborts a multicall at the first failing sub-op; earlier sub-ops
+        // stay applied and their results stand.
+        out.status = r.status;
+        break;
+      }
+      ++out.completed;
+    }
+    gnttab_->EndBatch();
+    if (!shootdown_vpns.empty()) {
+      machine_.Charge(machine_.costs().tlb_flush_page * shootdown_vpns.size());
+      machine_.TlbShootdown(&d.space, shootdown_vpns);
+    }
     return out;
-  }
-  out.results.reserve(ops.size());
-  multicall_subops_ += ops.size();
-  // Transfers in the batch share one TLB shootdown, charged at EndBatch.
-  gnttab_->BeginBatch();
-  // kTlbShootdown sub-ops likewise coalesce into one deferred IPI round.
-  std::vector<hwsim::Vaddr> shootdown_vpns;
-  for (const MulticallOp& op : ops) {
-    MulticallResult r;
-    switch (op.kind) {
-      case MulticallOp::Kind::kGrantAccess: {
-        auto ref = gnttab_->GrantAccess(dom, op.peer, op.pfn, op.flag);
-        r.status = ref.ok() ? Err::kNone : ref.error();
-        r.value = ref.ok() ? *ref : 0;
-        break;
-      }
-      case MulticallOp::Kind::kGrantTransferSlot: {
-        auto ref = gnttab_->GrantTransfer(dom, op.peer, op.pfn);
-        r.status = ref.ok() ? Err::kNone : ref.error();
-        r.value = ref.ok() ? *ref : 0;
-        break;
-      }
-      case MulticallOp::Kind::kGrantEnd:
-        r.status = gnttab_->EndGrant(dom, op.ref);
-        break;
-      case MulticallOp::Kind::kGrantMap:
-        r.status = gnttab_->MapGrant(dom, op.peer, op.ref, op.va, op.flag);
-        break;
-      case MulticallOp::Kind::kGrantUnmap:
-        r.status = gnttab_->UnmapGrant(dom, op.peer, op.ref, op.va);
-        break;
-      case MulticallOp::Kind::kGrantCopy:
-        r.status = gnttab_->Copy(dom, op.peer, op.ref, op.grant_off, op.pfn, op.local_off,
-                                 op.len, op.flag);
-        break;
-      case MulticallOp::Kind::kGrantTransfer: {
-        auto frame = gnttab_->Transfer(dom, op.pfn, op.peer, op.ref);
-        r.status = frame.ok() ? Err::kNone : frame.error();
-        r.value = frame.ok() ? *frame : 0;
-        break;
-      }
-      case MulticallOp::Kind::kEvtchnSend: {
-        machine_.Charge(machine_.costs().kernel_op);
-        const uint64_t t0 = machine_.Now();
-        r.status = evtchn_->Send(dom, op.port);
-        if (r.status == Err::kNone) {
-          machine_.ledger().Record(mech_upcall_, dom, DomainId::Invalid(),
-                                   machine_.Now() - t0, 0);
-        }
-        break;
-      }
-      case MulticallOp::Kind::kTlbShootdown: {
-        // Queue `len` pages starting at va; the flush itself (local invlpg
-        // loop + one shared IPI round) happens after the batch completes.
-        machine_.Charge(machine_.costs().kernel_op);
-        const uint32_t pages = op.len == 0 ? 1 : op.len;
-        for (uint32_t i = 0; i < pages; ++i) {
-          shootdown_vpns.push_back(d->space.VpnOf(op.va) + i);
-        }
-        break;
-      }
-    }
-    out.results.push_back(r);
-    if (r.status != Err::kNone) {
-      // Xen aborts a multicall at the first failing sub-op; earlier sub-ops
-      // stay applied and their results stand.
-      out.status = r.status;
-      break;
-    }
-    ++out.completed;
-  }
-  gnttab_->EndBatch();
-  if (!shootdown_vpns.empty()) {
-    machine_.Charge(machine_.costs().tlb_flush_page * shootdown_vpns.size());
-    machine_.TlbShootdown(&d->space, shootdown_vpns);
-  }
-  HypercallEpilog(d);
-  return out;
+  });
 }
 
 Err Hypervisor::HcBindIrq(DomainId dom, IrqLine line, uint32_t port) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kPhysdevOp);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  Err err = Err::kNone;
-  if (!d->privileged) {
-    err = Err::kPermissionDenied;  // only Dom0/driver domains control hardware
-  } else {
+  return Hypercall(dom, HypercallNr::kPhysdevOp, [&](Domain& d) {
+    if (!d.privileged) {
+      return Err::kPermissionDenied;  // only Dom0/driver domains control hardware
+    }
     irq_bindings_[line] = {dom, port};
-  }
-  HypercallEpilog(d);
-  return err;
+    return Err::kNone;
+  });
 }
 
 Err Hypervisor::HcConsoleIo(DomainId dom, const std::string& text) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kConsoleIo);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  machine_.ChargeCopy(text.size());
-  console_log_.push_back(d->name + ": " + text);
-  HypercallEpilog(d);
-  return Err::kNone;
+  return Hypercall(dom, HypercallNr::kConsoleIo, [&](Domain& d) {
+    machine_.ChargeCopy(text.size());
+    console_log_.push_back(d.name + ": " + text);
+    return Err::kNone;
+  });
 }
 
 Err Hypervisor::HcSchedYield(DomainId dom) {
-  Domain* d = HypercallProlog(dom, HypercallNr::kSchedOp);
-  if (d == nullptr) {
-    return Err::kBadHandle;
-  }
-  machine_.Charge(machine_.costs().schedule_decision);
-  HypercallEpilog(d);
-  return Err::kNone;
+  return Hypercall(dom, HypercallNr::kSchedOp, [&](Domain&) {
+    machine_.Charge(machine_.costs().schedule_decision);
+    return Err::kNone;
+  });
 }
 
 // --- Guest execution support --------------------------------------------------------
+
+template <typename Body>
+void Hypervisor::RunInDomainKernel(Domain& d, uint32_t span_name, uint32_t frame_id,
+                                   uint64_t dispatch_cost, Body&& body) {
+  Domain* prev = sched_.current();
+  const hwsim::PrivLevel prev_mode = machine_.cpu().mode();
+  const DomainId prev_domain = machine_.cpu().current_domain();
+
+  ukvm::SpanScope span(machine_.tracer(), span_name, d.id);
+  ukvm::ProfScope frame(machine_.tracer(), frame_id);
+  machine_.Charge(dispatch_cost);
+  sched_.SwitchTo(d, hwsim::PrivLevel::kGuestKernel);
+  body();
+
+  if (prev != nullptr && prev->alive && prev != &d) {
+    sched_.SwitchTo(*prev, prev_mode);
+  } else if (prev == &d) {
+    machine_.cpu().SetMode(prev_mode);
+  } else {
+    machine_.cpu().SetDomain(prev_domain);
+    machine_.cpu().SetMode(prev_mode);
+  }
+}
 
 Err Hypervisor::RunGuestUser(DomainId dom, const std::function<void()>& fn) {
   Domain* d = FindDomain(dom);
@@ -614,29 +528,12 @@ Err Hypervisor::RunAsDomainKernel(DomainId dom, const std::function<void()>& fn)
   if (d == nullptr || !d->alive) {
     return Err::kBadHandle;
   }
-  // Save/switch/restore as DeliverUpcall does, minus the virtual-interrupt
-  // injection: this is softirq-style deferred work, not an upcall.
-  Domain* prev = sched_.current();
-  const hwsim::PrivLevel prev_mode = machine_.cpu().mode();
-  const DomainId prev_domain = machine_.cpu().current_domain();
-
-  ukvm::SpanScope span(machine_.tracer(), trace_softirq_name_, dom);
-  ukvm::ProfScope frame(machine_.tracer(), trace_softirq_frame_);
-  machine_.Charge(machine_.costs().kernel_op);  // softirq dispatch
-  sched_.SwitchTo(*d, hwsim::PrivLevel::kGuestKernel);
-  fn();
-
-  if (prev != nullptr && prev->alive && prev != d) {
-    sched_.SwitchTo(*prev, prev_mode);
-  } else if (prev == d) {
-    machine_.cpu().SetMode(prev_mode);
-  } else {
-    machine_.cpu().SetDomain(prev_domain);
-    machine_.cpu().SetMode(prev_mode);
-  }
+  // Softirq-style deferred work, not an upcall: no virtual interrupt is
+  // injected, and the dispatch costs one kernel op.
+  RunInDomainKernel(*d, trace_softirq_name_, trace_softirq_frame_, machine_.costs().kernel_op,
+                    fn);
   return Err::kNone;
 }
-
 uint64_t Hypervisor::GuestSyscall(DomainId dom, hwsim::TrapFrame& frame) {
   Domain* d = FindDomain(dom);
   if (d == nullptr || !d->alive) {
@@ -668,39 +565,25 @@ void Hypervisor::DeliverUpcall(DomainId target, uint32_t port) {
   if (d == nullptr || !d->alive || !d->evtchn_upcall) {
     return;
   }
-  // Save the interrupted context, inject the virtual interrupt, restore.
-  Domain* prev = sched_.current();
-  const hwsim::PrivLevel prev_mode = machine_.cpu().mode();
-  const DomainId prev_domain = machine_.cpu().current_domain();
-
-  ukvm::SpanScope span(machine_.tracer(), trace_upcall_name_, target);
-  ukvm::ProfScope frame(machine_.tracer(), trace_upcall_frame_);
-  machine_.Charge(machine_.costs().interrupt_dispatch);
-  sched_.SwitchTo(*d, hwsim::PrivLevel::kGuestKernel);
-  if (hwsim::Observer* race = machine_.race_observer()) {
-    // Acquire half of send->upcall: one upcall covers every Send latched
-    // into the pending bit since the last consume.
-    race->Acquire(target,
-                  hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kEvtchn, target.value(), port));
-  }
-  // E22: the upcall handler runs on behalf of whichever request kicked the
-  // channel — adopt its stash (a crossing node [send, now]) for the scope
-  // of the handler so ring pops and copies attach to the right DAG.
-  const ukvm::ReqTraceRef req_ref =
-      machine_.reqtrace().ChannelAdopt(target, port, target);
-  ukvm::ReqAdoptScope req_scope(machine_.reqtrace(), req_ref);
-  (void)evtchn_->ConsumePending(target, port);
-  ++d->upcalls;
-  d->evtchn_upcall(port);
-
-  if (prev != nullptr && prev->alive && prev != d) {
-    sched_.SwitchTo(*prev, prev_mode);
-  } else if (prev == d) {
-    machine_.cpu().SetMode(prev_mode);
-  } else {
-    machine_.cpu().SetDomain(prev_domain);
-    machine_.cpu().SetMode(prev_mode);
-  }
+  // Inject the virtual interrupt into the target's kernel context.
+  auto upcall = [&] {
+    if (hwsim::Observer* race = machine_.race_observer()) {
+      // Acquire half of send->upcall: one upcall covers every Send latched
+      // into the pending bit since the last consume.
+      race->Acquire(target,
+                    hwsim::RaceEdgeKey(hwsim::RaceEdgeKind::kEvtchn, target.value(), port));
+    }
+    // E22: the upcall handler runs on behalf of whichever request kicked the
+    // channel — adopt its stash (a crossing node [send, now]) for the scope
+    // of the handler so ring pops and copies attach to the right DAG.
+    const ukvm::ReqTraceRef req_ref = machine_.reqtrace().ChannelAdopt(target, port, target);
+    ukvm::ReqAdoptScope req_scope(machine_.reqtrace(), req_ref);
+    (void)evtchn_->ConsumePending(target, port);
+    ++d->upcalls;
+    d->evtchn_upcall(port);
+  };
+  RunInDomainKernel(*d, trace_upcall_name_, trace_upcall_frame_,
+                    machine_.costs().interrupt_dispatch, upcall);
 }
 
 void Hypervisor::DeliverDomainDead(DomainId target, DomainId dead) {
@@ -708,27 +591,11 @@ void Hypervisor::DeliverDomainDead(DomainId target, DomainId dead) {
   if (d == nullptr || !d->alive || !d->domain_dead_upcall) {
     return;
   }
-  // Same discipline as DeliverUpcall: save the interrupted context, run the
-  // handler at guest-kernel privilege, restore.
-  Domain* prev = sched_.current();
-  const hwsim::PrivLevel prev_mode = machine_.cpu().mode();
-  const DomainId prev_domain = machine_.cpu().current_domain();
-
-  ukvm::SpanScope span(machine_.tracer(), trace_upcall_name_, target);
-  ukvm::ProfScope frame(machine_.tracer(), trace_upcall_frame_);
-  machine_.Charge(machine_.costs().interrupt_dispatch);
-  sched_.SwitchTo(*d, hwsim::PrivLevel::kGuestKernel);
-  ++d->upcalls;
-  d->domain_dead_upcall(dead);
-
-  if (prev != nullptr && prev->alive && prev != d) {
-    sched_.SwitchTo(*prev, prev_mode);
-  } else if (prev == d) {
-    machine_.cpu().SetMode(prev_mode);
-  } else {
-    machine_.cpu().SetDomain(prev_domain);
-    machine_.cpu().SetMode(prev_mode);
-  }
+  RunInDomainKernel(*d, trace_upcall_name_, trace_upcall_frame_,
+                    machine_.costs().interrupt_dispatch, [&] {
+                      ++d->upcalls;
+                      d->domain_dead_upcall(dead);
+                    });
 }
 
 // --- hwsim::TrapHandler ------------------------------------------------------------------

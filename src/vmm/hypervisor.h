@@ -72,7 +72,7 @@ struct MulticallOutcome {
   // Xen semantics: sub-ops [0, completed) are applied and stay applied.
   ukvm::Err status = ukvm::Err::kNone;
   size_t completed = 0;
-  std::vector<MulticallResult> results;  // one per attempted sub-op
+  std::vector<MulticallResult> results{};  // one per attempted sub-op
   bool ok() const { return status == ukvm::Err::kNone; }
 };
 
@@ -235,14 +235,28 @@ class Hypervisor : public hwsim::TrapHandler {
  private:
   static constexpr ukvm::DomainId kVmmDomain{0};
 
-  // Hypercall prolog/epilog. Accounting stays with the calling domain (see
+  // The one hypercall scope every Hc* runs in: from a dead or unknown
+  // domain it returns kBadHandle and charges, records and counts nothing;
+  // otherwise it wraps `body(domain)` in the hypercall's span and frame,
+  // its entry and return charges, its ledger call/reply pair, its counters
+  // and its race edge. Accounting stays with the calling domain (see
   // DomainScheduler::EnterHypervisor); mode flips to privileged and back.
-  Domain* HypercallProlog(ukvm::DomainId dom, HypercallNr nr);
-  void HypercallEpilog(Domain* dom);
+  template <typename Body>
+  auto Hypercall(ukvm::DomainId dom, HypercallNr nr, Body&& body);
+
+  // The event-channel send both HcEvtchnSend and a multicall sub-op run.
+  ukvm::Err EvtchnSend(ukvm::DomainId dom, uint32_t port);
+
+  // The one save/switch/restore: charges `dispatch_cost`, runs `body` in
+  // `d`'s kernel context under the given span and frame, and restores the
+  // interrupted context. Serves softirq work and both upcalls.
+  template <typename Body>
+  void RunInDomainKernel(Domain& d, uint32_t span_name, uint32_t frame_id,
+                         uint64_t dispatch_cost, Body&& body);
 
   // Event-channel upcall delivery (virtual interrupt into the target).
   void DeliverUpcall(ukvm::DomainId target, uint32_t port);
-  // kDomainDead delivery into a surviving peer (same save/switch/restore).
+  // kDomainDead delivery into a surviving peer.
   void DeliverDomainDead(ukvm::DomainId target, ukvm::DomainId dead);
 
   hwsim::Machine& machine_;
@@ -264,16 +278,9 @@ class Hypervisor : public hwsim::TrapHandler {
   uint32_t mech_upcall_ = 0;
 
   // E17: per-hypercall span names and profiler frames, interned at
-  // construction so the prolog/epilog hot path is allocation-free. The
-  // stack mirrors hypercall nesting (upcall handlers issue hypercalls of
-  // their own), pairing each prolog's span with its epilog.
-  struct HcTrace {
-    uint64_t span = 0;
-    bool pushed = false;
-  };
+  // construction so the hypercall hot path is allocation-free.
   std::array<uint32_t, kHypercallCount> trace_span_names_{};
   std::array<uint32_t, kHypercallCount> trace_frames_{};
-  std::vector<HcTrace> hc_trace_stack_;
   uint32_t trace_upcall_name_ = 0;
   uint32_t trace_upcall_frame_ = 0;
   uint32_t trace_softirq_name_ = 0;

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <utility>
+
 #include "src/hw/machine.h"
 #include "src/vmm/hypervisor.h"
 
@@ -513,6 +517,84 @@ TEST_F(VmmTest, HypercallTableIsThirteenEntries) {
 TEST_F(VmmTest, DestroyedDomainRejectsHypercalls) {
   ASSERT_EQ(hv_.DestroyDomain(guest_), Err::kNone);
   EXPECT_EQ(hv_.HcSchedYield(guest_), Err::kBadHandle);
+}
+
+TEST_F(VmmTest, EveryHypercallFromADeadOrUnknownDomainIsFreeAndUncounted) {
+  // The hypercall scope's early-out, on all 23 entry points: a destroyed
+  // domain and a never-created id each get kBadHandle, and the call
+  // charges no cycle, records no crossing and counts no hypercall.
+  using HcFn = Err (*)(Hypervisor&, DomainId);
+  const std::pair<const char*, HcFn> calls[] = {
+      {"HcSetTrapTable",
+       [](Hypervisor& hv, DomainId d) { return hv.HcSetTrapTable(d, nullptr, nullptr, true); }},
+      {"HcSetUpcall", [](Hypervisor& hv, DomainId d) { return hv.HcSetUpcall(d, nullptr); }},
+      {"HcSetDomainDeadHandler",
+       [](Hypervisor& hv, DomainId d) { return hv.HcSetDomainDeadHandler(d, nullptr); }},
+      {"HcSetExceptionHandler",
+       [](Hypervisor& hv, DomainId d) { return hv.HcSetExceptionHandler(d, nullptr); }},
+      {"HcSetSegment",
+       [](Hypervisor& hv, DomainId d) {
+         return hv.HcSetSegment(d, hwsim::SegmentReg::kFs, hwsim::SegmentDescriptor{});
+       }},
+      {"HcMmuUpdate",
+       [](Hypervisor& hv, DomainId d) {
+         const MmuUpdate update{0x1000, 1, true, true};
+         return hv.HcMmuUpdate(d, {&update, 1});
+       }},
+      {"HcEvtchnAllocUnbound",
+       [](Hypervisor& hv, DomainId d) { return ukvm::GetErr(hv.HcEvtchnAllocUnbound(d, d)); }},
+      {"HcEvtchnBind",
+       [](Hypervisor& hv, DomainId d) { return ukvm::GetErr(hv.HcEvtchnBind(d, d, 1)); }},
+      {"HcEvtchnSend", [](Hypervisor& hv, DomainId d) { return hv.HcEvtchnSend(d, 1); }},
+      {"HcEvtchnClose", [](Hypervisor& hv, DomainId d) { return hv.HcEvtchnClose(d, 1); }},
+      {"HcEvtchnMask", [](Hypervisor& hv, DomainId d) { return hv.HcEvtchnMask(d, 1, true); }},
+      {"HcGrantAccess",
+       [](Hypervisor& hv, DomainId d) { return ukvm::GetErr(hv.HcGrantAccess(d, d, 1, true)); }},
+      {"HcGrantTransferSlot",
+       [](Hypervisor& hv, DomainId d) { return ukvm::GetErr(hv.HcGrantTransferSlot(d, d, 1)); }},
+      {"HcGrantEnd", [](Hypervisor& hv, DomainId d) { return hv.HcGrantEnd(d, 0); }},
+      {"HcGrantMap",
+       [](Hypervisor& hv, DomainId d) { return hv.HcGrantMap(d, d, 0, 0xE0000000, true); }},
+      {"HcGrantUnmap",
+       [](Hypervisor& hv, DomainId d) { return hv.HcGrantUnmap(d, d, 0, 0xE0000000); }},
+      {"HcGrantCopy",
+       [](Hypervisor& hv, DomainId d) { return hv.HcGrantCopy(d, d, 0, 0, 1, 0, 64, true); }},
+      {"HcGrantTransfer",
+       [](Hypervisor& hv, DomainId d) { return ukvm::GetErr(hv.HcGrantTransfer(d, 1, d, 0)); }},
+      {"HcTlbShootdown",
+       [](Hypervisor& hv, DomainId d) {
+         const hwsim::Vaddr va = 0x1000;
+         return hv.HcTlbShootdown(d, {&va, 1});
+       }},
+      {"HcMulticall",
+       [](Hypervisor& hv, DomainId d) {
+         const MulticallOp op;  // an event-channel send
+         const MulticallOutcome out = hv.HcMulticall(d, {&op, 1});
+         EXPECT_TRUE(out.results.empty());
+         return out.status;
+       }},
+      {"HcBindIrq", [](Hypervisor& hv, DomainId d) { return hv.HcBindIrq(d, IrqLine(5), 1); }},
+      {"HcConsoleIo", [](Hypervisor& hv, DomainId d) { return hv.HcConsoleIo(d, "x"); }},
+      {"HcSchedYield", [](Hypervisor& hv, DomainId d) { return hv.HcSchedYield(d); }},
+  };
+  ASSERT_EQ(std::size(calls), 23u);
+  ASSERT_EQ(hv_.DestroyDomain(guest_), Err::kNone);
+  for (const DomainId dom : {guest_, DomainId{999}}) {
+    for (const auto& [name, call] : calls) {
+      SCOPED_TRACE(std::string(name) + " from domain " + std::to_string(dom.value()));
+      const uint64_t now = machine_.Now();
+      const uint64_t crossings = machine_.ledger().total_count();
+      const uint64_t hypercalls = hv_.total_hypercalls();
+      const uint64_t subops = hv_.multicall_subops();
+      EXPECT_EQ(call(hv_, dom), Err::kBadHandle);
+      EXPECT_EQ(machine_.Now(), now);
+      EXPECT_EQ(machine_.ledger().total_count(), crossings);
+      EXPECT_EQ(hv_.total_hypercalls(), hypercalls);
+      EXPECT_EQ(hv_.multicall_subops(), subops);
+    }
+  }
+  EXPECT_EQ(hv_.FindDomain(guest_)->hypercalls, 0u);
+  EXPECT_TRUE(hv_.console_log().empty());
 }
 
 TEST_F(VmmTest, DestroyDropsGrantsAndChannels) {
