@@ -385,6 +385,9 @@ Result<uint64_t> Kernel::TransferString(Tcb& sender, Tcb& receiver, const IpcMes
 }
 
 Err Kernel::TransferMapItems(DomainId from_id, DomainId to_id, const std::vector<MapItem>& items) {
+  if (items.empty()) {
+    return Err::kNone;
+  }
   Task* from = FindTask(from_id);
   Task* to = FindTask(to_id);
   for (const MapItem& item : items) {

@@ -110,7 +110,8 @@ class Kernel : public hwsim::TrapHandler {
 
   // Synchronous call: delivers `msg` to `dest`, runs its handler in the
   // receiver's protection domain, returns the reply to `caller`. The reply's
-  // `status` carries kernel-detected errors (dead partner, bad transfer).
+  // `status` carries kernel-detected errors (dead partner, malformed
+  // message, bad transfer).
   IpcMessage Call(ukvm::ThreadId caller, ukvm::ThreadId dest, IpcMessage msg);
 
   // --- E21/E23: the L4 fast-path family ---------------------------------------
@@ -248,11 +249,10 @@ class Kernel : public hwsim::TrapHandler {
     uint32_t pf_frame = 0;
   };
 
-  // A dead thread, or a thread of a destroyed task: IPC to or from it
-  // fails with kDead.
-  bool ThreadDead(const Tcb& tcb) const {
-    return tcb.state == ThreadState::kDead || !TaskAlive(tcb.task);
-  }
+  // The one dead-partner test: a destroyed thread, or a thread of a
+  // destroyed task (DestroyTask marks every thread of the task dead, and
+  // nothing revives one). IPC to or from it fails with kDead.
+  bool ThreadDead(const Tcb& tcb) const { return tcb.state == ThreadState::kDead; }
 
   // How a thread enters and leaves the kernel: the full trap saves the
   // whole frame (trap_entry / trap_return); the short-IPC fast stub saves

@@ -3,7 +3,7 @@
 // The fast-path family (Call, ReplyWait coalescing, Send, Notify, pager
 // fault IPC, string windows) is an optimisation, never a semantic change —
 // so the strongest test is differential: run the SAME seeded random IPC
-// history through a fastpath-off kernel and a fastpath-on kernel and demand
+// history through a slow-path kernel and a family-path kernel and demand
 //
 //  1. identical per-operation results (status codes, reply registers,
 //     echoed string bytes, delivered notify bits);
@@ -19,10 +19,11 @@
 //     fault_fast counters) — otherwise the equivalence is vacuous.
 //
 // Histories include mid-call server death and a server killing its caller
-// mid-call (each with respawn), pager death mid-fault-IPC, notify-handler toggling (so bits latch while no handler is
-// installed and must merge into a later delivery), notifies fired from
-// inside a server handler while the caller is mid-fast-Call, and vCPU
-// migration (pinned string windows must not leak across vCPUs).
+// mid-call (each with respawn), pager death mid-fault-IPC, notify-handler
+// toggling (so bits latch while no handler is installed and must merge into
+// a later delivery), notifies fired from inside a server handler while the
+// caller is mid-fast-Call, and vCPU migration (pinned string windows must
+// not leak across vCPUs).
 //
 // ctest runs a fixed bank; set UKVM_FUZZ_SEEDS=<n> for a longer sweep
 // (scripts/check.sh does).

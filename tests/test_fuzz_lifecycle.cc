@@ -78,7 +78,7 @@ struct FuzzResult {
   std::vector<std::string> reports;
   uint64_t tlb_audited = 0;
   uint64_t tlb_skipped = 0;
-  uint64_t fastpath_taken = 0;      // E21: how often CallFast fired this run
+  uint64_t fastpath_taken = 0;      // E21: how often a Call went fast this run
   uint64_t fastpath_replywait = 0;  // E23: how often the reply-receive coalesced
   std::map<Invariant, size_t> by_rule;
 };
@@ -286,7 +286,7 @@ FuzzResult RunUkernelFuzzImpl(uint64_t seed, uint32_t steps, bool incremental_tl
       }
       if (rng.Chance(35)) {
         // A plain short call: register-only, so with the fast path armed
-        // this is exactly the traffic CallFast direct-switches (and with it
+        // this is exactly the traffic the fast Call direct-switches (and with it
         // off, the same rng stream takes the slow path).
         (void)kernel.Call(t.thread, dst.thread, ukern::IpcMessage::Short(step));
         continue;
