@@ -534,6 +534,7 @@ Err Hypervisor::RunAsDomainKernel(DomainId dom, const std::function<void()>& fn)
                     fn);
   return Err::kNone;
 }
+
 uint64_t Hypervisor::GuestSyscall(DomainId dom, hwsim::TrapFrame& frame) {
   Domain* d = FindDomain(dom);
   if (d == nullptr || !d->alive) {
