@@ -108,7 +108,7 @@ struct PingPong {
 
 uint64_t NullSyscallMean(IpcPath path) {
   ustack::UkernelStack::Config config;
-  config.audit = false;  // hook-free baseline, as in the other benches
+  config.audit = false;  // saves host time only: the auditor charges no cycle
   config.ipc_path = path;
   ustack::UkernelStack stack(config);
   auto pid = stack.guest_os(0).Spawn("bench");

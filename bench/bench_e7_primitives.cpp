@@ -133,7 +133,7 @@ int main() {
                   }))});
     table.AddRow({"set_segment", "#2 guest kernel/user switching", uharness::FmtInt(Measure([&] {
                     hwsim::SegmentDescriptor d;
-                    d.limit = hv.config().hole_base;
+                    d.limit = uvmm::kHoleBase;
                     (void)hv.HcSetSegment(guest, hwsim::SegmentReg::kFs, d);
                   }))});
     uint32_t unbound = 0;

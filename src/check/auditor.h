@@ -46,13 +46,6 @@ namespace uvmm {
 class Hypervisor;
 }
 
-// Build-level default for whether stacks enable auditing; the UKVM_CHECK
-// CMake option sets this (ON by default). Falls back to enabled when built
-// outside the project's CMake.
-#ifndef UKVM_CHECK_DEFAULT
-#define UKVM_CHECK_DEFAULT 1
-#endif
-
 namespace ucheck {
 
 class Auditor : public hwsim::Observer {

@@ -295,10 +295,9 @@ void InvariantAuditor::CheckMappedPte(ukvm::DomainId domain, SpaceKind kind, hws
          Fmt("%s %u has user-accessible vpn 0x%" PRIx64 " onto kernel-owned frame %" PRIu64,
              KindName(kind), domain.value(), vpn, pte.frame));
   }
-  if (kind == SpaceKind::kVmmDomain && hv_ != nullptr) {
+  if (kind == SpaceKind::kVmmDomain) {
     const uint64_t va = vpn << machine_.memory().page_shift();
-    const auto& config = hv_->config();
-    if (va >= config.hole_base && va < config.hole_end) {
+    if (va >= uvmm::kHoleBase && va < uvmm::kHoleEnd) {
       Flag(Invariant::kHypervisorHoleMapping,
            Fmt("domain %u maps va 0x%" PRIx64 " inside the hypervisor hole", domain.value(), va));
     }

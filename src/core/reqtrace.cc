@@ -9,6 +9,10 @@ namespace ukvm {
 
 namespace {
 
+// Per-request node cap: runaway instrumentation degrades to dropped leaves
+// (counted) instead of unbounded memory.
+constexpr size_t kMaxNodesPerRequest = 4096;
+
 uint64_t Clamp(uint64_t v, uint64_t lo, uint64_t hi) {
   return v < lo ? lo : (v > hi ? hi : v);
 }
@@ -91,7 +95,7 @@ RequestTrace::LiveRequest* RequestTrace::Find(ReqTraceRef ref) {
 }
 
 uint32_t RequestTrace::Append(LiveRequest& req, ReqNode node) {
-  if (req.nodes.size() >= config_.max_nodes_per_request) {
+  if (req.nodes.size() >= kMaxNodesPerRequest) {
     ++req.dropped_nodes;
     return 0;  // degrade: further children hang off the root
   }

@@ -55,9 +55,6 @@ struct ReqTraceConfig {
   bool enabled = false;
   // How many of the slowest completed requests keep their full DAG.
   size_t k_slowest = 8;
-  // Per-request node cap: runaway instrumentation degrades to dropped
-  // leaves (counted) instead of unbounded memory.
-  size_t max_nodes_per_request = 4096;
 };
 
 // What a DAG node's interval was spent on. Doubles as the critical-path

@@ -14,8 +14,7 @@ Machine::Machine(Platform platform, uint64_t memory_bytes, uint32_t num_vcpus)
     : platform_(std::move(platform)),
       memory_(memory_bytes, platform_.page_shift),
       irq_controller_(platform_.irq_lines, tracer_),
-      ipis_(num_vcpus == 0 ? 1 : num_vcpus),
-      vcpu_accounting_(num_vcpus == 0 ? 1 : num_vcpus) {
+      ipis_(num_vcpus == 0 ? 1 : num_vcpus) {
   if (num_vcpus == 0) {
     num_vcpus = 1;
   }
@@ -54,26 +53,15 @@ void Machine::EnableRequestTracing(const ukvm::ReqTraceConfig& config) {
 void Machine::Charge(uint64_t cycles) { ChargeTo(cpu().current_domain(), cycles); }
 
 void Machine::ChargeTo(ukvm::DomainId domain, uint64_t cycles) {
-  if (cycles == 0) {
-    return;
-  }
-  const ukvm::DomainId billed = domain.valid() ? domain : ukvm::kHardwareDomain;
-  accounting_.Charge(billed, cycles);
-  vcpu_accounting_[current_vcpu_].Charge(billed, cycles);
+  AccountOnly(domain, cycles);
   now_ += cycles;
 }
 
 void Machine::AccountOnly(ukvm::DomainId domain, uint64_t cycles) {
-  AccountToVcpu(current_vcpu_, domain, cycles);
-}
-
-void Machine::AccountToVcpu(uint32_t vcpu, ukvm::DomainId domain, uint64_t cycles) {
   if (cycles == 0) {
     return;
   }
-  const ukvm::DomainId billed = domain.valid() ? domain : ukvm::kHardwareDomain;
-  accounting_.Charge(billed, cycles);
-  vcpu_accounting_[vcpu].Charge(billed, cycles);
+  accounting_.Charge(domain.valid() ? domain : ukvm::kHardwareDomain, cycles);
 }
 
 void Machine::ChargeCopy(uint64_t bytes) {
@@ -100,29 +88,36 @@ void Machine::AdvanceClockTo(uint64_t time) {
   if (time > now_) {
     ukvm::ProfScope idle(tracer_, trace_idle_frame_);
     accounting_.Charge(kIdleDomain, time - now_);
-    vcpu_accounting_[current_vcpu_].Charge(kIdleDomain, time - now_);
     now_ = time;
   }
 }
 
-bool Machine::RunNextEvent() {
+void Machine::DropCancelledEvents() {
   while (!events_.empty()) {
-    Event event = events_.top();
-    events_.pop();
-    if (auto it = cancelled_.find(event.id); it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
+    const auto it = cancelled_.find(events_.top().id);
+    if (it == cancelled_.end()) {
+      return;
     }
-    AdvanceClockTo(event.time);
-    // Event callbacks run on behalf of devices, not whatever request the
-    // interrupted code was serving: clear the ambient request around them
-    // so causality never leaks across a scheduling boundary.
-    const ukvm::ReqTraceRef ambient = reqtrace_.SwapCurrent(ukvm::ReqTraceRef{});
-    event.fn();
-    reqtrace_.SwapCurrent(ambient);
-    return true;
+    cancelled_.erase(it);
+    events_.pop();
   }
-  return false;
+}
+
+bool Machine::RunNextEvent() {
+  DropCancelledEvents();
+  if (events_.empty()) {
+    return false;
+  }
+  Event event = events_.top();
+  events_.pop();
+  AdvanceClockTo(event.time);
+  // Event callbacks run on behalf of devices, not whatever request the
+  // interrupted code was serving: clear the ambient request around them
+  // so causality never leaks across a scheduling boundary.
+  const ukvm::ReqTraceRef ambient = reqtrace_.SwapCurrent(ukvm::ReqTraceRef{});
+  event.fn();
+  reqtrace_.SwapCurrent(ambient);
+  return true;
 }
 
 void Machine::RunUntilIdle(uint64_t max_events) {
@@ -139,12 +134,10 @@ void Machine::RunUntilIdle(uint64_t max_events) {
 void Machine::RunFor(uint64_t cycles) {
   const uint64_t deadline = now_ + cycles;
   while (now_ < deadline) {
-    if (events_.empty()) {
-      AdvanceClockTo(deadline);
-      return;
-    }
-    const uint64_t next_time = events_.top().time;
-    if (next_time > deadline) {
+    // A cancelled head must not stand in for the next live event: that
+    // one may lie past the deadline.
+    DropCancelledEvents();
+    if (events_.empty() || events_.top().time > deadline) {
       AdvanceClockTo(deadline);
       return;
     }
@@ -249,7 +242,7 @@ void Machine::DeliverShootdownIpis(uint32_t vcpu) {
     // The handler runs concurrently with the (spinning) initiator, so the
     // clock does not advance; the cycles bill to whatever the target vCPU
     // was running when the IPI hit.
-    AccountToVcpu(vcpu, target.current_domain(), cost);
+    AccountOnly(target.current_domain(), cost);
     req.pending[vcpu] = false;
     --req.outstanding;
     if (cost > req.max_target_cost) {

@@ -64,8 +64,6 @@ class Machine {
   uint32_t current_vcpu() const { return current_vcpu_; }
   ukvm::CrossingLedger& ledger() { return ledger_; }
   ukvm::CpuAccounting& accounting() { return accounting_; }
-  // Per-vCPU attribution (charges land on both this and the global table).
-  ukvm::CpuAccounting& vcpu_accounting(uint32_t vcpu) { return vcpu_accounting_[vcpu]; }
   ukvm::Counters& counters() { return counters_; }
   ukvm::Tracer& tracer() { return tracer_; }
   const ukvm::Tracer& tracer() const { return tracer_; }
@@ -118,7 +116,8 @@ class Machine {
   void ChargeTo(ukvm::DomainId domain, uint64_t cycles);
 
   // Attributes cycles without advancing the clock — for work that proceeds
-  // concurrently with the CPU, such as device DMA.
+  // concurrently with the CPU, such as device DMA or a remote vCPU's
+  // shootdown handler.
   void AccountOnly(ukvm::DomainId domain, uint64_t cycles);
 
   // Charges the CPU cost of copying `bytes` (and, with request tracing
@@ -273,8 +272,9 @@ class Machine {
   };
 
   void AdvanceClockTo(uint64_t time);
-  // Attributes concurrent work done at `vcpu` (no clock advance).
-  void AccountToVcpu(uint32_t vcpu, ukvm::DomainId domain, uint64_t cycles);
+  // Pops cancelled events off the head of the queue, so its top (if any)
+  // is the next event that will run.
+  void DropCancelledEvents();
 
   Platform platform_;
   PhysicalMemory memory_;
@@ -286,7 +286,6 @@ class Machine {
   uint32_t current_vcpu_ = 0;
   ukvm::CrossingLedger ledger_;
   ukvm::CpuAccounting accounting_;
-  std::vector<ukvm::CpuAccounting> vcpu_accounting_;
   std::unordered_map<uint64_t, ShootdownRequest> shootdowns_;
   uint64_t next_shootdown_id_ = 1;
   std::vector<DeadSpace> dead_spaces_;

@@ -6,8 +6,8 @@ namespace ustack {
 
 NativeStack::NativeStack(Config config)
     : machine_(config.platform, config.memory_bytes, config.num_vcpus),
-      nic_(machine_, ukvm::IrqLine(kNicIrq), config.nic),
-      disk_(machine_, ukvm::IrqLine(kDiskIrq), config.disk) {
+      nic_(machine_, ukvm::IrqLine(kNicIrq), hwsim::Nic::Config{}),
+      disk_(machine_, ukvm::IrqLine(kDiskIrq), hwsim::Disk::Config{}) {
   ArmTracers(machine_, config);
   machine_.tracer().RegisterDomain(kOsDomain, "native-os");
   // Frames for NIC staging plus one disk staging frame.

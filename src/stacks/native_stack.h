@@ -27,8 +27,6 @@ class NativeStack {
     hwsim::Platform platform = hwsim::MakeX86Platform();
     uint64_t memory_bytes = 32ull * 1024 * 1024;
     uint32_t num_vcpus = 1;  // >1 arms the TLB shootdown protocol (E18)
-    hwsim::Nic::Config nic;
-    hwsim::Disk::Config disk;
   };
 
   explicit NativeStack(Config config);

@@ -19,10 +19,9 @@ namespace ustack {
 
 // The observer half of every stack Config.
 struct ObserverConfig {
-  // Constructs the isolation auditor over the stack. The default follows
-  // the UKVM_CHECK build option; benches flip it off to measure
-  // observer-free baselines.
-  bool audit = UKVM_CHECK_DEFAULT != 0;
+  // Constructs the isolation auditor over the stack. On by default; it
+  // charges no simulated cycle, so turning it off only saves host time.
+  bool audit = true;
   // Happens-before race detection over the split drivers' rings and
   // grant-shared frames, plus IPC/evtchn/IPI edge bookkeeping (constructs
   // the auditor even with `audit` off). Off by default.

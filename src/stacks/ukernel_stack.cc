@@ -29,8 +29,8 @@ constexpr uint32_t kProbePayloadBytes = 32;
 UkernelStack::UkernelStack(Config config)
     : config_(std::move(config)),
       machine_(config_.platform, config_.memory_bytes, config_.num_vcpus),
-      nic_(machine_, ukvm::IrqLine(kNicIrq), config_.nic),
-      disk_(machine_, ukvm::IrqLine(kDiskIrq), config_.disk) {
+      nic_(machine_, ukvm::IrqLine(kNicIrq), hwsim::Nic::Config{}),
+      disk_(machine_, ukvm::IrqLine(kDiskIrq), hwsim::Disk::Config{}) {
   ArmTracers(machine_, config_);
   if (config_.faults.any_enabled()) {
     ArmFaults(config_.faults);

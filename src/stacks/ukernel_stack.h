@@ -147,7 +147,7 @@ class UkernelStack {
   std::unique_ptr<ukern::Kernel> kernel_;
   std::unique_ptr<Sigma0> sigma0_;
   // Outlive every server that uses them.
-  minios::BlkStore blk_store_{config_.slice_blocks, config_.disk.capacity_blocks};
+  minios::BlkStore blk_store_{kSliceBlocks, disk_.config().capacity_blocks};
   minios::NetRoutes net_routes_;
   std::unique_ptr<UkNetServer> net_server_;
   std::unique_ptr<UkBlockServer> block_server_;

@@ -14,8 +14,8 @@ using ukvm::Err;
 VmmStack::VmmStack(Config config)
     : config_(std::move(config)),
       machine_(config_.platform, config_.memory_bytes, config_.num_vcpus),
-      nic_(machine_, ukvm::IrqLine(kNicIrq), config_.nic),
-      disk_(machine_, ukvm::IrqLine(kDiskIrq), config_.disk) {
+      nic_(machine_, ukvm::IrqLine(kNicIrq), hwsim::Nic::Config{}),
+      disk_(machine_, ukvm::IrqLine(kDiskIrq), hwsim::Disk::Config{}) {
   ArmTracers(machine_, config_);
   if (config_.faults.any_enabled()) {
     ArmFaults(config_.faults);
@@ -24,7 +24,7 @@ VmmStack::VmmStack(Config config)
   machine_.tracer().RegisterDomain(hv_->vmm_domain(), "xen");
 
   // --- Dom0: the privileged driver domain -----------------------------------
-  auto dom0 = hv_->CreateDomain("Dom0", config_.dom0_pages, /*privileged=*/true);
+  auto dom0 = hv_->CreateDomain("Dom0", kDom0Pages, /*privileged=*/true);
   assert(dom0.ok());
   dom0_ = *dom0;
   machine_.tracer().RegisterDomain(dom0_, "Dom0");
@@ -59,7 +59,7 @@ VmmStack::VmmStack(Config config)
 
 Err VmmStack::StartNetBackend(const std::string& domain_name) {
   if (config_.net_driver_domain) {
-    auto nd = hv_->CreateDomain(domain_name, config_.net_domain_pages, /*privileged=*/true);
+    auto nd = hv_->CreateDomain(domain_name, kServiceVmPages, /*privileged=*/true);
     if (!nd.ok()) {
       return nd.error();
     }
@@ -112,7 +112,7 @@ Err VmmStack::StartNetBackend(const std::string& domain_name) {
 
 Err VmmStack::StartStorageBackend(const std::string& domain_name) {
   if (config_.parallax_storage) {
-    auto sd = hv_->CreateDomain(domain_name, config_.storage_pages, /*privileged=*/true);
+    auto sd = hv_->CreateDomain(domain_name, kServiceVmPages, /*privileged=*/true);
     if (!sd.ok()) {
       return sd.error();
     }
@@ -153,7 +153,7 @@ void VmmStack::ArmFaults(const hwsim::FaultPlan& plan) {
 
 std::unique_ptr<VmmStack::Guest> VmmStack::MakeGuest(const std::string& name) {
   auto g = std::make_unique<Guest>();
-  auto dom = hv_->CreateDomain(name, config_.guest_pages, /*privileged=*/false);
+  auto dom = hv_->CreateDomain(name, kGuestPages, /*privileged=*/false);
   assert(dom.ok());
   g->domain = *dom;
   machine_.tracer().RegisterDomain(g->domain, name);
@@ -164,10 +164,10 @@ std::unique_ptr<VmmStack::Guest> VmmStack::MakeGuest(const std::string& name) {
   // Dedicated pfn pools at the top of the guest's pseudo-physical memory.
   std::vector<uvmm::Pfn> net_pool;
   std::vector<uvmm::Pfn> blk_pool;
-  for (uvmm::Pfn pfn = config_.guest_pages - 64; pfn < config_.guest_pages - 8; ++pfn) {
+  for (uvmm::Pfn pfn = kGuestPages - 64; pfn < kGuestPages - 8; ++pfn) {
     net_pool.push_back(pfn);
   }
-  for (uvmm::Pfn pfn = config_.guest_pages - 8; pfn < config_.guest_pages; ++pfn) {
+  for (uvmm::Pfn pfn = kGuestPages - 8; pfn < kGuestPages; ++pfn) {
     blk_pool.push_back(pfn);
   }
 

@@ -32,14 +32,10 @@ namespace ustack {
 class VmmStack {
  public:
   struct Config : ServiceStackConfig {
-    uint64_t dom0_pages = 2048;
-    uint64_t guest_pages = 1024;
-    uint64_t storage_pages = 1024;
     RxMode rx_mode = RxMode::kPageFlip;
     bool parallax_storage = false;   // blkback in a separate storage VM
     bool net_driver_domain = false;  // NIC driver + netback in a separate
                                      // driver domain instead of Dom0
-    uint64_t net_domain_pages = 1024;
     bool request_fast_syscall = true;
     // E16 batching knobs — both default off, so the unbatched datapath (and
     // every E1–E15 number measured over it) is untouched.
@@ -52,6 +48,9 @@ class VmmStack {
     //   grants/mappings alive across packets (grant recycling).
     bool persistent_grants = false;
   };
+
+  // Pseudo-physical pages of each guest domain.
+  static constexpr uint64_t kGuestPages = 1024;
 
   struct Guest {
     ukvm::DomainId domain;
@@ -153,6 +152,9 @@ class VmmStack {
  private:
   static constexpr uint32_t kNicIrq = 5;
   static constexpr uint32_t kDiskIrq = 6;
+  // Pseudo-physical pages of Dom0 and of each disaggregated service VM.
+  static constexpr uint64_t kDom0Pages = 2048;
+  static constexpr uint64_t kServiceVmPages = 1024;
 
   std::unique_ptr<Guest> MakeGuest(const std::string& name);
   void ForEachLiveGuest(const std::function<void(Guest&)>& fn);
@@ -182,7 +184,7 @@ class VmmStack {
   uint32_t nic_irq_port_ = 0;  // in net_dom_
   uint32_t disk_irq_port_ = 0;  // in storage_dom_
   // Outlive every backend that uses them.
-  minios::BlkStore blk_store_{config_.slice_blocks, config_.disk.capacity_blocks};
+  minios::BlkStore blk_store_{kSliceBlocks, disk_.config().capacity_blocks};
   minios::NetRoutes net_routes_;
   std::unique_ptr<NetBack> netback_;
   std::unique_ptr<BlkBack> blkback_;

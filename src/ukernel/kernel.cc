@@ -595,12 +595,10 @@ IpcMessage Kernel::Call(ThreadId caller, ThreadId dest, IpcMessage msg) {
   EnterKernel(stub);
   ++ipc_calls_;
 
-  // A dead caller gets its answer without the kernel ever switching back
-  // into its address space.
+  // LeaveKernelTo never switches back into a dead or unknown caller: it
+  // idles, uncharged, with interrupts open again.
   auto fail = [&](Err err) {
-    if (c != nullptr && !ThreadDead(*c)) {
-      LeaveKernelTo(caller, stub);
-    }
+    LeaveKernelTo(caller, stub);
     return IpcMessage::Error(err);
   };
 
@@ -703,9 +701,7 @@ Err Kernel::Send(ThreadId caller, ThreadId dest, IpcMessage msg) {
   EnterKernel(stub);
   ++ipc_calls_;
   auto fail = [&](Err err) {
-    if (c != nullptr && !ThreadDead(*c)) {
-      LeaveKernelTo(caller, stub);
-    }
+    LeaveKernelTo(caller, stub);
     return err;
   };
   // On the fast stub the short message stays in physical registers across

@@ -26,6 +26,12 @@ namespace uvmm {
 // Guest pseudo-physical frame number (what the guest believes is physical).
 using Pfn = uint64_t;
 
+// The hypervisor hole: a VA range mapped in every domain that guest
+// segments must exclude and no guest mapping may enter (64 MiB at the top
+// of a 32-bit space, as Xen).
+inline constexpr hwsim::Vaddr kHoleBase = 0xFC00'0000ull;
+inline constexpr hwsim::Vaddr kHoleEnd = 0x1'0000'0000ull;
+
 struct Domain {
   Domain(ukvm::DomainId id_in, std::string name_in, hwsim::Machine& machine, bool privileged_in)
       : id(id_in), name(std::move(name_in)), privileged(privileged_in), space(machine) {}

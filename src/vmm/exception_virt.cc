@@ -6,12 +6,8 @@ using ukvm::CrossingKind;
 using ukvm::Err;
 
 ExceptionVirt::ExceptionVirt(hwsim::Machine& machine, DomainScheduler& sched,
-                             ukvm::DomainId vmm_domain, uint64_t hole_base, uint64_t hole_end)
-    : machine_(machine),
-      sched_(sched),
-      vmm_domain_(vmm_domain),
-      hole_base_(hole_base),
-      hole_end_(hole_end) {
+                             ukvm::DomainId vmm_domain)
+    : machine_(machine), sched_(sched), vmm_domain_(vmm_domain) {
   auto& ledger = machine_.ledger();
   mech_fastgate_ = ledger.InternMechanism("xen.syscall.fastgate", CrossingKind::kTrap);
   mech_reflect_ = ledger.InternMechanism("xen.syscall.reflect", CrossingKind::kTrap);
@@ -26,7 +22,7 @@ void ExceptionVirt::RecheckFastPath(Domain& dom) const {
   // cannot fix up DS/ES/FS/GS on the transition. Platforms without
   // segmentation cannot express the shortcut at all.
   dom.fast_trap_enabled = machine_.platform().has_segmentation && dom.fast_trap_requested &&
-                          dom.segments.AllExclude(hole_base_, hole_end_);
+                          dom.segments.AllExclude(kHoleBase, kHoleEnd);
 }
 
 uint64_t ExceptionVirt::GuestSyscall(Domain& dom, hwsim::TrapFrame& frame) {

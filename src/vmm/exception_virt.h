@@ -26,8 +26,7 @@ namespace uvmm {
 
 class ExceptionVirt {
  public:
-  ExceptionVirt(hwsim::Machine& machine, DomainScheduler& sched, ukvm::DomainId vmm_domain,
-                uint64_t hole_base, uint64_t hole_end);
+  ExceptionVirt(hwsim::Machine& machine, DomainScheduler& sched, ukvm::DomainId vmm_domain);
 
   // A guest application's system call. Takes the fast path when armed,
   // otherwise the full trap-reflect-iret journey. Returns the guest
@@ -51,8 +50,6 @@ class ExceptionVirt {
   hwsim::Machine& machine_;
   DomainScheduler& sched_;
   ukvm::DomainId vmm_domain_;
-  uint64_t hole_base_;
-  uint64_t hole_end_;
 
   uint32_t mech_fastgate_ = 0;
   uint32_t mech_reflect_ = 0;

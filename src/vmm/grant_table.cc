@@ -112,7 +112,7 @@ Err GrantTable::MapGrant(DomainId grantee, DomainId granter, uint32_t ref, hwsim
   if (write && !entry->writable) {
     return Err::kPermissionDenied;
   }
-  if (va >= hole_base_ && va < hole_end_) {
+  if (va >= kHoleBase && va < kHoleEnd) {
     return Err::kPermissionDenied;  // no guest mapping inside the hypervisor hole
   }
   auto mfn = g->MfnOf(entry->pfn);

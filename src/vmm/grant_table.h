@@ -32,15 +32,6 @@ class GrantTable {
 
   GrantTable(hwsim::Machine& machine, DomainResolver resolver);
 
-  // The hypervisor hole: MapGrant refuses to place a grantee mapping inside
-  // [base, end), the way mmu_update always has. The hypervisor installs its
-  // configured hole at construction; the auditor's kHypervisorHoleMapping
-  // rule remains as defence-in-depth behind this check.
-  void SetHole(uint64_t base, uint64_t end) {
-    hole_base_ = base;
-    hole_end_ = end;
-  }
-
   // --- Granter side ----------------------------------------------------------
 
   // Grants `grantee` (read or read/write) access to `granter`'s page `pfn`.
@@ -140,8 +131,6 @@ class GrantTable {
 
   hwsim::Machine& machine_;
   DomainResolver resolve_;
-  uint64_t hole_base_ = 0;  // hole_base_ == hole_end_: no hole configured
-  uint64_t hole_end_ = 0;
   std::unordered_map<ukvm::DomainId, std::vector<Entry>> tables_;
 
   uint32_t mech_map_ = 0;

@@ -47,19 +47,12 @@ const char* HypercallName(HypercallNr nr) {
   return "?";
 }
 
-Hypervisor::Hypervisor(hwsim::Machine& machine) : Hypervisor(machine, Config{}) {}
-
-Hypervisor::Hypervisor(hwsim::Machine& machine, Config config)
-    : machine_(machine),
-      config_(config),
-      sched_(machine),
-      exc_(machine, sched_, kVmmDomain, config.hole_base, config.hole_end),
-      pt_virt_(machine, config.hole_base, config.hole_end) {
+Hypervisor::Hypervisor(hwsim::Machine& machine)
+    : machine_(machine), sched_(machine), exc_(machine, sched_, kVmmDomain), pt_virt_(machine) {
   evtchn_ = std::make_unique<EventChannelTable>(
       [this](DomainId target, uint32_t port) { DeliverUpcall(target, port); }, machine_);
   gnttab_ = std::make_unique<GrantTable>(
       machine_, [this](DomainId dom) { return FindDomain(dom); });
-  gnttab_->SetHole(config_.hole_base, config_.hole_end);
   auto& ledger = machine_.ledger();
   mech_hypercall_ = ledger.InternMechanism("xen.hypercall", CrossingKind::kSyncCall);
   mech_hypercall_ret_ =
@@ -104,7 +97,7 @@ Result<DomainId> Hypervisor::CreateDomain(const std::string& name, uint64_t page
   }
   // Paravirtual segment setup: all segments truncated below the hypervisor
   // hole, so the fast system-call gate can be validated.
-  dom->segments.TruncateAll(config_.hole_base);
+  dom->segments.TruncateAll(kHoleBase);
   machine_.ChargeTo(kVmmDomain, machine_.costs().kernel_op * pages / 8 +
                                      machine_.costs().kernel_op);
   if (privileged && !dom0_.valid()) {

@@ -100,14 +100,6 @@ const char* HypercallName(HypercallNr nr);
 
 class Hypervisor : public hwsim::TrapHandler {
  public:
-  struct Config {
-    // The hypervisor hole: a VA range mapped in every domain that guest
-    // segments must exclude (64 MiB at the top of a 32-bit space, as Xen).
-    uint64_t hole_base = 0xFC00'0000ull;
-    uint64_t hole_end = 0x1'0000'0000ull;
-  };
-
-  explicit Hypervisor(hwsim::Machine& machine, Config config);
   explicit Hypervisor(hwsim::Machine& machine);
   ~Hypervisor() override;
 
@@ -116,7 +108,6 @@ class Hypervisor : public hwsim::TrapHandler {
 
   hwsim::Machine& machine() { return machine_; }
   ukvm::DomainId vmm_domain() const { return kVmmDomain; }
-  const Config& config() const { return config_; }
 
   // --- Domain lifecycle (Domctl; building a domain is Dom0 tooling) ---------
 
@@ -260,7 +251,6 @@ class Hypervisor : public hwsim::TrapHandler {
   void DeliverDomainDead(ukvm::DomainId target, ukvm::DomainId dead);
 
   hwsim::Machine& machine_;
-  Config config_;
   DomainScheduler sched_;
   ExceptionVirt exc_;
   PtVirt pt_virt_;

@@ -6,8 +6,7 @@ namespace uvmm {
 
 using ukvm::Err;
 
-PtVirt::PtVirt(hwsim::Machine& machine, uint64_t hole_base, uint64_t hole_end)
-    : machine_(machine), hole_base_(hole_base), hole_end_(hole_end) {
+PtVirt::PtVirt(hwsim::Machine& machine) : machine_(machine) {
   mech_update_ =
       machine_.ledger().InternMechanism("xen.mmu_update", ukvm::CrossingKind::kResourceDelegate);
 }
@@ -18,7 +17,7 @@ Err PtVirt::Apply(Domain& dom, std::span<const MmuUpdate> updates) {
   // entry's neighbours; we validate up front for simplicity).
   for (const MmuUpdate& u : updates) {
     machine_.Charge(machine_.costs().kernel_op);  // per-update validation
-    if (u.va >= hole_base_ && u.va < hole_end_) {
+    if (u.va >= kHoleBase && u.va < kHoleEnd) {
       return Err::kPermissionDenied;  // the guest may never map the hypervisor
     }
     if (u.present) {

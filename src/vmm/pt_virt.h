@@ -29,7 +29,7 @@ struct MmuUpdate {
 
 class PtVirt {
  public:
-  PtVirt(hwsim::Machine& machine, uint64_t hole_base, uint64_t hole_end);
+  explicit PtVirt(hwsim::Machine& machine);
 
   // Validates and applies a batch of updates to `dom`'s page table.
   // Rejects the whole batch on the first invalid update (kPermissionDenied
@@ -37,13 +37,9 @@ class PtVirt {
   ukvm::Err Apply(Domain& dom, std::span<const MmuUpdate> updates);
 
   uint64_t updates_applied() const { return updates_applied_; }
-  uint64_t hole_base() const { return hole_base_; }
-  uint64_t hole_end() const { return hole_end_; }
 
  private:
   hwsim::Machine& machine_;
-  uint64_t hole_base_;
-  uint64_t hole_end_;
   uint32_t mech_update_ = 0;
   uint64_t updates_applied_ = 0;
 };

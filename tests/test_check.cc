@@ -284,7 +284,7 @@ TEST(CheckMutation, GrantMapIntoHypervisorHoleRejectedAndFlagged) {
   const DomainId guest = stack.guest(0).domain;
   auto ref = stack.hv().HcGrantAccess(guest, stack.dom0(), /*pfn=*/5, /*writable=*/true);
   ASSERT_TRUE(ref.ok());
-  const hwsim::Vaddr hole_va = stack.hv().config().hole_base;
+  const hwsim::Vaddr hole_va = uvmm::kHoleBase;
   EXPECT_EQ(stack.hv().HcGrantMap(stack.dom0(), guest, *ref, hole_va, true),
             Err::kPermissionDenied);
   EXPECT_EQ(CountInvariant(*stack.auditor(), Invariant::kHypervisorHoleMapping), 0u);
@@ -373,7 +373,8 @@ TEST(CheckClean, DestroyDomainLeavesNoDeadReferences) {
   stack.auditor()->Checkpoint("after-guest-kill");
   EXPECT_EQ(stack.auditor()->violation_count(), 0u);
   // A new domain receives the freed frames.
-  ASSERT_TRUE(stack.hv().CreateDomain("Reuse", config.guest_pages, /*privileged=*/false).ok());
+  ASSERT_TRUE(
+      stack.hv().CreateDomain("Reuse", ustack::VmmStack::kGuestPages, /*privileged=*/false).ok());
   stack.auditor()->Checkpoint("after-reuse");
   for (const std::string& report : stack.auditor()->ViolationReports()) {
     ADD_FAILURE() << report;

@@ -1,4 +1,4 @@
-// Tests for the simulated devices (timer, NIC, disk) and their drivers.
+// Tests for the simulated devices (NIC, disk) and their drivers.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include "src/hw/disk.h"
 #include "src/hw/machine.h"
 #include "src/hw/nic.h"
-#include "src/hw/timer.h"
 
 namespace {
 
@@ -17,35 +16,9 @@ using hwsim::kCyclesPerUs;
 using hwsim::Machine;
 using hwsim::MakeX86Platform;
 using hwsim::Nic;
-using hwsim::Timer;
 using ukvm::DomainId;
 using ukvm::Err;
 using ukvm::IrqLine;
-
-TEST(TimerTest, PeriodicTicksAssertIrq) {
-  Machine m(MakeX86Platform(), 1 << 20);
-  Timer timer(m, IrqLine(0));
-  timer.Start(1000);
-  m.RunFor(3500);
-  EXPECT_EQ(timer.ticks(), 3u);
-  // The line stays pending until taken, so re-asserts are coalesced.
-  EXPECT_EQ(m.irq_controller().asserts(), 1u);
-  EXPECT_TRUE(m.irq_controller().TakePending().has_value());
-  timer.Stop();
-  m.RunFor(5000);
-  EXPECT_EQ(timer.ticks(), 3u);
-}
-
-TEST(TimerTest, RestartChangesPeriod) {
-  Machine m(MakeX86Platform(), 1 << 20);
-  Timer timer(m, IrqLine(0));
-  timer.Start(1000);
-  m.RunFor(1500);
-  EXPECT_EQ(timer.ticks(), 1u);
-  timer.Start(100);
-  m.RunFor(1000);
-  EXPECT_EQ(timer.ticks(), 11u);
-}
 
 class NicTest : public ::testing::Test {
  protected:

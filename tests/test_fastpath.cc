@@ -517,6 +517,32 @@ TEST(Fastpath, DeadCallerGetsDeadOnFastAndSlowPaths) {
   }
 }
 
+TEST(Fastpath, DeadCallerLeavesInterruptsEnabledOnEveryPath) {
+  // A Call or Send from a destroyed thread fails the kernel's argument
+  // check. The kernel still leaves through LeaveKernelTo, which cannot
+  // switch back into the dead caller: it idles with interrupts open again,
+  // and only the trap entry and the check are charged.
+  for (IpcPath path : kAllPaths) {
+    for (bool send : {false, true}) {
+      SCOPED_TRACE(std::string(PathName(path)) + (send ? ", send" : ", call"));
+      World w(path);
+      w.machine.cpu().SetInterruptsEnabled(true);
+      ASSERT_EQ(w.kernel->DestroyThread(w.client), Err::kNone);
+      const uint64_t handled = w.kernel->FindThread(w.server)->messages_handled;
+      const uint64_t t0 = w.machine.Now();
+      const ukern::IpcMessage msg = ukern::IpcMessage::Short(1);
+      const Err err = send ? w.kernel->Send(w.client, w.server, msg)
+                           : w.kernel->Call(w.client, w.server, msg).status;
+      EXPECT_EQ(err, Err::kDead);
+      const hwsim::CostModel& costs = w.machine.costs();
+      EXPECT_EQ(w.machine.Now() - t0, costs.trap_entry + costs.kernel_op);
+      EXPECT_TRUE(w.machine.cpu().interrupts_enabled());
+      EXPECT_NE(w.kernel->current_thread(), w.client);
+      EXPECT_EQ(w.kernel->FindThread(w.server)->messages_handled, handled);
+    }
+  }
+}
+
 TEST(Fastpath, CallerKilledInsideHandlerGetsDeadOnEveryPath) {
   // Interleaving pin: the server's handler destroys its caller's thread, or
   // the caller's whole task, then returns a register-only reply. Whatever
@@ -554,6 +580,7 @@ TEST(Fastpath, CallerKilledInsideHandlerGetsDeadOnEveryPath) {
       EXPECT_EQ(w.machine.ledger().StatsFor("l4.ipc.replywait").count, replywaits);
       EXPECT_NE(w.machine.cpu().current_domain(), client_task);
       EXPECT_NE(w.kernel->current_thread(), client);
+      EXPECT_TRUE(w.machine.cpu().interrupts_enabled());
       EXPECT_EQ(w.kernel->fastpath_stats().taken, path == IpcPath::kSlow ? 0u : 1u);
       auditor.Checkpoint("after-caller-death");
       EXPECT_EQ(auditor.violation_count(), 0u);

@@ -97,10 +97,6 @@ void FinishDigest(hwsim::Machine& machine, Auditor& auditor, FuzzResult& out) {
     d.Mix(tlb.misses());
     d.Mix(tlb.flushes());
     d.Mix(tlb.insert_seq());
-    for (const auto& [dom, cycles] : machine.vcpu_accounting(v).ByDomain()) {
-      d.Mix(dom.value());
-      d.Mix(cycles);
-    }
   }
   const auto& ss = machine.shootdown_stats();
   d.Mix(ss.requests);

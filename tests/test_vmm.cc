@@ -80,7 +80,7 @@ TEST_F(VmmTest, DestroyDomainFreesFrames) {
 
 TEST_F(VmmTest, SegmentsStartTruncated) {
   Domain* g = hv_.FindDomain(guest_);
-  EXPECT_TRUE(g->segments.AllExclude(hv_.config().hole_base, hv_.config().hole_end));
+  EXPECT_TRUE(g->segments.AllExclude(kHoleBase, kHoleEnd));
 }
 
 // --- Event channels ----------------------------------------------------------
@@ -296,7 +296,7 @@ TEST_F(VmmTest, MmuUpdateMapsOwnFrames) {
 }
 
 TEST_F(VmmTest, MmuUpdateRejectsHypervisorHole) {
-  std::vector<MmuUpdate> updates = {{hv_.config().hole_base + 0x1000, 3, true, true}};
+  std::vector<MmuUpdate> updates = {{kHoleBase + 0x1000, 3, true, true}};
   EXPECT_EQ(hv_.HcMmuUpdate(guest_, updates), Err::kPermissionDenied);
 }
 
@@ -323,7 +323,7 @@ TEST_F(VmmTest, MmuUpdateRejectsFlippedAwayFrame) {
 
 TEST_F(VmmTest, MmuUpdateBatchIsAtomic) {
   std::vector<MmuUpdate> updates = {{0x1000, 3, true, true},
-                                    {hv_.config().hole_base, 4, true, true}};
+                                    {kHoleBase, 4, true, true}};
   EXPECT_EQ(hv_.HcMmuUpdate(guest_, updates), Err::kPermissionDenied);
   Domain* g = hv_.FindDomain(guest_);
   const hwsim::Pte* pte = g->space.Walk(0x1000);
@@ -383,7 +383,7 @@ TEST_F(VmmTest, GlibcSegmentRevokesFastPath) {
   EXPECT_EQ(g->syscalls_fast, 0u);
 
   // Restoring a truncated segment re-arms it.
-  flat.limit = hv_.config().hole_base;
+  flat.limit = kHoleBase;
   ASSERT_EQ(hv_.HcSetSegment(guest_, hwsim::SegmentReg::kGs, flat), Err::kNone);
   EXPECT_TRUE(g->fast_trap_enabled);
 }
